@@ -2,14 +2,17 @@
 //
 // Part of the Vapor SIMD reproduction.
 //
-// Measures what RunOptions::Tiered buys and what it costs:
+// Measures what RunOptions::Tiered buys and what it costs, on every
+// kernel x {sse, altivec} cell of the split-vectorized flow:
 //
 //  - COLD time-to-first-result (TTFR): an eager cold run pays vectorize +
-//    encode + decode + verify + JIT before the first result; a tiered
-//    cold run answers from the golden IR interpreter immediately and
-//    defers every compile to the background. On compile-heavy kernels
-//    (one-time compile work dominating cold TTFR) the tiered entry must
-//    be >= 3x faster -- that is the headline gate.
+//    encode + decode + verify + vector JIT before the first result; a
+//    tiered cold run enters the one cold tier, the forced-scalar JIT --
+//    for a kernel flow, which has no decoded module yet, that is
+//    compiled scalar bytecode -- and defers the vector compile to the
+//    background. Every cell records the tiers its cold runs entered and
+//    executed; the summary is the all-cell geomean speedup, the worst
+//    cell, and the slowest cells by name.
 //  - STEADY state: after hotness-driven promotion converges (the entry
 //    tier reaches the eager tier, artifacts warm in the CodeCache), a
 //    tiered run pays only the hotness tick on top of the eager warm
@@ -50,23 +53,33 @@ constexpr int SteadyReps = 25;
 /// drain) before we give up waiting for the entry tier to reach the
 /// eager tier.
 constexpr int MaxPromoteRuns = 300;
-/// A cell is compile-heavy when at least this fraction of its eager
-/// cold TTFR is one-time compile work (cold minus steady). Defined from
-/// eager-side quantities only, so the classification cannot be gamed by
-/// the tiered numbers it gates.
-constexpr double CompileHeavyFraction = 0.75;
+/// Cells named in the summary, slowest cold speedup first.
+constexpr size_t SlowestReported = 5;
 
 struct Cell {
   std::string Kernel, Target;
   double EagerColdUs = 0;   ///< Median cold TTFR, eager.
-  double TieredColdUs = 0;  ///< Median cold TTFR, tiered (interpreter).
-  double EagerSteadyUs = 0; ///< Median warm-cache eager run.
-  double TieredSteadyUs = 0;///< Median promoted+warm tiered run.
+  double TieredColdUs = 0;  ///< Median cold TTFR, tiered.
+  double EagerSteadyUs = 0; ///< Fastest warm-cache eager run.
+  double TieredSteadyUs = 0;///< Fastest promoted+warm tiered run.
   double ColdSpeedup = 0;   ///< EagerColdUs / TieredColdUs.
   double SteadyRatio = 0;   ///< EagerSteadyUs / TieredSteadyUs.
-  bool CompileHeavy = false;
+  unsigned ColdEntered = 0; ///< One bit per ExecTier a cold run entered.
+  unsigned ColdExecuted = 0;///< One bit per ExecTier a cold run ran on.
   int PromoteRuns = -1; ///< Tiered runs until promotion converged.
 };
+
+/// The tier names of a Cell tier mask, best first, each wrapped in
+/// \p Quote and joined by \p Sep.
+std::string tierList(unsigned Mask, const char *Quote, const char *Sep) {
+  std::string S;
+  for (unsigned T = 0; T <= static_cast<unsigned>(ExecTier::Interpreter);
+       ++T)
+    if (Mask & (1u << T))
+      S += (S.empty() ? "" : Sep) + std::string(Quote) +
+           tierName(static_cast<ExecTier>(T)) + Quote;
+  return S;
+}
 
 double median(std::vector<double> V) {
   std::sort(V.begin(), V.end());
@@ -103,31 +116,27 @@ Cell measure(size_t CellIdx, const kernels::Kernel &K,
   RunOptions Tiered = Eager;
   Tiered.Tiered = true;
 
-  // Eager cold TTFR: every rep starts from an empty cache and pays the
-  // full compile pipeline before its first result.
-  std::vector<double> V;
+  // Cold TTFR, INTERLEAVED like the steady state below so host-speed
+  // drift lands on both sides of the ratio. Every rep starts from an
+  // empty cache: the eager run pays the full compile pipeline before its
+  // first result; the tiered run (fresh salt: the first invocation of a
+  // new hotness key) enters the cold tier, which skips the vectorizer
+  // and the vector lowering.
+  std::vector<double> ColdE, ColdT;
   for (int R = 0; R < ColdReps; ++R) {
     jit::cache::clear();
-    V.push_back(wallMicros(
+    ColdE.push_back(wallMicros(
         [&] { runKernel(K, Flow::SplitVectorized, Eager); }));
-  }
-  C.EagerColdUs = median(V);
-
-  // Tiered cold TTFR: fresh salt per rep (first invocation of a new
-  // hotness key), empty cache -- the run must answer from the
-  // interpreter without touching the compile pipeline.
-  V.clear();
-  for (int R = 0; R < ColdReps; ++R) {
     jit::cache::clear();
     Tiered.TieringSalt = salt(CellIdx, 1, R);
     RunOutcome Out;
-    V.push_back(wallMicros(
+    ColdT.push_back(wallMicros(
         [&] { Out = runKernel(K, Flow::SplitVectorized, Tiered); }));
-    if (!Out.Terminal.ok() || Out.EntryTier != ExecTier::Interpreter)
-      std::printf("WARNING %s/%s: tiered cold run entered %s\n",
-                  K.Name.c_str(), TName.c_str(), tierName(Out.EntryTier));
+    C.ColdEntered |= 1u << static_cast<unsigned>(Out.EntryTier);
+    C.ColdExecuted |= 1u << static_cast<unsigned>(Out.Tier);
   }
-  C.TieredColdUs = median(V);
+  C.EagerColdUs = median(ColdE);
+  C.TieredColdUs = median(ColdT);
 
   // Promotion convergence: one salt, repeated invocations with a drain
   // after each so background compiles land deterministically; stop when
@@ -166,9 +175,6 @@ Cell measure(size_t CellIdx, const kernels::Kernel &K,
       C.TieredColdUs > 0 ? C.EagerColdUs / C.TieredColdUs : 0;
   C.SteadyRatio =
       C.TieredSteadyUs > 0 ? C.EagerSteadyUs / C.TieredSteadyUs : 0;
-  C.CompileHeavy = C.EagerColdUs > 0 &&
-                   (C.EagerColdUs - C.EagerSteadyUs) / C.EagerColdUs >=
-                       CompileHeavyFraction;
   return C;
 }
 
@@ -203,7 +209,7 @@ int main(int argc, char **argv) {
       "eager, split-vectorized");
   std::printf("%-14s %-8s %11s %11s %8s %10s %10s %7s %s\n", "kernel",
               "target", "eager-cold", "tier-cold", "speedup", "eager-ss",
-              "tier-ss", "ratio", "heavy");
+              "tier-ss", "ratio", "cold-tier");
 
   std::vector<Cell> Cells;
   size_t Idx = 0;
@@ -218,7 +224,7 @@ int main(int argc, char **argv) {
                   C.Kernel.c_str(), C.Target.c_str(), C.EagerColdUs,
                   C.TieredColdUs, C.ColdSpeedup, C.EagerSteadyUs,
                   C.TieredSteadyUs, C.SteadyRatio,
-                  C.CompileHeavy ? "yes" : "no");
+                  tierList(C.ColdExecuted, "", "+").c_str());
       Cells.push_back(std::move(C));
     }
   }
@@ -227,24 +233,33 @@ int main(int argc, char **argv) {
   jit::cache::setEnabled(WasEnabled);
   jit::cache::clear();
 
-  double LogSum = 0, SteadyLogSum = 0;
-  unsigned Heavy = 0;
-  double MinSteady = 1e300;
+  std::vector<double> Cold, Steady;
+  unsigned BelowEager = 0;
   for (const Cell &C : Cells) {
-    if (C.CompileHeavy && C.ColdSpeedup > 0) {
-      LogSum += std::log(C.ColdSpeedup);
-      ++Heavy;
-    }
-    if (C.SteadyRatio > 0)
-      SteadyLogSum += std::log(C.SteadyRatio);
-    MinSteady = std::min(MinSteady, C.SteadyRatio);
+    Cold.push_back(C.ColdSpeedup);
+    Steady.push_back(C.SteadyRatio);
+    BelowEager += C.ColdSpeedup < 1.0;
   }
-  double Geomean = Heavy ? std::exp(LogSum / Heavy) : 0;
-  double SteadyGeomean =
-      Cells.empty() ? 0 : std::exp(SteadyLogSum / Cells.size());
-  std::printf("\ncompile-heavy cells: %u/%zu  cold-speedup geomean %.2fx  "
-              "steady-ratio geomean %.3f min %.3f\n",
-              Heavy, Cells.size(), Geomean, SteadyGeomean, MinSteady);
+  std::vector<const Cell *> Slowest;
+  for (const Cell &C : Cells)
+    Slowest.push_back(&C);
+  std::sort(Slowest.begin(), Slowest.end(), [](const Cell *A, const Cell *B) {
+    return A->ColdSpeedup < B->ColdSpeedup;
+  });
+  Slowest.resize(std::min(Slowest.size(), SlowestReported));
+  const double ColdGeomean = bench::geoMean(Cold);
+  const double SteadyGeomean = bench::geoMean(Steady);
+  const double SteadyMin = *std::min_element(Steady.begin(), Steady.end());
+  std::printf("\ncold-speedup geomean %.2fx over %zu cells, worst %.3fx "
+              "(%s/%s), %u cells below eager\nslowest cold cells:",
+              ColdGeomean, Cells.size(), Slowest.front()->ColdSpeedup,
+              Slowest.front()->Kernel.c_str(),
+              Slowest.front()->Target.c_str(), BelowEager);
+  for (const Cell *C : Slowest)
+    std::printf(" %s/%s %.3fx", C->Kernel.c_str(), C->Target.c_str(),
+                C->ColdSpeedup);
+  std::printf("\nsteady-ratio geomean %.3f min %.3f\n", SteadyGeomean,
+              SteadyMin);
 
   if (!JsonPath)
     return 0;
@@ -253,28 +268,43 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "cannot write %s\n", JsonPath);
     return 1;
   }
-  char Buf[512];
-  OS << "{\n  \"schema\": \"vapor-bench-tiering-v1\",\n"
-        "  \"flow\": \"split_vectorized\",\n";
+  char Buf[640];
   std::snprintf(Buf, sizeof(Buf),
-                "  \"cold_speedup_geomean_compile_heavy\": %.3f,\n"
+                "{\n  \"schema\": \"vapor-bench-tiering-v2\",\n"
+                "  \"flow\": \"split_vectorized\",\n"
+                "  \"cold_speedup_geomean\": %.3f,\n"
+                "  \"cold_speedup_min\": %.3f,\n"
+                "  \"cold_cells_below_eager\": %u,\n"
                 "  \"steady_ratio_geomean\": %.4f,\n"
                 "  \"steady_ratio_min\": %.4f,\n"
-                "  \"compile_heavy_cells\": %u,\n  \"cells\": [\n",
-                Geomean, SteadyGeomean, MinSteady, Heavy);
+                "  \"slowest_cold_cells\": [\n",
+                ColdGeomean, Slowest.front()->ColdSpeedup, BelowEager,
+                SteadyGeomean, SteadyMin);
   OS << Buf;
+  for (size_t I = 0; I < Slowest.size(); ++I) {
+    std::snprintf(Buf, sizeof(Buf),
+                  "    {\"kernel\": \"%s\", \"target\": \"%s\", "
+                  "\"cold_speedup\": %.3f}%s\n",
+                  Slowest[I]->Kernel.c_str(), Slowest[I]->Target.c_str(),
+                  Slowest[I]->ColdSpeedup,
+                  I + 1 < Slowest.size() ? "," : "");
+    OS << Buf;
+  }
+  OS << "  ],\n  \"cells\": [\n";
   for (size_t I = 0; I < Cells.size(); ++I) {
     const Cell &C = Cells[I];
     std::snprintf(
         Buf, sizeof(Buf),
         "    {\"kernel\": \"%s\", \"target\": \"%s\", "
         "\"eager_cold_us\": %.2f, \"tiered_cold_us\": %.2f, "
-        "\"cold_speedup\": %.3f, \"eager_steady_us\": %.3f, "
+        "\"cold_speedup\": %.3f, \"cold_entry_tiers\": [%s], "
+        "\"cold_exec_tiers\": [%s], \"eager_steady_us\": %.3f, "
         "\"tiered_steady_us\": %.3f, \"steady_ratio\": %.4f, "
-        "\"compile_heavy\": %s, \"promote_runs\": %d}%s\n",
+        "\"promote_runs\": %d}%s\n",
         C.Kernel.c_str(), C.Target.c_str(), C.EagerColdUs, C.TieredColdUs,
-        C.ColdSpeedup, C.EagerSteadyUs, C.TieredSteadyUs, C.SteadyRatio,
-        C.CompileHeavy ? "true" : "false", C.PromoteRuns,
+        C.ColdSpeedup, tierList(C.ColdEntered, "\"", ", ").c_str(),
+        tierList(C.ColdExecuted, "\"", ", ").c_str(), C.EagerSteadyUs,
+        C.TieredSteadyUs, C.SteadyRatio, C.PromoteRuns,
         I + 1 < Cells.size() ? "," : "");
     OS << Buf;
   }

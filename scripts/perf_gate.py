@@ -69,19 +69,25 @@ Three modes:
 
   --tiering-floor      gates tiered execution's payoff from one
                        ``tiering_latency --json`` report
-                       (BENCH_tiering.json): the geomean cold
-                       time-to-first-result speedup over the report's
-                       compile-heavy cells must be at least
-                       --tiering-cold-floor (default 3.0), there must BE
-                       at least one compile-heavy cell (a report that
-                       stopped classifying cells is corrupt, not
-                       passing), and steady-state tiered throughput must
-                       stay within 5% of eager: steady_ratio_geomean at
-                       least --tiering-steady-floor (default 0.95) with
-                       no single cell below --tiering-steady-cell-min
-                       (default 0.85). Every ratio compares two numbers
+                       (BENCH_tiering.json, schema v2) over EVERY
+                       kernel x target cell: the geomean cold
+                       time-to-first-result speedup must be at least
+                       --tiering-cold-floor (default 2.0) and the worst
+                       cell at least TIERING_COLD_CELL_MIN (0.5); no
+                       cell's cold runs may have executed the
+                       interpreter (the one cold tier is the
+                       forced-scalar JIT); every cell must have
+                       converged to the eager tier; and steady-state
+                       tiered throughput must stay within 5% of eager:
+                       steady_ratio_geomean at least
+                       --tiering-steady-floor (default 0.95) with no
+                       single cell below --tiering-steady-cell-min
+                       (default 0.85). The slowest cells are named in
+                       the verdict. Every ratio compares two numbers
                        from the same report on the same host, so the
-                       gate holds under uniform slowdown (sanitizers):
+                       gate holds under uniform slowdown (sanitizers).
+                       A v1 report (compile-heavy subset, no cold
+                       tiers) is bad input:
                        perf_gate.py --tiering-floor BENCH_tiering.json
 
   --elision-floor      gates proof-carrying check elision from one
@@ -107,6 +113,11 @@ Exit status: 0 pass, 1 regression, 2 bad input.
 import argparse
 import json
 import sys
+
+# Worst-cell floor of --tiering-floor: no kernel x target cell may answer
+# its first request more than 2x slower tiered than eager.
+TIERING_COLD_CELL_MIN = 0.5
+TIERING_SCHEMA = "vapor-bench-tiering-v2"
 
 
 def load(path):
@@ -204,11 +215,12 @@ def main():
                          "(default 0.10)")
     ap.add_argument("--tiering-floor", action="store_true",
                     help="gate a tiering_latency BENCH_tiering.json "
-                         "report: cold TTFR speedup on compile-heavy "
-                         "cells and steady-state parity with eager")
-    ap.add_argument("--tiering-cold-floor", type=float, default=3.0,
-                    help="minimum geomean cold-TTFR speedup over "
-                         "compile-heavy cells (default 3.0)")
+                         "report: all-cell and worst-cell cold TTFR "
+                         "speedup, no interpreter cold runs, and "
+                         "steady-state parity with eager")
+    ap.add_argument("--tiering-cold-floor", type=float, default=2.0,
+                    help="minimum geomean cold-TTFR speedup over every "
+                         "cell (default 2.0)")
     ap.add_argument("--tiering-steady-floor", type=float, default=0.95,
                     help="minimum geomean steady-state tiered/eager "
                          "throughput ratio (default 0.95)")
@@ -220,52 +232,78 @@ def main():
     if args.tiering_floor:
         path = args.current or args.baseline
         report = load(path)
-        if report.get("schema") != "vapor-bench-tiering-v1":
-            print(f"perf_gate: {path} is not a tiering_latency report",
-                  file=sys.stderr)
+        schema = report.get("schema")
+        if schema != TIERING_SCHEMA:
+            what = ("a v1 report (compile-heavy subset, no cold tiers); "
+                    "regenerate it with the current tiering_latency"
+                    if schema == "vapor-bench-tiering-v1"
+                    else "not a tiering_latency report")
+            print(f"perf_gate: {path} is {what}", file=sys.stderr)
             sys.exit(2)
-        cold = report.get("cold_speedup_geomean_compile_heavy")
+        cold = report.get("cold_speedup_geomean")
         steady = report.get("steady_ratio_geomean")
         steady_min = report.get("steady_ratio_min")
-        heavy = report.get("compile_heavy_cells")
-        for name, v in (("cold_speedup_geomean_compile_heavy", cold),
+        for name, v in (("cold_speedup_geomean", cold),
                         ("steady_ratio_geomean", steady),
                         ("steady_ratio_min", steady_min)):
             if not isinstance(v, (int, float)) or v <= 0:
                 print(f"perf_gate: {path} has no usable {name}",
                       file=sys.stderr)
                 sys.exit(2)
-        if not isinstance(heavy, int) or heavy < 0:
-            print(f"perf_gate: {path} has no usable compile_heavy_cells",
-                  file=sys.stderr)
+        cells = report.get("cells")
+        if not isinstance(cells, list) or not cells:
+            print(f"perf_gate: {path} has no cells", file=sys.stderr)
             sys.exit(2)
+        for c in cells:
+            if not all(isinstance(c.get(k), list)
+                       for k in ("cold_entry_tiers", "cold_exec_tiers")) \
+                    or not isinstance(c.get("cold_speedup"), (int, float)):
+                print(f"perf_gate: {path} has a cell without cold "
+                      "speedup or cold tiers", file=sys.stderr)
+                sys.exit(2)
+
+        def name(c):
+            return c.get("kernel", "?") + "/" + c.get("target", "?")
+
+        slowest = sorted(cells, key=lambda c: c["cold_speedup"])[:5]
+        cold_min = slowest[0]["cold_speedup"]
         bad = []
-        if heavy == 0:
-            bad.append("no compile-heavy cells classified (the bench "
-                       "stopped measuring what the gate gates)")
         if cold < args.tiering_cold_floor:
             bad.append(f"cold speedup geomean {cold:.2f}x"
                        f"<{args.tiering_cold_floor:.2f}x")
+        if cold_min < TIERING_COLD_CELL_MIN:
+            bad.append(f"worst cold cell {cold_min:.3f}x"
+                       f"<{TIERING_COLD_CELL_MIN:.2f}x")
         if steady < args.tiering_steady_floor:
             bad.append(f"steady ratio geomean {steady:.3f}"
                        f"<{args.tiering_steady_floor:.2f}")
         if steady_min < args.tiering_steady_cell_min:
             bad.append(f"steady ratio min {steady_min:.3f}"
                        f"<{args.tiering_steady_cell_min:.2f}")
+        # The interpreter is the degradation chain's last resort, never a
+        # cold entry: a cold run that executed it is a tiering regression.
+        interp = [name(c) for c in cells
+                  if "interpreter" in c["cold_entry_tiers"]
+                  or "interpreter" in c["cold_exec_tiers"]]
+        if interp:
+            bad.append("cold runs executed the interpreter on: "
+                       + ", ".join(interp[:5]))
         # A cell that never converged to the eager tier means promotion
         # itself is broken -- its "steady" numbers measure the wrong tier.
-        unconverged = [c.get("kernel", "?") + "/" + c.get("target", "?")
-                       for c in report.get("cells", [])
+        unconverged = [name(c) for c in cells
                        if c.get("promote_runs", -1) < 0]
         if unconverged:
             bad.append("promotion never converged on: "
                        + ", ".join(unconverged[:5]))
         verdict = "FAIL" if bad else "PASS"
         print(f"perf_gate: {verdict}: tiered cold-TTFR geomean {cold:.2f}x "
-              f"over {heavy} compile-heavy cells "
-              f"(floor {args.tiering_cold_floor:.1f}x); steady ratio "
-              f"geomean {steady:.3f} min {steady_min:.3f} "
-              f"(floors {args.tiering_steady_floor:.2f}/"
+              f"over {len(cells)} cells (floor "
+              f"{args.tiering_cold_floor:.1f}x), worst {cold_min:.3f}x "
+              f"(floor {TIERING_COLD_CELL_MIN:.2f}x); slowest: "
+              + ", ".join(f"{name(c)} {c['cold_speedup']:.3f}x"
+                          for c in slowest)
+              + f"; steady ratio geomean {steady:.3f} min "
+              f"{steady_min:.3f} (floors {args.tiering_steady_floor:.2f}/"
               f"{args.tiering_steady_cell_min:.2f})")
         if bad:
             print("perf_gate: tiered execution broke its latency "

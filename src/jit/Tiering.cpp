@@ -11,6 +11,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -30,15 +31,16 @@ double microsBetween(Clock::time_point A, Clock::time_point B) {
 }
 
 constexpr size_t MaxEventsPerKey = 32;
+/// Workers of the owned pool (used only when no pool is attached).
+constexpr unsigned OwnWorkers = 1;
 
 /// One hotness-table row. All fields are guarded by Impl::Mu.
 struct HotEntry {
   uint64_t Invocations = 0;
-  uint64_t LastTouch = 0;  ///< Global tick of the latest invocation.
-  uint64_t Gen = 0;        ///< cache::generation() the state is valid for.
-  uint8_t Ready = NoTier;  ///< Entry tier of the next invocation.
-  uint8_t Cold = NoTier;   ///< Cheapest tier of this entry's flow.
-  uint8_t Pin = NoTier;    ///< Best tier allowed (NoTier = unpinned).
+  uint64_t LastTouch = 0;   ///< Global tick of the latest invocation.
+  uint64_t Gen = 0;         ///< cache::generation() the state is valid for.
+  uint8_t Ready = ColdTier; ///< Entry tier of the next invocation.
+  uint8_t Pin = NoTier;     ///< Best tier allowed (NoTier = unpinned).
   bool CompileInFlight = false;
   uint64_t QueuedAtInvocation = 0;
   std::vector<TransitionEvent> Events;
@@ -76,19 +78,20 @@ struct Engine::Impl {
     if (Attached)
       return *Attached;
     if (!Own)
-      Own = std::make_unique<support::ThreadPool>(Cfg.OwnWorkers);
+      Own = std::make_unique<support::ThreadPool>(OwnWorkers);
     return *Own;
   }
 
   /// Refreshes \p E against the current cache generation: a clear()
   /// dropped the promoted artifacts AND expired every pin, so readiness
   /// falls back to the cold tier and pins lift. Hotness survives -- the
-  /// function is still hot, it just has to recompile.
+  /// function is still hot, it just has to recompile. A fresh row (Gen 0;
+  /// generations start at 1) takes the same path.
   void refreshGeneration(HotEntry &E, uint64_t Gen) {
     if (E.Gen == Gen)
       return;
     E.Gen = Gen;
-    E.Ready = E.Cold;
+    E.Ready = ColdTier;
     E.Pin = NoTier;
   }
 
@@ -120,42 +123,32 @@ Engine::~Engine() {
   delete I;
 }
 
-Decision Engine::onInvoke(uint64_t Key, uint8_t EagerTier,
-                          uint8_t ColdTier) {
+Decision Engine::onInvoke(uint64_t Key, uint8_t EagerTier) {
+  assert(EagerTier < ColdTier && "a flow at or below cold runs eager");
   static obs::Counter Invokes("tiering.invocations");
   Invokes.add(1);
   const uint64_t Gen = cache::generation();
   std::lock_guard<std::mutex> Lock(I->Mu);
   ++I->Invocations;
   HotEntry &E = I->Table[Key];
-  if (E.Ready == NoTier) { // Fresh row.
-    E.Ready = ColdTier;
-    E.Cold = ColdTier;
-    E.Gen = Gen;
-  }
   I->refreshGeneration(E, Gen);
   ++E.Invocations;
   E.LastTouch = ++I->Tick;
 
   Decision D;
   D.Invocations = E.Invocations;
-  // Never better than what this run asked for, never worse than cold.
-  D.EntryTier = std::min<uint8_t>(std::max(E.Ready, EagerTier), ColdTier);
+  // Never better than what this run asked for (Ready never exceeds cold).
+  D.EntryTier = std::max(E.Ready, EagerTier);
 
-  // Promotion ladder: first the vectorized VM program (or the eager
-  // tier itself when that is worse than Vectorized -- e.g. a tiered
-  // SplitScalar flow), then the native unit. A pin caps how high the
-  // ladder reaches; a claimed-but-unfinished compile blocks reclaiming.
+  // Promotion ladder: first the vectorized VM program, then -- when the
+  // run asks for it -- the native unit. A pin caps how high the ladder
+  // reaches; a claimed-but-unfinished compile blocks reclaiming.
   const uint8_t Floor = E.Pin == NoTier ? 0 : E.Pin;
-  const uint8_t Step1 = std::max<uint8_t>(EagerTier, 1);
-  uint8_t Target = NoTier;
-  if (E.Ready > Step1 && Step1 >= Floor &&
-      E.Invocations >= I->Cfg.HotVectorized)
-    Target = Step1;
-  else if (E.Ready <= Step1 && EagerTier < E.Ready && EagerTier >= Floor &&
-           E.Invocations >= I->Cfg.HotNative)
-    Target = EagerTier;
-  if (Target != NoTier && !E.CompileInFlight) {
+  const bool FirstStep = E.Ready > VectorizedTier;
+  const uint8_t Target = FirstStep ? VectorizedTier : EagerTier;
+  const uint32_t Hot = FirstStep ? I->Cfg.HotVectorized : I->Cfg.HotNative;
+  if (Target < E.Ready && Target >= Floor && E.Invocations >= Hot &&
+      !E.CompileInFlight) {
     if (I->Outstanding >= I->Cfg.MaxQueue) {
       static obs::Counter Rejects("tiering.queue_rejects");
       Rejects.add(1);
@@ -232,7 +225,7 @@ void Engine::enqueueCompile(uint64_t Key, uint8_t FromTier, uint8_t ToTier,
       ++I->Pins;
       // The tier does not compile for this function: pin strictly below
       // it so the ladder never re-claims the same doomed step.
-      uint8_t Pin = std::min<uint8_t>(ToTier + 1, E.Cold);
+      uint8_t Pin = std::min<uint8_t>(ToTier + 1, ColdTier);
       E.Pin = E.Pin == NoTier ? Pin : std::max(E.Pin, Pin);
       E.Ready = std::max(E.Ready, E.Pin);
       Ev.What = TransitionEvent::CompileFailed;
@@ -252,7 +245,7 @@ void Engine::onOutcome(uint64_t Key, uint8_t PinTier) {
     return;
   HotEntry &E = It->second;
   I->refreshGeneration(E, Gen);
-  uint8_t Pin = std::min(PinTier, E.Cold);
+  uint8_t Pin = std::min(PinTier, ColdTier);
   if (E.Pin != NoTier && Pin <= E.Pin)
     return; // Already pinned at least this low.
   PinsC.add(1);

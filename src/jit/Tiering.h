@@ -13,9 +13,9 @@
 /// engine moves functions UP it when they get hot:
 ///
 ///   - the first invocation of a (function × target × placement ×
-///     options) cell runs at the cheapest ready tier (the golden IR
-///     interpreter for trusted kernel flows, the forced-scalar JIT for
-///     fail-closed server flows);
+///     options) cell runs at the one cold tier, ColdTier (the
+///     forced-scalar JIT; a kernel flow, which has no decoded module
+///     yet, runs it as compiled scalar bytecode);
 ///   - every invocation ticks a hotness entry; at the configured
 ///     thresholds the engine claims ONE background compile slot per
 ///     entry and the caller enqueues an off-thread compile of the next
@@ -36,10 +36,11 @@
 /// that trapped at Vectorized is not re-promoted into Vectorized, and a
 /// tier whose background compile failed is never entered at all.
 ///
-/// The engine is tier-lattice-agnostic on purpose: it stores tiers as
-/// raw uint8_t values of vapor::ExecTier (0 = Native ... 4 =
-/// Interpreter, lower is better) so this layer needs no dependency on
-/// the pipeline headers above it.
+/// The engine stores tiers as raw uint8_t values of vapor::ExecTier
+/// (0 = Native ... 4 = Interpreter, lower is better) so this layer needs
+/// no dependency on the pipeline headers above it; the two lattice
+/// points it needs by name are the constants below, which the executor
+/// static_asserts against ExecTier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,11 +62,16 @@ namespace tiering {
 
 /// Out-of-band tier value: "no tier" / "no pin".
 constexpr uint8_t NoTier = 0xff;
+/// The first promotion step: the vectorized VM program
+/// (ExecTier::Vectorized).
+constexpr uint8_t VectorizedTier = 1;
+/// The one cold-entry tier of every flow (ExecTier::ScalarJit). Fresh
+/// and invalidated rows are ready here, and no pin sits below it.
+constexpr uint8_t ColdTier = 2;
 
 struct Config {
   /// Invocation count at which the first promotion step (the vectorized
-  /// VM program -- or the requested entry tier itself when that is
-  /// worse than Vectorized) is queued for background compilation.
+  /// VM program) is queued for background compilation.
   uint32_t HotVectorized = 8;
   /// Invocation count at which the native unit is queued (only reached
   /// when the run asked for the native tier and the first step landed).
@@ -78,10 +84,6 @@ struct Config {
   /// Bound on hotness-table entries; past it the least-recently-invoked
   /// entries without an in-flight compile are evicted.
   uint32_t MaxEntries = 4096;
-  /// Worker count of the engine-owned background pool, created lazily
-  /// when no external pool is attached (the server attaches its request
-  /// pool instead, so compiles ride its background lane).
-  unsigned OwnWorkers = 1;
 };
 
 /// What onInvoke tells the caller to do for this run.
@@ -140,13 +142,13 @@ public:
   Engine &operator=(const Engine &) = delete;
 
   /// Ticks \p Key's hotness entry and picks the entry tier for this
-  /// invocation. \p EagerTier is the best tier this run is allowed to
-  /// reach (the entry tier eager mode would use); \p ColdTier is the
-  /// cheapest tier the flow may run (Interpreter for trusted flows,
-  /// ScalarJit for fail-closed server flows). When a promotion
-  /// threshold is crossed the returned Decision claims the compile slot
-  /// -- the caller must then enqueueCompile exactly once.
-  Decision onInvoke(uint64_t Key, uint8_t EagerTier, uint8_t ColdTier);
+  /// invocation, between ColdTier and \p EagerTier, the best tier this
+  /// run is allowed to reach (the entry tier eager mode would use; it
+  /// must be better than ColdTier -- a flow whose eager tier is not has
+  /// nothing to tier and runs eager). When a promotion threshold is
+  /// crossed the returned Decision claims the compile slot -- the
+  /// caller must then enqueueCompile exactly once.
+  Decision onInvoke(uint64_t Key, uint8_t EagerTier);
 
   /// Submits the background compile claimed by onInvoke. \p Compile
   /// returns true when the target tier's artifacts are ready (they must
@@ -176,9 +178,9 @@ public:
   void setConfig(const Config &C);
 
   /// Routes background compiles onto \p Pool's background lane instead
-  /// of the engine-owned pool (the server shares its request pool this
-  /// way). Null reverts to the owned pool. Drains first, so no job ever
-  /// outlives the pool it was submitted to.
+  /// of the lazily created engine-owned one-worker pool (the server
+  /// shares its request pool this way). Null reverts to the owned pool.
+  /// Drains first, so no job ever outlives the pool it was submitted to.
   void attachPool(support::ThreadPool *Pool);
 
   EngineStats stats() const;

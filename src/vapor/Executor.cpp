@@ -20,7 +20,6 @@
 
 #include <chrono>
 #include <map>
-#include <set>
 
 using namespace vapor;
 using namespace vapor::ir;
@@ -43,6 +42,25 @@ void recordDemotion(const kernels::Kernel &K, const RunOptions &O,
               {"from", obs::argStr(tierName(From))},
               {"to", obs::argStr(tierName(To))},
               {"status", obs::argStr(St.str())}});
+}
+
+/// The decode layer, through the code cache when \p Cached: a decoded
+/// module is a pure function of its encoded bytes, so decoding the same
+/// bytes again is a lookup.
+status::Expected<std::shared_ptr<const ir::Function>>
+decodeCached(const std::vector<uint8_t> &Bytes, bool Cached) {
+  uint64_t BytesHash = 0;
+  if (Cached) {
+    BytesHash = jit::cache::hashBytes(Bytes.data(), Bytes.size());
+    if (auto Module = jit::cache::findModule(BytesHash))
+      return Module;
+  }
+  auto Decoded = bytecode::decode(Bytes);
+  if (!Decoded)
+    return Decoded.status();
+  if (Cached)
+    return jit::cache::putModule(BytesHash, Decoded.take(), Bytes.size());
+  return std::make_shared<const ir::Function>(Decoded.take());
 }
 
 } // namespace
@@ -113,22 +131,23 @@ uint64_t Executor::tieringKey() {
 
 RunOutcome Executor::runTiered(ExecTier Eager) {
   namespace tiering = jit::tiering;
+  static_assert(tiering::ColdTier ==
+                static_cast<uint8_t>(ExecTier::ScalarJit));
+  static_assert(tiering::VectorizedTier ==
+                static_cast<uint8_t>(ExecTier::Vectorized));
+  // Every flow enters cold at the forced-scalar JIT: no vectorizer and
+  // no vector lowering before the first result. A server flow re-JITs
+  // its pre-decoded module there, skipping the verify gate (the scalar
+  // lowering emits no checked vector access a bytecode lie could trap);
+  // a kernel flow has no decoded module yet, so runChain's no-module
+  // edge runs it as compiled scalar bytecode. The interpreter is only
+  // ever the degradation chain's last resort.
   const uint8_t EagerV = static_cast<uint8_t>(Eager);
-  // Fail-closed flows must not touch the checkpoint-free interpreter or
-  // the (source-re-encoding) scalar-bytecode tier; their cheapest tier
-  // is the forced-scalar JIT, which also skips the verify gate -- the
-  // scalar lowering emits no checked vector access a bytecode lie could
-  // trap, so it is safe-by-construction like the verify-fail demotion
-  // edge. Trusted kernel flows start all the way down at the golden
-  // interpreter: zero compilation before the first result.
-  const uint8_t ColdV =
-      static_cast<uint8_t>(FailClosed ? ExecTier::ScalarJit
-                                      : ExecTier::Interpreter);
-  if (EagerV >= ColdV)
+  if (EagerV >= tiering::ColdTier)
     return runChain(Eager); // Nothing below the requested tier to tier.
 
   const uint64_t Key = tieringKey();
-  tiering::Decision D = tiering::engine().onInvoke(Key, EagerV, ColdV);
+  tiering::Decision D = tiering::engine().onInvoke(Key, EagerV);
 
   if (D.ShouldCompile) {
     // The background job is a fresh Executor over VALUE copies (this
@@ -332,22 +351,10 @@ Status Executor::prepareVectorized(RunOutcome &Out) {
                {{"kernel", obs::argStr(K.Name)},
                 {"bytes", obs::argStr(static_cast<uint64_t>(Encoded.size()))}});
   const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  uint64_t BytesHash = 0;
-  std::shared_ptr<const ir::Function> Module;
-  if (Cached) {
-    BytesHash = jit::cache::hashBytes(Encoded.data(), Encoded.size());
-    Module = jit::cache::findModule(BytesHash);
-  }
-  if (!Module) {
-    auto Decoded = bytecode::decode(Encoded);
-    if (!Decoded)
-      return Decoded.status();
-    Module = Cached
-                 ? jit::cache::putModule(BytesHash, Decoded.take(),
-                                         Encoded.size())
-                 : std::make_shared<const ir::Function>(Decoded.take());
-  }
-  VecModule = Module;
+  auto Module = decodeCached(Encoded, Cached);
+  if (!Module)
+    return Module.status();
+  VecModule = Module.take();
   VecModuleHash = Cached ? ir::hashFunction(*VecModule) : 0;
 
   // The split layer's contract: what crosses it must be provably safe
@@ -394,31 +401,20 @@ Status Executor::attemptScalarBytecode(RunOutcome &Out) {
   std::vector<uint8_t> Encoded = bytecode::encode(K.Source);
   Out.BytecodeBytes = Encoded.size();
   const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  uint64_t BytesHash = 0;
-  std::shared_ptr<const ir::Function> Module;
-  if (Cached) {
-    BytesHash = jit::cache::hashBytes(Encoded.data(), Encoded.size());
-    Module = jit::cache::findModule(BytesHash);
-  }
-  if (!Module) {
-    auto Decoded = bytecode::decode(Encoded);
-    if (!Decoded)
-      return Decoded.status();
-    Module = Cached
-                 ? jit::cache::putModule(BytesHash, Decoded.take(),
-                                         Encoded.size())
-                 : std::make_shared<const ir::Function>(Decoded.take());
-  }
-  uint64_t FnHash = Cached ? ir::hashFunction(*Module) : 0;
+  auto Module = decodeCached(Encoded, Cached);
+  if (!Module)
+    return Module.status();
+  const ir::Function &Fn = **Module;
+  uint64_t FnHash = Cached ? ir::hashFunction(Fn) : 0;
 
   if (O.VerifyBytecode) {
-    Status St = verifyCached(*Module, FnHash, Cached,
+    Status St = verifyCached(Fn, FnHash, Cached,
                              "scalar bytecode verification failed for ");
     if (!St.ok())
       return St;
   }
 
-  return runModule(Out, *Module, FnHash, /*ForceScalarize=*/false);
+  return runModule(Out, Fn, FnHash, /*ForceScalarize=*/false);
 }
 
 Status Executor::verifyCached(const ir::Function &Module, uint64_t FnHash,
@@ -537,19 +533,17 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
     // their table value (absent => 0), FP-bound params have no integer
     // value the bounds evaluator may rely on.
     std::map<std::string, int64_t> IntVals;
-    std::set<std::string> FpSet;
     detail::setParams(
         K, Module,
         [&](const std::string &N, int64_t V) { IntVals[N] = V; },
-        [&](const std::string &N, double) { FpSet.insert(N); });
+        [](const std::string &, double) {});
     analysis::ParamFn PF =
-        [&IntVals, &FpSet](const std::string &N) -> std::optional<int64_t> {
+        [&IntVals](const std::string &N) -> std::optional<int64_t> {
       auto It = IntVals.find(N);
       if (It != IntVals.end())
         return It->second;
       return std::nullopt; // FP-bound or unknown: no integer value.
     };
-    (void)FpSet;
     Plan = jit::buildElisionPlan(Module, Cert.get(), O.Target, *Out.Mem,
                                  EMode, PF);
   } else {
@@ -688,24 +682,14 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
   // Decode first (through the cache when enabled): the bytes are the
   // only definition of the work, so a decode failure is terminal -- no
   // lower tier can synthesize a module the wire format rejected.
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  uint64_t BytesHash = 0;
-  std::shared_ptr<const ir::Function> Module;
-  if (Cached) {
-    BytesHash = jit::cache::hashBytes(W.Bytecode.data(), W.Bytecode.size());
-    Module = jit::cache::findModule(BytesHash);
+  auto Decoded =
+      decodeCached(W.Bytecode, O.UseCodeCache && jit::cache::enabled());
+  if (!Decoded) {
+    RunOutcome Out;
+    Out.Terminal = Decoded.status();
+    return Out;
   }
-  if (!Module) {
-    auto Decoded = bytecode::decode(W.Bytecode);
-    if (!Decoded) {
-      RunOutcome Out;
-      Out.Terminal = Decoded.status();
-      return Out;
-    }
-    Module = Cached ? jit::cache::putModule(BytesHash, Decoded.take(),
-                                            W.Bytecode.size())
-                    : std::make_shared<const ir::Function>(Decoded.take());
-  }
+  std::shared_ptr<const ir::Function> Module = Decoded.take();
 
   // Synthesize the workload the executor drives: the decoded module is
   // the source of truth for arrays and params; the fill is the

@@ -124,17 +124,18 @@ struct RunOptions {
   uint64_t DeadlineFuel = 0;
   /// Tiered execution (jit/Tiering.h): instead of compiling everything
   /// synchronously before the first result, enter each invocation at
-  /// the cheapest READY tier -- the golden IR interpreter for trusted
-  /// kernel flows, the forced-scalar JIT for fail-closed server flows
-  /// -- and let the hotness engine promote the function off-thread: at
-  /// the configured invocation thresholds a background job compiles the
-  /// vectorized VM program (and, when UseNative, the native unit) into
-  /// the CodeCache, and the NEXT invocation enters the better tier as a
-  /// warm cache hit. The swap point is the run boundary: an in-flight
-  /// run always finishes on the tier it started. The degradation chain
-  /// is unchanged within a run; a run that demotes (or a background
-  /// compile that fails) pins the function below the failing tier until
-  /// the cache is invalidated (jit::cache::clear()).
+  /// the cheapest READY tier -- cold, the forced-scalar JIT for every
+  /// flow (a kernel flow, with no decoded module yet, runs it as
+  /// compiled scalar bytecode; SplitScalar, already that deep, runs
+  /// eager) -- and let the hotness engine promote the function
+  /// off-thread: at the configured invocation thresholds a background
+  /// job compiles the vectorized VM program (and, when UseNative, the
+  /// native unit) into the CodeCache, and the NEXT invocation enters the
+  /// better tier as a warm cache hit. The swap point is the run
+  /// boundary: an in-flight run always finishes on the tier it started.
+  /// The degradation chain is unchanged within a run; a run that demotes
+  /// (or a background compile that fails) pins the function below the
+  /// failing tier until the cache is invalidated (jit::cache::clear()).
   bool Tiered = false;
   /// Extra value folded into the tiering hotness key. The engine is
   /// process-global; sweep drivers (crashtest --tiered, tests, benches)

@@ -9,12 +9,14 @@
 //    queue bound, compile-failure pins, demotion pins, generation expiry,
 //    and the bounded hotness table.
 //
-//  - Executor-level tests through the process-global engine: golden-exact
+//  - Executor-level tests through the process-global engine: the one
+//    cold entry (ScalarJit, never the interpreter) and golden-exact
 //    results across a forced promotion mid-sweep on every kernel x target,
-//    promotion-vs-demotion interleaving under fault injection (a function
-//    that trapped at Vectorized must not be re-promoted into the failing
-//    tier until the cache is invalidated), fail-closed server-mode entry,
-//    and a TSan-targeted concurrent promote/execute churn.
+//    SplitScalar running eager, promotion-vs-demotion interleaving under
+//    fault injection (a function that trapped at Vectorized must not be
+//    re-promoted into the failing tier until the cache is invalidated),
+//    fail-closed server-mode entry, and a TSan-targeted concurrent
+//    promote/execute churn.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,7 @@
 
 using namespace vapor;
 using namespace vapor::kernels;
+using jit::tiering::ColdTier;
 using jit::tiering::Config;
 using jit::tiering::Decision;
 using jit::tiering::Engine;
@@ -49,7 +52,8 @@ namespace {
 // vapor::ExecTier); the unit tests mirror that. Values match ExecTier.
 constexpr uint8_t TVec = 1;
 constexpr uint8_t TScalarJit = 2;
-constexpr uint8_t TInterp = 4;
+constexpr uint8_t TScalarBytecode = 3;
+static_assert(ColdTier == TScalarJit);
 
 Config smallConfig() {
   Config C;
@@ -66,8 +70,8 @@ TEST(TieringEngineTest, ColdEntriesStayColdBelowThreshold) {
   C.HotVectorized = 3;
   E.setConfig(C);
   for (int I = 1; I <= 2; ++I) {
-    Decision D = E.onInvoke(/*Key=*/1, /*EagerTier=*/TVec, /*ColdTier=*/TInterp);
-    EXPECT_EQ(D.EntryTier, TInterp);
+    Decision D = E.onInvoke(/*Key=*/1, /*EagerTier=*/TVec);
+    EXPECT_EQ(D.EntryTier, TScalarJit);
     EXPECT_FALSE(D.ShouldCompile);
     EXPECT_EQ(D.Invocations, static_cast<uint64_t>(I));
   }
@@ -80,26 +84,26 @@ TEST(TieringEngineTest, ThresholdClaimsExactlyOneCompile) {
   Config C;
   C.HotVectorized = 3;
   E.setConfig(C);
-  E.onInvoke(1, TVec, TInterp);
-  E.onInvoke(1, TVec, TInterp);
-  Decision D = E.onInvoke(1, TVec, TInterp);
+  E.onInvoke(1, TVec);
+  E.onInvoke(1, TVec);
+  Decision D = E.onInvoke(1, TVec);
   ASSERT_TRUE(D.ShouldCompile);
   EXPECT_EQ(D.CompileTier, TVec);
-  EXPECT_EQ(D.EntryTier, TInterp); // This invocation still runs cold.
+  EXPECT_EQ(D.EntryTier, TScalarJit); // This invocation still runs cold.
   // The claim is held until the compile finishes: no double-claim.
-  Decision D2 = E.onInvoke(1, TVec, TInterp);
+  Decision D2 = E.onInvoke(1, TVec);
   EXPECT_FALSE(D2.ShouldCompile);
 }
 
 TEST(TieringEngineTest, CompileSuccessPromotesNextInvocation) {
   Engine E;
   E.setConfig(smallConfig());
-  E.onInvoke(1, TVec, TInterp);
-  Decision D = E.onInvoke(1, TVec, TInterp);
+  E.onInvoke(1, TVec);
+  Decision D = E.onInvoke(1, TVec);
   ASSERT_TRUE(D.ShouldCompile);
   E.enqueueCompile(1, D.EntryTier, D.CompileTier, [] { return true; });
   E.drain();
-  Decision After = E.onInvoke(1, TVec, TInterp);
+  Decision After = E.onInvoke(1, TVec);
   EXPECT_EQ(After.EntryTier, TVec);
   EXPECT_FALSE(After.ShouldCompile); // Already at the eager tier.
   EngineStats S = E.stats();
@@ -122,8 +126,8 @@ TEST(TieringEngineTest, CompileSuccessPromotesNextInvocation) {
 TEST(TieringEngineTest, CompileFailurePinsStrictlyBelowTarget) {
   Engine E;
   E.setConfig(smallConfig());
-  E.onInvoke(1, TVec, TInterp);
-  Decision D = E.onInvoke(1, TVec, TInterp);
+  E.onInvoke(1, TVec);
+  Decision D = E.onInvoke(1, TVec);
   ASSERT_TRUE(D.ShouldCompile);
   E.enqueueCompile(1, D.EntryTier, D.CompileTier, [] { return false; });
   E.drain();
@@ -138,26 +142,26 @@ TEST(TieringEngineTest, CompileFailurePinsStrictlyBelowTarget) {
   EXPECT_EQ(R->Events[0].What, TransitionEvent::CompileFailed);
   // The ladder never re-claims the same doomed step.
   for (int I = 0; I < 8; ++I)
-    EXPECT_FALSE(E.onInvoke(1, TVec, TInterp).ShouldCompile) << I;
+    EXPECT_FALSE(E.onInvoke(1, TVec).ShouldCompile) << I;
   EXPECT_EQ(E.stats().CompilesFailed, 1u);
 }
 
 TEST(TieringEngineTest, DemotionPinBlocksRepromotionAndCapsEntry) {
   Engine E;
   E.setConfig(smallConfig());
-  E.onInvoke(1, TVec, TInterp);
-  Decision D = E.onInvoke(1, TVec, TInterp);
+  E.onInvoke(1, TVec);
+  Decision D = E.onInvoke(1, TVec);
   ASSERT_TRUE(D.ShouldCompile);
   E.enqueueCompile(1, D.EntryTier, D.CompileTier, [] { return true; });
   E.drain();
-  ASSERT_EQ(E.onInvoke(1, TVec, TInterp).EntryTier, TVec);
+  ASSERT_EQ(E.onInvoke(1, TVec).EntryTier, TVec);
 
   // The run demoted (e.g. a deopt retry finished at ScalarJit): the pin
   // caps every later entry and the ladder must not climb back.
   E.onOutcome(1, TScalarJit);
   EXPECT_EQ(E.stats().Pins, 1u);
   for (int I = 0; I < 6; ++I) {
-    Decision After = E.onInvoke(1, TVec, TInterp);
+    Decision After = E.onInvoke(1, TVec);
     EXPECT_EQ(After.EntryTier, TScalarJit) << I;
     EXPECT_FALSE(After.ShouldCompile) << I;
   }
@@ -171,7 +175,7 @@ TEST(TieringEngineTest, DemotionPinBlocksRepromotionAndCapsEntry) {
 TEST(TieringEngineTest, RedundantDemotionsRecordOnePin) {
   Engine E;
   E.setConfig(smallConfig());
-  E.onInvoke(1, TVec, TInterp);
+  E.onInvoke(1, TVec);
   E.onOutcome(1, TScalarJit);
   E.onOutcome(1, TScalarJit); // Same pin again: no-op.
   E.onOutcome(1, TVec);       // Weaker pin: no-op.
@@ -180,30 +184,35 @@ TEST(TieringEngineTest, RedundantDemotionsRecordOnePin) {
 
 TEST(TieringEngineTest, PinClampsToColdTier) {
   Engine E;
-  E.onInvoke(1, TVec, TInterp);
-  E.onOutcome(1, /*PinTier=*/TInterp + 3); // Beyond the chain's bottom.
+  E.onInvoke(1, TVec);
+  // A cold kernel-flow run executes ScalarBytecode; one that demoted
+  // from there ends below it. Neither pin may push entry below cold.
+  E.onOutcome(1, /*PinTier=*/TScalarBytecode);
+  E.onOutcome(1, /*PinTier=*/TScalarBytecode + 3); // Beyond the bottom.
   auto R = E.keyReport(1);
   ASSERT_TRUE(R.has_value());
-  EXPECT_EQ(R->PinTier, TInterp);
+  EXPECT_EQ(R->PinTier, TScalarJit);
+  EXPECT_EQ(E.stats().Pins, 1u);
+  EXPECT_EQ(E.onInvoke(1, TVec).EntryTier, TScalarJit);
 }
 
 TEST(TieringEngineTest, CacheInvalidationLiftsPinsButKeepsHotness) {
   Engine E;
   E.setConfig(smallConfig());
-  E.onInvoke(1, TVec, TInterp);
-  Decision D = E.onInvoke(1, TVec, TInterp);
+  E.onInvoke(1, TVec);
+  Decision D = E.onInvoke(1, TVec);
   ASSERT_TRUE(D.ShouldCompile);
   E.enqueueCompile(1, D.EntryTier, D.CompileTier, [] { return true; });
   E.drain();
   E.onOutcome(1, TScalarJit);
-  ASSERT_EQ(E.onInvoke(1, TVec, TInterp).EntryTier, TScalarJit);
+  ASSERT_EQ(E.onInvoke(1, TVec).EntryTier, TScalarJit);
 
   // A cache clear dropped the promoted artifacts AND expired the pin:
   // readiness falls back to cold, and -- because hotness survives -- the
   // very next invocation re-claims the vectorized compile.
   jit::cache::clear();
-  Decision After = E.onInvoke(1, TVec, TInterp);
-  EXPECT_EQ(After.EntryTier, TInterp);
+  Decision After = E.onInvoke(1, TVec);
+  EXPECT_EQ(After.EntryTier, TScalarJit);
   EXPECT_TRUE(After.ShouldCompile);
   EXPECT_EQ(After.CompileTier, TVec);
   auto R = E.keyReport(1);
@@ -214,8 +223,8 @@ TEST(TieringEngineTest, CacheInvalidationLiftsPinsButKeepsHotness) {
 TEST(TieringEngineTest, StaleCompileResultIsDiscardedAfterInvalidation) {
   Engine E;
   E.setConfig(smallConfig());
-  E.onInvoke(1, TVec, TInterp);
-  Decision D = E.onInvoke(1, TVec, TInterp);
+  E.onInvoke(1, TVec);
+  Decision D = E.onInvoke(1, TVec);
   ASSERT_TRUE(D.ShouldCompile);
   // The cache is cleared while the compile runs: its artifact is gone, so
   // the result must NOT mark the entry ready at the better tier.
@@ -225,8 +234,8 @@ TEST(TieringEngineTest, StaleCompileResultIsDiscardedAfterInvalidation) {
   });
   E.drain();
   EXPECT_EQ(E.stats().Promotions, 0u);
-  Decision After = E.onInvoke(1, TVec, TInterp);
-  EXPECT_EQ(After.EntryTier, TInterp);
+  Decision After = E.onInvoke(1, TVec);
+  EXPECT_EQ(After.EntryTier, TScalarJit);
 }
 
 TEST(TieringEngineTest, QueueBoundRejectsAndRetriesNextInvocation) {
@@ -239,7 +248,7 @@ TEST(TieringEngineTest, QueueBoundRejectsAndRetriesNextInvocation) {
   std::condition_variable CV;
   bool Go = false;
 
-  Decision D1 = E.onInvoke(1, TVec, TInterp);
+  Decision D1 = E.onInvoke(1, TVec);
   ASSERT_TRUE(D1.ShouldCompile);
   E.enqueueCompile(1, D1.EntryTier, D1.CompileTier, [&] {
     std::unique_lock<std::mutex> L(M);
@@ -248,7 +257,7 @@ TEST(TieringEngineTest, QueueBoundRejectsAndRetriesNextInvocation) {
   });
   // A second key crosses its threshold while the queue is full: the claim
   // is rejected (counted), not blocked on.
-  Decision D2 = E.onInvoke(2, TVec, TInterp);
+  Decision D2 = E.onInvoke(2, TVec);
   EXPECT_FALSE(D2.ShouldCompile);
   EXPECT_EQ(E.stats().QueueRejects, 1u);
   {
@@ -258,7 +267,7 @@ TEST(TieringEngineTest, QueueBoundRejectsAndRetriesNextInvocation) {
   CV.notify_all();
   E.drain();
   // The rejected key retries on its next invocation.
-  Decision D3 = E.onInvoke(2, TVec, TInterp);
+  Decision D3 = E.onInvoke(2, TVec);
   EXPECT_TRUE(D3.ShouldCompile);
 }
 
@@ -268,7 +277,7 @@ TEST(TieringEngineTest, HotnessTableStaysBounded) {
   C.MaxEntries = 8;
   E.setConfig(C);
   for (uint64_t Key = 1; Key <= 100; ++Key)
-    E.onInvoke(Key, TVec, TInterp);
+    E.onInvoke(Key, TVec);
   EXPECT_LE(E.stats().Entries, 8u);
   // The most recently invoked key survives the batch evictions.
   EXPECT_TRUE(E.keyReport(100).has_value());
@@ -286,9 +295,12 @@ std::vector<std::string> kernelNames() {
 class TieringSuiteTest : public ::testing::TestWithParam<std::string> {};
 
 // Every kernel, every target: force promotion mid-sweep with tiny
-// thresholds and require every single invocation -- cold interpreter
-// entries, the runs racing the background compile, and the promoted warm
-// entries -- to reproduce the golden scalar semantics bit-exactly.
+// thresholds and require every single invocation -- cold entries, the
+// runs racing the background compile, and the promoted warm entries --
+// to reproduce the golden scalar semantics bit-exactly. The cold run
+// enters the one cold tier, ScalarJit, and (no decoded module yet)
+// executes compiled scalar bytecode; no run ever reaches the
+// interpreter.
 TEST_P(TieringSuiteTest, GoldenExactAcrossForcedPromotion) {
   Kernel K = kernelByName(GetParam());
   jit::tiering::engine().setConfig(smallConfig());
@@ -305,10 +317,16 @@ TEST_P(TieringSuiteTest, GoldenExactAcrossForcedPromotion) {
       ASSERT_TRUE(Out.Terminal.ok())
           << Out.Terminal.str() << " run " << R << " on " << T.Name;
       if (R == 0) {
-        EXPECT_EQ(Out.EntryTier, ExecTier::Interpreter)
-            << "cold trusted-flow entry must be the interpreter on "
+        EXPECT_EQ(Out.EntryTier, ExecTier::ScalarJit)
+            << "cold entry must be the forced-scalar JIT on " << T.Name;
+        EXPECT_EQ(Out.Tier, ExecTier::ScalarBytecode)
+            << "a cold kernel flow must run compiled scalar bytecode on "
             << T.Name;
       }
+      EXPECT_NE(Out.EntryTier, ExecTier::Interpreter)
+          << "run " << R << " on " << T.Name;
+      EXPECT_NE(Out.Tier, ExecTier::Interpreter)
+          << "run " << R << " on " << T.Name;
       std::string Err;
       EXPECT_TRUE(checkAgainstGolden(K, Out, Err))
           << Err << " run " << R << " on " << T.Name;
@@ -333,6 +351,33 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, TieringSuiteTest,
                                C = '_';
                            return N;
                          });
+
+// SplitScalar's eager tier (ScalarBytecode) already sits below the cold
+// tier, so there is nothing to tier: the run is a plain eager run and
+// the engine never sees it.
+TEST(TieringFlowTest, TieredSplitScalarRunsEagerWithoutHotnessRow) {
+  Kernel K = kernelByName("saxpy_fp");
+  jit::tiering::engine().reset();
+  jit::tiering::engine().setConfig(smallConfig());
+  RunOptions O;
+  O.Tiered = true;
+  O.TieringSalt = 0x5CA1A;
+  for (int R = 0; R < 6; ++R) {
+    RunOutcome Out = runKernel(K, Flow::SplitScalar, O);
+    ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
+    EXPECT_EQ(Out.EntryTier, ExecTier::ScalarBytecode) << "run " << R;
+    EXPECT_EQ(Out.Tier, ExecTier::ScalarBytecode) << "run " << R;
+    std::string Err;
+    EXPECT_TRUE(checkAgainstGolden(K, Out, Err)) << Err << " run " << R;
+    jit::tiering::engine().drain();
+  }
+  EXPECT_FALSE(jit::tiering::engine()
+                   .keyReport(Executor(K, O).tieringKey())
+                   .has_value());
+  EXPECT_EQ(jit::tiering::engine().stats().Entries, 0u);
+  EXPECT_EQ(jit::tiering::engine().stats().Invocations, 0u);
+  jit::tiering::engine().reset();
+}
 
 //===--- Promotion vs. demotion interleaving ------------------------------===//
 
@@ -416,14 +461,14 @@ TEST(TieringInterleaveTest, BackgroundCompileFailurePinsViaEngine) {
   // compile callback -- the same path Executor::runTiered drives.
   Engine E;
   E.setConfig(smallConfig());
-  E.onInvoke(7, TVec, TInterp);
-  Decision D = E.onInvoke(7, TVec, TInterp);
+  E.onInvoke(7, TVec);
+  Decision D = E.onInvoke(7, TVec);
   ASSERT_TRUE(D.ShouldCompile);
   E.enqueueCompile(7, D.EntryTier, D.CompileTier, [] { return false; });
   E.drain();
   for (int R = 0; R < 4; ++R) {
-    Decision After = E.onInvoke(7, TVec, TInterp);
-    EXPECT_EQ(After.EntryTier, TInterp) << R;
+    Decision After = E.onInvoke(7, TVec);
+    EXPECT_EQ(After.EntryTier, TScalarJit) << R;
     EXPECT_FALSE(After.ShouldCompile) << R;
   }
 }

@@ -166,8 +166,9 @@ std::atomic<uint64_t> NextSalt{1};
 /// Drives a fresh tiering key to the clean entry ceiling (Vectorized, or
 /// Native under --native) with clean runs + queue drains. \returns the
 /// salt on success, 0 when the ceiling is unreachable for this cell (the
-/// case then falls back to a plain eager run instead of asserting a
-/// vacuous oracle against a cold interpreter entry).
+/// case then falls back to a plain eager run instead of asserting the
+/// oracle against a cold forced-scalar entry, which never reaches the
+/// vector tiers the fault classes target).
 uint64_t prewarmTiered(const kernels::Kernel &K, const target::TargetDesc &T,
                        bool Native, bool Audit) {
   if (!Tiered)
