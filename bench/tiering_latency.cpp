@@ -16,7 +16,9 @@
 //  - STEADY state: after hotness-driven promotion converges (the entry
 //    tier reaches the eager tier, artifacts warm in the CodeCache), a
 //    tiered run pays only the hotness tick on top of the eager warm
-//    path. Tiered steady throughput must stay within 5% of eager.
+//    path. Eager and tiered reps alternate; a cell's steady ratio is the
+//    median of its per-pair ratios. Tiered steady throughput must stay
+//    within 5% of eager.
 //
 //   tiering_latency [--json [PATH]]
 //
@@ -60,10 +62,10 @@ struct Cell {
   std::string Kernel, Target;
   double EagerColdUs = 0;   ///< Median cold TTFR, eager.
   double TieredColdUs = 0;  ///< Median cold TTFR, tiered.
-  double EagerSteadyUs = 0; ///< Fastest warm-cache eager run.
-  double TieredSteadyUs = 0;///< Fastest promoted+warm tiered run.
+  double EagerSteadyUs = 0; ///< Median warm-cache eager run.
+  double TieredSteadyUs = 0;///< Median promoted+warm tiered run.
   double ColdSpeedup = 0;   ///< EagerColdUs / TieredColdUs.
-  double SteadyRatio = 0;   ///< EagerSteadyUs / TieredSteadyUs.
+  double SteadyRatio = 0;   ///< Median over reps of eager / tiered.
   unsigned ColdEntered = 0; ///< One bit per ExecTier a cold run entered.
   unsigned ColdExecuted = 0;///< One bit per ExecTier a cold run ran on.
   int PromoteRuns = -1; ///< Tiered runs until promotion converged.
@@ -84,12 +86,6 @@ std::string tierList(unsigned Mask, const char *Quote, const char *Sep) {
 double median(std::vector<double> V) {
   std::sort(V.begin(), V.end());
   return V.empty() ? 0 : V[V.size() / 2];
-}
-
-/// Fastest rep: the standard noise-robust estimator for steady-state
-/// throughput comparisons (scheduler preemption only ever adds time).
-double fastest(const std::vector<double> &V) {
-  return V.empty() ? 0 : *std::min_element(V.begin(), V.end());
 }
 
 double wallMicros(const std::function<void()> &F) {
@@ -156,10 +152,12 @@ Cell measure(size_t CellIdx, const kernels::Kernel &K,
                 K.Name.c_str(), TName.c_str(), MaxPromoteRuns);
 
   // Steady state, INTERLEAVED: after promotion the tiered run is the
-  // eager warm path plus one hotness tick. Alternating the two per rep
-  // keeps clock-frequency and cache drift identical on both sides of
-  // the ratio; fastest-of-N on each side then compares like with like.
-  std::vector<double> VE, VT;
+  // eager warm path plus one hotness tick. Each rep runs eager then
+  // tiered back to back, so host-speed drift lands on both sides of that
+  // rep's ratio; the median over reps rejects the reps a preemption hit.
+  // A ratio of two independent minima would let one lucky rep on either
+  // side move the cell by a third.
+  std::vector<double> VE, VT, Ratio;
   runKernel(K, Flow::SplitVectorized, Eager);
   runKernel(K, Flow::SplitVectorized, Tiered);
   for (int R = 0; R < SteadyReps; ++R) {
@@ -167,14 +165,14 @@ Cell measure(size_t CellIdx, const kernels::Kernel &K,
         [&] { runKernel(K, Flow::SplitVectorized, Eager); }));
     VT.push_back(wallMicros(
         [&] { runKernel(K, Flow::SplitVectorized, Tiered); }));
+    Ratio.push_back(VT.back() > 0 ? VE.back() / VT.back() : 0);
   }
-  C.EagerSteadyUs = fastest(VE);
-  C.TieredSteadyUs = fastest(VT);
+  C.EagerSteadyUs = median(VE);
+  C.TieredSteadyUs = median(VT);
+  C.SteadyRatio = median(Ratio);
 
   C.ColdSpeedup =
       C.TieredColdUs > 0 ? C.EagerColdUs / C.TieredColdUs : 0;
-  C.SteadyRatio =
-      C.TieredSteadyUs > 0 ? C.EagerSteadyUs / C.TieredSteadyUs : 0;
   return C;
 }
 
@@ -270,7 +268,7 @@ int main(int argc, char **argv) {
   }
   char Buf[640];
   std::snprintf(Buf, sizeof(Buf),
-                "{\n  \"schema\": \"vapor-bench-tiering-v2\",\n"
+                "{\n  \"schema\": \"vapor-bench-tiering-v3\",\n"
                 "  \"flow\": \"split_vectorized\",\n"
                 "  \"cold_speedup_geomean\": %.3f,\n"
                 "  \"cold_speedup_min\": %.3f,\n"

@@ -69,7 +69,7 @@ Three modes:
 
   --tiering-floor      gates tiered execution's payoff from one
                        ``tiering_latency --json`` report
-                       (BENCH_tiering.json, schema v2) over EVERY
+                       (BENCH_tiering.json, schema v3) over EVERY
                        kernel x target cell: the geomean cold
                        time-to-first-result speedup must be at least
                        --tiering-cold-floor (default 2.0) and the worst
@@ -82,12 +82,13 @@ Three modes:
                        steady_ratio_geomean at least
                        --tiering-steady-floor (default 0.95) with no
                        single cell below --tiering-steady-cell-min
-                       (default 0.85). The slowest cells are named in
-                       the verdict. Every ratio compares two numbers
-                       from the same report on the same host, so the
-                       gate holds under uniform slowdown (sanitizers).
-                       A v1 report (compile-heavy subset, no cold
-                       tiers) is bad input:
+                       (default 0.85); a cell's steady ratio is the
+                       median of its interleaved per-rep eager/tiered
+                       ratios. The slowest cells are named in the
+                       verdict. Every ratio compares two numbers from
+                       the same report on the same host, so the gate
+                       holds under uniform slowdown (sanitizers). A
+                       report of any other schema is bad input:
                        perf_gate.py --tiering-floor BENCH_tiering.json
 
   --elision-floor      gates proof-carrying check elision from one
@@ -117,7 +118,7 @@ import sys
 # Worst-cell floor of --tiering-floor: no kernel x target cell may answer
 # its first request more than 2x slower tiered than eager.
 TIERING_COLD_CELL_MIN = 0.5
-TIERING_SCHEMA = "vapor-bench-tiering-v2"
+TIERING_SCHEMA = "vapor-bench-tiering-v3"
 
 
 def load(path):
@@ -234,11 +235,9 @@ def main():
         report = load(path)
         schema = report.get("schema")
         if schema != TIERING_SCHEMA:
-            what = ("a v1 report (compile-heavy subset, no cold tiers); "
-                    "regenerate it with the current tiering_latency"
-                    if schema == "vapor-bench-tiering-v1"
-                    else "not a tiering_latency report")
-            print(f"perf_gate: {path} is {what}", file=sys.stderr)
+            print(f"perf_gate: {path} has schema {schema!r}, not "
+                  f"{TIERING_SCHEMA!r}; regenerate it with the current "
+                  "tiering_latency", file=sys.stderr)
             sys.exit(2)
         cold = report.get("cold_speedup_geomean")
         steady = report.get("steady_ratio_geomean")

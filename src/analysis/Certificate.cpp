@@ -17,8 +17,12 @@
 
 #include "analysis/Certificate.h"
 
+#include "support/Support.h"
+
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <set>
 
 using namespace vapor;
 using namespace vapor::ir;
@@ -39,18 +43,6 @@ bool subOv(int64_t A, int64_t B, int64_t &R) {
 }
 bool mulOv(int64_t A, int64_t B, int64_t &R) {
   return __builtin_mul_overflow(A, B, &R);
-}
-
-uint64_t hashCombine(uint64_t H, uint64_t V) {
-  H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-  return H;
-}
-
-uint64_t hashString(uint64_t H, const std::string &S) {
-  H = hashCombine(H, S.size());
-  for (char C : S)
-    H = hashCombine(H, static_cast<uint8_t>(C));
-  return H;
 }
 
 /// Machine constant a vector-mode JIT materializes for get_vf /
@@ -293,7 +285,7 @@ namespace analysis {
 
 uint64_t certificateHash(const SafetyCertificate &C) {
   uint64_t H = 0x5652435254ULL; // 'VRCRT'
-  H = hashString(H, C.TargetName);
+  H = hashBytes(C.TargetName.data(), C.TargetName.size(), H);
   H = hashCombine(H, C.VSBytes);
   H = hashCombine(H, C.FnHash);
   H = hashCombine(H, C.Facts.size());
@@ -322,20 +314,23 @@ uint64_t certificateHash(const SafetyCertificate &C) {
 //===--- BoundsEvaluator ---------------------------------------------------===//
 
 std::optional<Interval> BoundsEvaluator::eval(ValueId V) {
-  auto It = Memo.find(V);
-  if (It != Memo.end())
-    return It->second;
-  if (!InFlight.insert(V).second)
+  if (V >= F.Values.size())
     return std::nullopt;
-  std::optional<Interval> R = compute(V);
-  InFlight.erase(V);
-  Memo[V] = R;
-  return R;
+  switch (State[V]) {
+  case Visit::Done:
+    return Memo[V];
+  case Visit::InFlight:
+    return std::nullopt;
+  case Visit::New:
+    break;
+  }
+  State[V] = Visit::InFlight;
+  Memo[V] = compute(V);
+  State[V] = Visit::Done;
+  return Memo[V];
 }
 
 std::optional<Interval> BoundsEvaluator::compute(ValueId V) {
-  if (V >= F.Values.size())
-    return std::nullopt;
   const ValueInfo &VI = F.Values[V];
 
   auto point = [](int64_t C) { return Interval{C, C}; };
@@ -491,6 +486,9 @@ std::string checkCertificate(const Function &F, const SafetyCertificate &C) {
   if (C.FnHash != hashFunction(F))
     return "certificate content hash does not match the bytecode";
 
+  BoundsEvaluator BE(F, C.VSBytes, [](const std::string &) {
+    return std::optional<int64_t>();
+  });
   for (size_t N = 0; N < C.Facts.size(); ++N) {
     const AccessFact &Fa = C.Facts[N];
     std::string Tag = "fact " + std::to_string(N) + ": ";
@@ -540,10 +538,6 @@ std::string checkCertificate(const Function &F, const SafetyCertificate &C) {
       if (Fa.IndexVal != I.Ops[0])
         return Tag + "index value does not match the access";
       if (!Fa.DynamicRange) {
-        BoundsEvaluator BE(F, C.VSBytes,
-                           [](const std::string &) {
-                             return std::optional<int64_t>();
-                           });
         std::optional<Interval> R = BE.eval(Fa.IndexVal);
         if (!R)
           return Tag + "static range claim cannot be re-derived";

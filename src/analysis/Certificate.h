@@ -36,9 +36,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -120,21 +118,31 @@ using ParamFn = std::function<std::optional<int64_t>(const std::string &)>;
 /// produce bounds claims and to independently re-derive them. Fails closed:
 /// any value it cannot bound (loop-carried state, opaque ops, arithmetic
 /// overflow) yields nullopt.
+///
+/// One evaluator serves a whole pass over a function: a value's result
+/// does not depend on which value was asked first. Loop-carried values
+/// answer nullopt without recursing, so a well-formed module has no cycle
+/// to cut. On a malformed one, every case that recurses fails when an
+/// operand fails, so any value that reaches a cycle is nullopt whichever
+/// way the walk enters it.
 class BoundsEvaluator {
 public:
   BoundsEvaluator(const ir::Function &Fn, uint32_t VS, ParamFn Params)
-      : F(Fn), VSBytes(VS), Param(std::move(Params)) {}
+      : F(Fn), VSBytes(VS), Param(std::move(Params)),
+        State(Fn.Values.size(), Visit::New), Memo(Fn.Values.size()) {}
 
   std::optional<Interval> eval(ir::ValueId V);
 
 private:
   std::optional<Interval> compute(ir::ValueId V);
 
+  enum class Visit : uint8_t { New, InFlight, Done };
+
   const ir::Function &F;
   uint32_t VSBytes;
   ParamFn Param;
-  std::map<ir::ValueId, std::optional<Interval>> Memo;
-  std::set<ir::ValueId> InFlight; ///< Cycle guard.
+  std::vector<Visit> State; ///< Per value; InFlight is the cycle guard.
+  std::vector<std::optional<Interval>> Memo; ///< Per value, once Done.
 };
 
 //===--- The independent checker ------------------------------------------===//

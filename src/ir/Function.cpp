@@ -120,24 +120,14 @@ ValueId Function::makeValue(Type Ty, ValueDef Def, uint32_t A, uint32_t B) {
 
 namespace {
 
-/// FNV-1a accumulator with a 64-bit word feed. Strings feed length first
-/// so "ab","c" and "a","bc" cannot collide by concatenation.
+/// Structural hash accumulator over the shared word mixer. Strings feed
+/// their length first, so "ab","c" and "a","bc" cannot collide by
+/// concatenation.
 struct StructHash {
-  uint64_t H = 0xcbf29ce484222325ULL;
+  uint64_t H = 0x5641504f52464eULL; // "VAPORFN"
 
-  void word(uint64_t W) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= (W >> (I * 8)) & 0xff;
-      H *= 0x100000001b3ULL;
-    }
-  }
-  void str(const std::string &S) {
-    word(S.size());
-    for (char C : S) {
-      H ^= static_cast<uint8_t>(C);
-      H *= 0x100000001b3ULL;
-    }
-  }
+  void word(uint64_t W) { H = hashCombine(H, W); }
+  void str(const std::string &S) { H = hashBytes(S.data(), S.size(), H); }
   void type(Type T) {
     word((static_cast<uint64_t>(T.Elem) << 1) | (T.Vector ? 1 : 0));
   }

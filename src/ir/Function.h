@@ -218,10 +218,12 @@ public:
 
 /// \returns a 64-bit structural content hash of \p F: every value,
 /// instruction, loop, if, array, parameter, and region edge contributes,
-/// so two functions hash equal iff they are structurally identical. This
-/// is the function half of the content-addressed code cache's keys
-/// (jit/CodeCache.h); it must stay deterministic across processes, so it
-/// hashes field values only -- no pointers, no addresses.
+/// so a change to any one field changes the hash. It binds safety
+/// certificates to their module and keys tiering hotness rows; it must
+/// stay deterministic across processes, so it hashes field values only --
+/// no pointers, no addresses. Fields fold in a word at a time through the
+/// shared mixer (support/Support.h), which chosen input can collide: an
+/// equal hash is not proof of an equal function.
 uint64_t hashFunction(const Function &F);
 
 } // namespace ir

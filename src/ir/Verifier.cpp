@@ -55,7 +55,22 @@ public:
   }
 
 private:
+  /// What an error is about: a fixed context, or instruction #Idx, whose
+  /// "mnemonic #idx" label is formatted only when it reports an error.
+  struct Site {
+    const char *What = nullptr;
+    const Instr *I = nullptr;
+    uint32_t Idx = 0;
+  };
+
   void error(const std::string &Msg) { Errors.push_back(Msg); }
+
+  void error(const Site &W, const std::string &Msg) {
+    std::string Label = W.I ? std::string(opcodeMnemonic(W.I->Op)) + " #" +
+                                  std::to_string(W.Idx)
+                            : std::string(W.What);
+    error(Label + ": " + Msg);
+  }
 
   static bool validKind(ScalarKind K) {
     return static_cast<uint8_t>(K) <= static_cast<uint8_t>(ScalarKind::F64);
@@ -85,14 +100,13 @@ private:
     }
   }
 
-  bool checkUse(ValueId V, const char *What) {
+  bool checkUse(ValueId V, const Site &W) {
     if (V == NoValue || V >= F.Values.size()) {
-      error(std::string(What) + ": value id out of range");
+      error(W, "value id out of range");
       return false;
     }
     if (!Defined[V]) {
-      error(std::string(What) + ": use of %" + std::to_string(V) +
-            " before definition");
+      error(W, "use of %" + std::to_string(V) + " before definition");
       return false;
     }
     return true;
@@ -130,15 +144,14 @@ private:
   }
 
   void checkLoop(const LoopStmt &L) {
-    const char *Ctx = "loop";
     for (ValueId Bound : {L.Lower, L.Upper, L.Step})
-      if (checkUse(Bound, Ctx) &&
+      if (checkUse(Bound, {"loop"}) &&
           F.typeOf(Bound) != Type::scalar(ScalarKind::I64))
         error("loop bounds and step must be scalar i64");
     if (L.MaxSafeVF < 0)
       error("loop dependence-distance limit must be non-negative");
     for (const auto &C : L.Carried) {
-      bool InitOk = checkUse(C.Init, "loop carried init");
+      bool InitOk = checkUse(C.Init, {"loop carried init"});
       if (C.Next == NoValue)
         error("loop carried variable without next value");
       if (C.Phi == NoValue || C.Phi >= F.Values.size())
@@ -163,7 +176,7 @@ private:
     walkRegion(L.Body);
     for (const auto &C : L.Carried)
       if (C.Next != NoValue)
-        checkUse(C.Next, "loop carried next");
+        checkUse(C.Next, {"loop carried next"});
     Defined = std::move(Saved);
     for (const auto &C : L.Carried)
       if (C.Result != NoValue && C.Result < F.Values.size())
@@ -171,7 +184,7 @@ private:
   }
 
   void checkIf(const IfStmt &S) {
-    if (checkUse(S.Cond, "if condition") &&
+    if (checkUse(S.Cond, {"if condition"}) &&
         F.typeOf(S.Cond) != Type::scalar(ScalarKind::I1))
       error("if condition must be scalar i1");
     // Each arm is a scope: its definitions are not visible afterwards
@@ -184,213 +197,212 @@ private:
   }
 
   void checkInstr(const Instr &I, uint32_t Idx) {
-    std::string Where =
-        std::string(opcodeMnemonic(I.Op)) + " #" + std::to_string(Idx);
+    const Site W{nullptr, &I, Idx};
 
     int NOps = opcodeNumOperands(I.Op);
     if (NOps >= 0 && static_cast<int>(I.Ops.size()) != NOps) {
-      error(Where + ": expected " + std::to_string(NOps) + " operands, got " +
-            std::to_string(I.Ops.size()));
+      error(W, "expected " + std::to_string(NOps) + " operands, got " +
+               std::to_string(I.Ops.size()));
       return; // checkTypes indexes operands positionally; don't run it.
     }
     bool OperandsOk = true;
     for (ValueId Op : I.Ops)
-      OperandsOk &= checkUse(Op, Where.c_str());
+      OperandsOk &= checkUse(Op, W);
 
     if (!F.IsSplitLayer) {
       if (isIdiom(I.Op))
-        error(Where + ": idiom opcode in scalar-source function");
+        error(W, "idiom opcode in scalar-source function");
       if (I.Ty.isVector())
-        error(Where + ": vector type in scalar-source function");
+        error(W, "vector type in scalar-source function");
     }
 
     if (I.Hint.Mod < 0 || I.Hint.Mis < -1)
-      error(Where + ": malformed alignment hint");
+      error(W, "malformed alignment hint");
     if (!validKind(I.TyParam))
-      error(Where + ": invalid element-kind parameter");
+      error(W, "invalid element-kind parameter");
 
     if (I.hasResult()) {
       if (I.Result >= F.Values.size() ||
           F.Values[I.Result].Def != ValueDef::Instr ||
           F.Values[I.Result].A != Idx)
-        error(Where + ": result value bookkeeping broken");
+        error(W, "result value bookkeeping broken");
       else
         Defined[I.Result] = true;
     }
 
     if (!OperandsOk)
       return;
-    checkTypes(I, Where);
+    checkTypes(I, W);
   }
 
-  void checkTypes(const Instr &I, const std::string &Where) {
+  void checkTypes(const Instr &I, const Site &W) {
     auto TyOf = [&](unsigned N) { return F.typeOf(I.Ops[N]); };
     if (isBinArith(I.Op) || isCompare(I.Op)) {
       if (TyOf(0) != TyOf(1))
-        error(Where + ": operand type mismatch");
+        error(W, "operand type mismatch");
       if (isBinArith(I.Op) && I.Ty != TyOf(0))
-        error(Where + ": result type mismatch");
+        error(W, "result type mismatch");
       if (isCompare(I.Op) &&
           I.Ty != Type(ScalarKind::I1, TyOf(0).Vector))
-        error(Where + ": comparison must produce i1");
+        error(W, "comparison must produce i1");
       if (isSaturatingOp(I.Op)) {
         ScalarKind K = I.Ty.Elem;
         bool Narrow = isIntKind(K) && scalarSize(K) <= 2;
         bool WantSigned =
             I.Op == Opcode::AddSatS || I.Op == Opcode::SubSatS;
         if (!Narrow)
-          error(Where + ": saturating op on a non-narrow-int kind");
+          error(W, "saturating op on a non-narrow-int kind");
         else if (isSignedKind(K) != WantSigned)
-          error(Where + ": saturating op signedness does not match kind");
+          error(W, "saturating op signedness does not match kind");
       }
       return;
     }
     switch (I.Op) {
     case Opcode::Select:
       if (TyOf(1) != TyOf(2) || I.Ty != TyOf(1))
-        error(Where + ": select arm type mismatch");
+        error(W, "select arm type mismatch");
       if (TyOf(0).Elem != ScalarKind::I1 || TyOf(0).Vector != I.Ty.Vector)
-        error(Where + ": select condition must be matching i1");
+        error(W, "select condition must be matching i1");
       break;
     case Opcode::Neg:
     case Opcode::Abs:
     case Opcode::Sqrt:
       if (I.Ty != TyOf(0))
-        error(Where + ": unary type mismatch");
+        error(W, "unary type mismatch");
       break;
     case Opcode::Convert:
       if (I.Ty.Vector != TyOf(0).Vector)
-        error(Where + ": convert changes vectorness");
+        error(W, "convert changes vectorness");
       break;
     case Opcode::Load:
-      if (!checkArray(I, Where))
+      if (!checkArray(I, W))
         break;
       if (I.Ty != Type::scalar(F.Arrays[I.Array].Elem))
-        error(Where + ": load type does not match array element");
-      checkIndex(I.Ops[0], Where);
+        error(W, "load type does not match array element");
+      checkIndex(I.Ops[0], W);
       break;
     case Opcode::Store:
-      if (!checkArray(I, Where))
+      if (!checkArray(I, W))
         break;
       if (F.typeOf(I.Ops[1]) != Type::scalar(F.Arrays[I.Array].Elem))
-        error(Where + ": store value does not match array element");
-      checkIndex(I.Ops[0], Where);
+        error(W, "store value does not match array element");
+      checkIndex(I.Ops[0], W);
       break;
     case Opcode::ALoad:
     case Opcode::ULoad:
     case Opcode::AlignLoad:
-      if (!checkArray(I, Where))
+      if (!checkArray(I, W))
         break;
       if (I.Ty != Type::vector(F.Arrays[I.Array].Elem))
-        error(Where + ": vector load type does not match array element");
-      checkIndex(I.Ops[0], Where);
+        error(W, "vector load type does not match array element");
+      checkIndex(I.Ops[0], W);
       break;
     case Opcode::AStore:
     case Opcode::UStore:
-      if (!checkArray(I, Where))
+      if (!checkArray(I, W))
         break;
       if (F.typeOf(I.Ops[1]) != Type::vector(F.Arrays[I.Array].Elem))
-        error(Where + ": vector store value does not match array element");
-      checkIndex(I.Ops[0], Where);
+        error(W, "vector store value does not match array element");
+      checkIndex(I.Ops[0], W);
       break;
     case Opcode::GetRT:
-      checkArray(I, Where);
-      checkIndex(I.Ops[0], Where);
+      checkArray(I, W);
+      checkIndex(I.Ops[0], W);
       break;
     case Opcode::RealignLoad: {
-      if (!checkArray(I, Where))
+      if (!checkArray(I, W))
         break;
       Type VT = Type::vector(F.Arrays[I.Array].Elem);
       if (TyOf(0) != VT || TyOf(1) != VT || I.Ty != VT)
-        error(Where + ": realign_load vector types inconsistent");
-      checkIndex(I.Ops[3], Where);
+        error(W, "realign_load vector types inconsistent");
+      checkIndex(I.Ops[3], W);
       break;
     }
     case Opcode::InitUniform:
     case Opcode::InitAffine:
     case Opcode::InitReduc:
       if (!TyOf(0).isScalar() || I.Ty != Type::vector(TyOf(0).Elem))
-        error(Where + ": init idiom type mismatch");
+        error(W, "init idiom type mismatch");
       break;
     case Opcode::ReducPlus:
     case Opcode::ReducMax:
     case Opcode::ReducMin:
       if (!TyOf(0).isVector() || I.Ty != Type::scalar(TyOf(0).Elem))
-        error(Where + ": reduction type mismatch");
+        error(W, "reduction type mismatch");
       break;
     case Opcode::DotProduct:
       if (TyOf(0) != TyOf(1) || !TyOf(0).isVector() ||
           I.Ty != Type::vector(widenKind(TyOf(0).Elem)) || TyOf(2) != I.Ty)
-        error(Where + ": dot_product type mismatch");
+        error(W, "dot_product type mismatch");
       break;
     case Opcode::WidenMultHi:
     case Opcode::WidenMultLo:
       if (TyOf(0) != TyOf(1) || !TyOf(0).isVector() ||
           I.Ty != Type::vector(widenKind(TyOf(0).Elem)))
-        error(Where + ": widen_mult type mismatch");
+        error(W, "widen_mult type mismatch");
       break;
     case Opcode::UnpackHi:
     case Opcode::UnpackLo:
       if (!TyOf(0).isVector() || I.Ty != Type::vector(widenKind(TyOf(0).Elem)))
-        error(Where + ": unpack type mismatch");
+        error(W, "unpack type mismatch");
       break;
     case Opcode::Pack:
       if (TyOf(0) != TyOf(1) || !TyOf(0).isVector() ||
           I.Ty != Type::vector(narrowKind(TyOf(0).Elem)))
-        error(Where + ": pack type mismatch");
+        error(W, "pack type mismatch");
       break;
     case Opcode::Extract:
       if (I.Ops.empty() || I.IntImm2 < 1 ||
           static_cast<int64_t>(I.Ops.size()) != I.IntImm2 || I.IntImm < 0 ||
           I.IntImm >= I.IntImm2)
-        error(Where + ": extract stride/operand inconsistency");
+        error(W, "extract stride/operand inconsistency");
       for (ValueId Op : I.Ops)
         if (F.typeOf(Op) != I.Ty)
-          error(Where + ": extract operand type mismatch");
+          error(W, "extract operand type mismatch");
       break;
     case Opcode::InterleaveHi:
     case Opcode::InterleaveLo:
       if (TyOf(0) != TyOf(1) || I.Ty != TyOf(0) || !I.Ty.isVector())
-        error(Where + ": interleave type mismatch");
+        error(W, "interleave type mismatch");
       break;
     case Opcode::GetVF:
     case Opcode::GetAlignLimit:
       if (I.TyParam == ScalarKind::None)
-        error(Where + ": missing element-kind parameter");
+        error(W, "missing element-kind parameter");
       break;
     case Opcode::GetMisalign:
-      checkArray(I, Where);
+      checkArray(I, W);
       break;
     case Opcode::LoopBound:
       if (TyOf(0) != Type::scalar(ScalarKind::I64) ||
           TyOf(1) != Type::scalar(ScalarKind::I64))
-        error(Where + ": loop_bound operands must be i64");
+        error(W, "loop_bound operands must be i64");
       break;
     case Opcode::VersionGuard:
       if (I.Guard == GuardKind::None)
-        error(Where + ": version_guard without condition kind");
+        error(W, "version_guard without condition kind");
       if (I.Guard == GuardKind::BasesAligned && I.GuardArgs.empty())
-        error(Where + ": bases_aligned guard without arrays");
+        error(W, "bases_aligned guard without arrays");
       for (uint32_t A : I.GuardArgs)
         if (A >= F.Arrays.size())
-          error(Where + ": guard references out-of-range array");
+          error(W, "guard references out-of-range array");
       break;
     default:
       break;
     }
   }
 
-  bool checkArray(const Instr &I, const std::string &Where) {
+  bool checkArray(const Instr &I, const Site &W) {
     if (I.Array >= F.Arrays.size()) {
-      error(Where + ": array id out of range");
+      error(W, "array id out of range");
       return false;
     }
     return true;
   }
 
-  void checkIndex(ValueId Idx, const std::string &Where) {
+  void checkIndex(ValueId Idx, const Site &W) {
     if (F.typeOf(Idx) != Type::scalar(ScalarKind::I64))
-      error(Where + ": index must be scalar i64");
+      error(W, "index must be scalar i64");
   }
 
   const Function &F;

@@ -22,18 +22,29 @@ using namespace vapor::jit::cache;
 
 namespace {
 
-constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t FnvPrime = 0x100000001b3ULL;
-
 /// Which of the five maps an LRU node's key lives in (eviction needs to
 /// erase from the right one).
 enum class EKind : uint8_t { Module, Verify, Compile, Program, Native };
+
+/// A memo key: the module id it belongs to and a hash of the rest. The
+/// module map keys on the bytes hash alone (Module 0) and confirms the
+/// bytes; the other four compare the module id exactly.
+struct Key {
+  uint64_t Module = 0;
+  uint64_t Hash = 0;
+  bool operator==(const Key &) const = default;
+};
+struct KeyHash {
+  size_t operator()(const Key &K) const {
+    return hashCombine(K.Module, K.Hash);
+  }
+};
 
 /// One node of the unified recency list: enough to erase the entry and
 /// refund its charge when it falls off the cold end.
 struct LruNode {
   EKind Kind;
-  uint64_t Key;
+  Key K;
   size_t Cost;
   std::string Tenant;
 };
@@ -46,6 +57,15 @@ template <typename T> struct Entry {
   T Value;
   LruIt It;
 };
+
+/// A module entry keeps the bytes it was decoded from: a hit must match
+/// them, not just their hash.
+struct ModuleSlot {
+  std::vector<uint8_t> Bytes;
+  CachedModule M;
+};
+
+template <typename T> using Memo = std::unordered_map<Key, Entry<T>, KeyHash>;
 
 struct TenantUsage {
   uint64_t BytesLive = 0;
@@ -60,17 +80,12 @@ struct TenantUsage {
 /// contention is irrelevant at sweep granularity.
 struct Store {
   std::mutex Mu;
-  std::unordered_map<uint64_t, Entry<std::shared_ptr<const ir::Function>>>
-      Modules;
-  std::unordered_map<uint64_t, Entry<VerifyResult>> Verifies;
-  std::unordered_map<uint64_t, Entry<std::shared_ptr<const CompileResult>>>
-      Compiles;
-  std::unordered_map<uint64_t,
-                     Entry<std::shared_ptr<const target::DecodedProgram>>>
-      Programs;
-  std::unordered_map<uint64_t,
-                     Entry<std::shared_ptr<const codegen::NativeUnit>>>
-      Natives;
+  Memo<ModuleSlot> Modules;
+  Memo<VerifyResult> Verifies;
+  Memo<std::shared_ptr<const CompileResult>> Compiles;
+  Memo<std::shared_ptr<const target::DecodedProgram>> Programs;
+  Memo<std::shared_ptr<const codegen::NativeUnit>> Natives;
+  uint64_t LastModuleId = 0; ///< Ids are never reused, clear() included.
 
   LruList Lru;            ///< Front = most recently used.
   size_t BytesLive = 0;   ///< Sum of resident entry costs.
@@ -161,19 +176,19 @@ void touch(Store &S, LruIt It) {
 void eraseEntry(Store &S, const LruNode &N) {
   switch (N.Kind) {
   case EKind::Module:
-    S.Modules.erase(N.Key);
+    S.Modules.erase(N.K);
     break;
   case EKind::Verify:
-    S.Verifies.erase(N.Key);
+    S.Verifies.erase(N.K);
     break;
   case EKind::Compile:
-    S.Compiles.erase(N.Key);
+    S.Compiles.erase(N.K);
     break;
   case EKind::Program:
-    S.Programs.erase(N.Key);
+    S.Programs.erase(N.K);
     break;
   case EKind::Native:
-    S.Natives.erase(N.Key);
+    S.Natives.erase(N.K);
     break;
   }
 }
@@ -203,8 +218,8 @@ void evictOverCapacity(Store &S) {
 /// Charges a fresh insertion: pushes the hot-end node, attributes the
 /// cost to the calling thread's tenant, then enforces the bound.
 /// \returns the node's iterator for the map entry.
-LruIt charge(Store &S, EKind Kind, uint64_t Key, size_t Cost) {
-  S.Lru.push_front(LruNode{Kind, Key, Cost, CurrentTenantName});
+LruIt charge(Store &S, EKind Kind, Key K, size_t Cost) {
+  S.Lru.push_front(LruNode{Kind, K, Cost, CurrentTenantName});
   S.BytesLive += Cost;
   TenantUsage &T = S.Tenants[CurrentTenantName];
   T.BytesLive += Cost;
@@ -338,25 +353,6 @@ void cache::resetStats() {
   // BytesLive/Capacity are state mirrors, not tallies: they survive.
 }
 
-uint64_t cache::hashBytes(const void *Data, size_t Len, uint64_t Seed) {
-  uint64_t H = Seed ^ FnvOffset;
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= FnvPrime;
-  }
-  return H;
-}
-
-uint64_t cache::hashCombine(uint64_t Seed, uint64_t W) {
-  uint64_t H = Seed;
-  for (int I = 0; I < 8; ++I) {
-    H ^= (W >> (I * 8)) & 0xff;
-    H *= FnvPrime;
-  }
-  return H;
-}
-
 uint64_t cache::hashTarget(const target::TargetDesc &T) {
   uint64_t H = hashBytes(T.Name.data(), T.Name.size(), 0x7a67);
   H = hashCombine(H, T.VSBytes);
@@ -406,64 +402,70 @@ uint64_t cache::hashPlacement(const target::MemoryImage &Image) {
   return H;
 }
 
-uint64_t cache::compileKey(uint64_t FnHash, const target::TargetDesc &T,
+uint64_t cache::compileKey(uint64_t ModuleId, const target::TargetDesc &T,
                            const Options &O, const RuntimeInfo &RT) {
-  uint64_t H = hashCombine(0x636b, FnHash);
+  uint64_t H = hashCombine(0x636b, ModuleId);
   H = hashCombine(H, hashTarget(T));
   H = hashCombine(H, hashOptions(O));
   H = hashCombine(H, hashRuntime(RT));
   return H;
 }
 
-std::shared_ptr<const ir::Function> cache::findModule(uint64_t BytesHash) {
+CachedModule cache::findModule(const std::vector<uint8_t> &Bytes) {
   static obs::Counter Hits("cache.module_hits"),
       Misses("cache.module_misses");
+  const Key K{0, hashBytes(Bytes.data(), Bytes.size())};
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
-  auto It = S.Modules.find(BytesHash);
-  if (It == S.Modules.end()) {
+  auto It = S.Modules.find(K);
+  if (It == S.Modules.end() || It->second.Value.Bytes != Bytes) {
     bump(counts().ModuleMisses, Misses);
-    return nullptr;
+    return {};
   }
   touch(S, It->second.It);
   bump(counts().ModuleHits, Hits);
-  return It->second.Value;
+  return It->second.Value.M;
 }
 
-std::shared_ptr<const ir::Function>
-cache::putModule(uint64_t BytesHash, ir::Function Module, size_t Cost) {
+CachedModule cache::putModule(const std::vector<uint8_t> &Bytes,
+                              ir::Function Module, size_t Cost) {
   if (Cost == 0)
-    Cost = costModule(Module);
-  auto P = std::make_shared<const ir::Function>(std::move(Module));
+    Cost = costModule(Module) + Bytes.size();
+  const Key K{0, hashBytes(Bytes.data(), Bytes.size())};
+  CachedModule Fresh{std::make_shared<const ir::Function>(std::move(Module)),
+                     0};
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
-  // First writer wins: under the thread pool two workers may decode the
-  // same bytes concurrently; both results are identical, keep one.
-  auto It = S.Modules.find(BytesHash);
+  auto It = S.Modules.find(K);
   if (It != S.Modules.end()) {
+    // Same bytes: under the thread pool two workers may decode them
+    // concurrently; both results are identical, keep the first. Other
+    // bytes with the same hash: serve this module uncached.
+    if (It->second.Value.Bytes != Bytes)
+      return Fresh;
     touch(S, It->second.It);
-    return It->second.Value;
+    return It->second.Value.M;
   }
-  LruIt N = charge(S, EKind::Module, BytesHash, Cost);
-  auto &E = S.Modules[BytesHash];
-  E.Value = std::move(P);
+  Fresh.Id = ++S.LastModuleId;
+  LruIt N = charge(S, EKind::Module, K, Cost);
+  auto &E = S.Modules[K];
+  E.Value = ModuleSlot{Bytes, Fresh};
   E.It = N;
-  // Copy the artifact out before enforcing the bound: an entry costlier
-  // than the whole capacity is evicted immediately (served but never
-  // resident), which erases the map node `E` refers into.
-  auto Ret = E.Value;
+  // An entry costlier than the whole capacity is evicted immediately
+  // (served but never resident), which erases the map node `E` refers
+  // into; Fresh is a copy.
   evictOverCapacity(S);
-  return Ret;
+  return Fresh;
 }
 
-std::optional<VerifyResult> cache::findVerify(uint64_t FnHash,
+std::optional<VerifyResult> cache::findVerify(uint64_t ModuleId,
                                               uint64_t TargetHash) {
-  uint64_t Key = hashCombine(hashCombine(0x7666, FnHash), TargetHash);
+  const Key K{ModuleId, TargetHash};
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
   static obs::Counter Hits("cache.verify_hits"),
       Misses("cache.verify_misses");
-  auto It = S.Verifies.find(Key);
+  auto It = S.Verifies.find(K);
   if (It == S.Verifies.end()) {
     bump(counts().VerifyMisses, Misses);
     return std::nullopt;
@@ -473,29 +475,32 @@ std::optional<VerifyResult> cache::findVerify(uint64_t FnHash,
   return It->second.Value;
 }
 
-void cache::putVerify(uint64_t FnHash, uint64_t TargetHash, VerifyResult R) {
-  uint64_t Key = hashCombine(hashCombine(0x7666, FnHash), TargetHash);
+void cache::putVerify(uint64_t ModuleId, uint64_t TargetHash,
+                      VerifyResult R) {
+  const Key K{ModuleId, TargetHash};
   size_t Cost = costVerify(R);
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
-  auto It = S.Verifies.find(Key);
+  auto It = S.Verifies.find(K);
   if (It != S.Verifies.end()) {
     touch(S, It->second.It);
     return;
   }
-  LruIt N = charge(S, EKind::Verify, Key, Cost);
-  auto &E = S.Verifies[Key];
+  LruIt N = charge(S, EKind::Verify, K, Cost);
+  auto &E = S.Verifies[K];
   E.Value = std::move(R);
   E.It = N;
   evictOverCapacity(S);
 }
 
-std::shared_ptr<const CompileResult> cache::findCompile(uint64_t Key) {
+std::shared_ptr<const CompileResult> cache::findCompile(uint64_t ModuleId,
+                                                        uint64_t CompKey) {
+  const Key K{ModuleId, CompKey};
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
   static obs::Counter Hits("cache.compile_hits"),
       Misses("cache.compile_misses");
-  auto It = S.Compiles.find(Key);
+  auto It = S.Compiles.find(K);
   if (It == S.Compiles.end()) {
     bump(counts().CompileMisses, Misses);
     return nullptr;
@@ -505,19 +510,20 @@ std::shared_ptr<const CompileResult> cache::findCompile(uint64_t Key) {
   return It->second.Value;
 }
 
-std::shared_ptr<const CompileResult> cache::putCompile(uint64_t Key,
-                                                       CompileResult R) {
+std::shared_ptr<const CompileResult>
+cache::putCompile(uint64_t ModuleId, uint64_t CompKey, CompileResult R) {
+  const Key K{ModuleId, CompKey};
   size_t Cost = costCompile(R);
   auto P = std::make_shared<const CompileResult>(std::move(R));
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
-  auto It = S.Compiles.find(Key);
+  auto It = S.Compiles.find(K);
   if (It != S.Compiles.end()) {
     touch(S, It->second.It);
     return It->second.Value;
   }
-  LruIt N = charge(S, EKind::Compile, Key, Cost);
-  auto &E = S.Compiles[Key];
+  LruIt N = charge(S, EKind::Compile, K, Cost);
+  auto &E = S.Compiles[K];
   E.Value = std::move(P);
   E.It = N;
   // As in putModule: eviction may erase this very entry (oversized
@@ -540,20 +546,20 @@ uint64_t planKey(const target::ElisionPlan *Plan) {
 } // namespace
 
 std::shared_ptr<const target::DecodedProgram>
-cache::programFor(uint64_t CompKey, const target::MFunction &Code,
-                  const target::TargetDesc &T,
+cache::programFor(uint64_t ModuleId, uint64_t CompKey,
+                  const target::MFunction &Code, const target::TargetDesc &T,
                   const target::MemoryImage &Image, bool Weak, bool Fuse,
                   const target::ElisionPlan *Plan) {
-  uint64_t Key = hashCombine(0x7067, CompKey);
-  Key = hashCombine(Key, hashPlacement(Image));
-  Key = hashCombine(Key, (uint64_t(Weak) << 1) | uint64_t(Fuse));
-  Key = hashCombine(Key, planKey(Plan));
+  uint64_t H = hashCombine(0x7067, CompKey);
+  H = hashCombine(H, hashPlacement(Image));
+  H = hashCombine(H, (uint64_t(Weak) << 1) | uint64_t(Fuse));
+  const Key K{ModuleId, hashCombine(H, planKey(Plan))};
   static obs::Counter Hits("cache.program_hits"),
       Misses("cache.program_misses");
   Store &S = store();
   {
     std::lock_guard<std::mutex> L(S.Mu);
-    auto It = S.Programs.find(Key);
+    auto It = S.Programs.find(K);
     if (It != S.Programs.end()) {
       touch(S, It->second.It);
       bump(counts().ProgramHits, Hits);
@@ -567,13 +573,13 @@ cache::programFor(uint64_t CompKey, const target::MFunction &Code,
   auto P = target::DecodedProgram::build(Code, T, Image, Weak, Fuse, Plan);
   size_t Cost = costProgram(*P);
   std::lock_guard<std::mutex> L(S.Mu);
-  auto It = S.Programs.find(Key);
+  auto It = S.Programs.find(K);
   if (It != S.Programs.end()) {
     touch(S, It->second.It);
     return It->second.Value;
   }
-  LruIt N = charge(S, EKind::Program, Key, Cost);
-  auto &E = S.Programs[Key];
+  LruIt N = charge(S, EKind::Program, K, Cost);
+  auto &E = S.Programs[K];
   E.Value = std::move(P);
   E.It = N;
   // As in putModule: eviction may erase this very entry (oversized
@@ -584,23 +590,23 @@ cache::programFor(uint64_t CompKey, const target::MFunction &Code,
 }
 
 Expected<std::shared_ptr<const codegen::NativeUnit>>
-cache::nativeFor(uint64_t CompKey, const target::MFunction &Code,
-                 const target::TargetDesc &T,
+cache::nativeFor(uint64_t ModuleId, uint64_t CompKey,
+                 const target::MFunction &Code, const target::TargetDesc &T,
                  const target::MemoryImage &Image,
                  const codegen::NativeOptions &NO) {
   // The unit bakes array base addresses (placement) and its encodings
   // depend on the feature mask, so both join the key alongside the
   // compile key that already covers function/target/options/runtime.
-  uint64_t Key = hashCombine(0x6e76, CompKey);
-  Key = hashCombine(Key, hashPlacement(Image));
-  Key = hashCombine(Key, NO.Features.bits());
-  Key = hashCombine(Key, planKey(NO.Plan));
+  uint64_t H = hashCombine(0x6e76, CompKey);
+  H = hashCombine(H, hashPlacement(Image));
+  H = hashCombine(H, NO.Features.bits());
+  const Key K{ModuleId, hashCombine(H, planKey(NO.Plan))};
   static obs::Counter Hits("cache.native_hits"),
       Misses("cache.native_misses");
   Store &S = store();
   {
     std::lock_guard<std::mutex> L(S.Mu);
-    auto It = S.Natives.find(Key);
+    auto It = S.Natives.find(K);
     if (It != S.Natives.end()) {
       touch(S, It->second.It);
       bump(counts().NativeHits, Hits);
@@ -616,14 +622,14 @@ cache::nativeFor(uint64_t CompKey, const target::MFunction &Code,
   std::shared_ptr<const codegen::NativeUnit> U = R.take();
   size_t Cost = costNative(*U);
   std::lock_guard<std::mutex> L(S.Mu);
-  auto It = S.Natives.find(Key);
+  auto It = S.Natives.find(K);
   if (It != S.Natives.end()) {
     touch(S, It->second.It);
     return Expected<std::shared_ptr<const codegen::NativeUnit>>(
         It->second.Value);
   }
-  LruIt N = charge(S, EKind::Native, Key, Cost);
-  auto &E = S.Natives[Key];
+  LruIt N = charge(S, EKind::Native, K, Cost);
+  auto &E = S.Natives[K];
   E.Value = std::move(U);
   E.It = N;
   // As in putModule: eviction may erase this very entry (oversized

@@ -11,20 +11,27 @@
 /// each cell's decode, verify, JIT lowering, and VM pre-decode+fusion are
 /// pure functions of their inputs, so the cache memoizes all four:
 ///
-///   module   key = hash(encoded bytecode bytes)
-///            -> the decoded ir::Function;
-///   verify   key = (ir::hashFunction, target hash)
+///   module   key = the encoded bytecode bytes
+///            -> the decoded ir::Function and its module id;
+///   verify   key = (module id, target hash)
 ///            -> the verifier's verdict and rendered report;
-///   compile  key = (ir::hashFunction, target hash, jit::Options hash,
+///   compile  key = (module id, target hash, jit::Options hash,
 ///                   RuntimeInfo hash)
 ///            -> the CompileResult (machine code + scalarization info);
-///   program  key = (compile key, placement hash, weak-tier, fuse)
+///   program  key = (module id, compile key, placement hash, weak-tier,
+///                   fuse, elision plan)
 ///            -> the VM's immutable DecodedProgram, shared by every VM
 ///               that runs that code against that placement.
 ///
-/// Keys are structural hashes of VALUES only -- no pointers -- so a hit
-/// is exactly "same bytes in, same artifact out", and results are
-/// identical whether the sweep runs serial or across the thread pool.
+/// No hit rests on a hash of tenant input. A module entry answers only
+/// the exact bytes it was decoded from (a hit compares them), and hands
+/// out a process-unique module id; every later memo keys on that id, so
+/// two different byte strings never share a module, a verdict or any
+/// code, whatever their hashes. The remaining key parts hash values the
+/// process derives itself: the target description, the options, the
+/// module's own array layout, and the elision plan the checker built.
+/// Keys read values only -- no pointers -- so results are identical
+/// whether the sweep runs serial or across the thread pool.
 ///
 /// The cache stands down (enabled() == false) whenever this thread's
 /// fault-injection controller is active: instrumented runs must actually
@@ -44,6 +51,7 @@
 #include "analysis/Certificate.h"
 #include "codegen/NativeJit.h"
 #include "jit/Jit.h"
+#include "support/Support.h"
 #include "target/VM.h"
 
 #include <memory>
@@ -156,11 +164,14 @@ private:
 };
 
 //===--- Key ingredients --------------------------------------------------===//
-// Combine with ir::hashFunction(F) (Function.h). Every hash covers all
+// Combine with a module id (findModule/putModule). Every hash covers all
 // semantically relevant fields of its input; none reads a pointer.
 
-/// FNV-1a over \p Len raw bytes, folded into \p Seed.
-uint64_t hashBytes(const void *Data, size_t Len, uint64_t Seed = 0);
+/// Raw bytes and single words fold in through the shared word-at-a-time
+/// mixer (support/Support.h). It is fast, not collision resistant: no
+/// memo trusts a hash match as proof of equal content.
+using vapor::hashBytes;
+using vapor::hashCombine;
 
 /// Hash of everything the JIT and VM read from a TargetDesc (name,
 /// widths, feature flags, register counts, legality masks, cost table).
@@ -180,18 +191,27 @@ uint64_t hashRuntime(const RuntimeInfo &RT);
 /// valid for both).
 uint64_t hashPlacement(const target::MemoryImage &Image);
 
-/// Folds \p W into \p Seed (same mixing as hashBytes).
-uint64_t hashCombine(uint64_t Seed, uint64_t W);
-
 //===--- Module (decode) memo ---------------------------------------------===//
 
-std::shared_ptr<const ir::Function> findModule(uint64_t BytesHash);
-/// Inserts (first writer wins) and \returns the cached module. \p Cost
-/// is the entry's approximate byte cost for the capacity bound; 0 asks
-/// the cache to estimate from the function's shape (callers that know
-/// the encoded size should pass it -- it is the honest decode cost).
-std::shared_ptr<const ir::Function>
-putModule(uint64_t BytesHash, ir::Function Module, size_t Cost = 0);
+/// A decoded module with the id the memos below key on. Each insertion
+/// takes a fresh id and none is ever reused (clear() included), so an id
+/// names one byte string for the life of the process.
+struct CachedModule {
+  std::shared_ptr<const ir::Function> Fn; ///< Null on a miss.
+  uint64_t Id = 0;                        ///< 0 = not cached.
+};
+
+/// Looks up the module decoded from exactly \p Bytes. A hit compares the
+/// stored bytes, so two byte strings that hash alike never share it.
+CachedModule findModule(const std::vector<uint8_t> &Bytes);
+/// Inserts \p Module, decoded from \p Bytes (first writer wins), and
+/// \returns the cached module. When another byte string with the same
+/// hash holds the slot, \p Module comes back uncached (id 0). \p Cost
+/// is the entry's approximate byte cost for the capacity bound: the
+/// decoded module plus the bytes it keeps. 0 asks the cache to estimate
+/// from the function's shape.
+CachedModule putModule(const std::vector<uint8_t> &Bytes,
+                       ir::Function Module, size_t Cost = 0);
 
 //===--- Verify memo ------------------------------------------------------===//
 
@@ -203,42 +223,47 @@ struct VerifyResult {
   /// can be rebuilt per placement without re-running the verifier.
   std::shared_ptr<const analysis::SafetyCertificate> Cert;
 };
-std::optional<VerifyResult> findVerify(uint64_t FnHash, uint64_t TargetHash);
-void putVerify(uint64_t FnHash, uint64_t TargetHash, VerifyResult R);
+std::optional<VerifyResult> findVerify(uint64_t ModuleId,
+                                       uint64_t TargetHash);
+void putVerify(uint64_t ModuleId, uint64_t TargetHash, VerifyResult R);
 
 //===--- Compile memo -----------------------------------------------------===//
 
-/// The full compile key for (\p FnHash, target \p T, options \p O,
-/// runtime \p RT). Also the prefix of the program key.
-uint64_t compileKey(uint64_t FnHash, const target::TargetDesc &T,
+/// The compile key for (\p ModuleId, target \p T, options \p O, runtime
+/// \p RT). Also the prefix of the program and native keys.
+uint64_t compileKey(uint64_t ModuleId, const target::TargetDesc &T,
                     const Options &O, const RuntimeInfo &RT);
 
-std::shared_ptr<const CompileResult> findCompile(uint64_t Key);
-std::shared_ptr<const CompileResult> putCompile(uint64_t Key,
-                                                CompileResult R);
+/// The compile memo, keyed by (\p ModuleId, \p Key): a hit must match
+/// the module id exactly.
+std::shared_ptr<const CompileResult> findCompile(uint64_t ModuleId,
+                                                 uint64_t Key);
+std::shared_ptr<const CompileResult>
+putCompile(uint64_t ModuleId, uint64_t Key, CompileResult R);
 
 //===--- Decoded-program memo ---------------------------------------------===//
 
-/// Looks up the pre-decoded (and fused) program for \p CompKey's machine
-/// code at \p Image's placement; on miss builds it with
-/// target::DecodedProgram::build and memoizes. Never returns null. The
-/// elision plan (mode + grant hash) joins the key: decoded check states
-/// are baked into the program.
+/// Looks up the pre-decoded (and fused) program for module \p ModuleId's
+/// \p CompKey machine code at \p Image's placement; on miss builds it
+/// with target::DecodedProgram::build and memoizes. Never returns null.
+/// The elision plan (mode + grant hash) joins the key: decoded check
+/// states are baked into the program.
 std::shared_ptr<const target::DecodedProgram>
-programFor(uint64_t CompKey, const target::MFunction &Code,
+programFor(uint64_t ModuleId, uint64_t CompKey, const target::MFunction &Code,
            const target::TargetDesc &T, const target::MemoryImage &Image,
            bool Weak, bool Fuse, const target::ElisionPlan *Plan = nullptr);
 
 //===--- Native-unit memo -------------------------------------------------===//
 
-/// Looks up the native compilation of \p CompKey's machine code for \p
-/// Image's placement under \p NO's encoding set; on miss runs
+/// Looks up the native compilation of module \p ModuleId's \p CompKey
+/// machine code for \p Image's placement under \p NO's encoding set; on
+/// miss runs
 /// codegen::compileNative and memoizes the unit. Only successful compiles
 /// are cached -- a failing Status is returned uncached so the executor's
 /// demotion path re-evaluates it every attempt (the failure may be
 /// environmental, e.g. page allocation).
 Expected<std::shared_ptr<const codegen::NativeUnit>>
-nativeFor(uint64_t CompKey, const target::MFunction &Code,
+nativeFor(uint64_t ModuleId, uint64_t CompKey, const target::MFunction &Code,
           const target::TargetDesc &T, const target::MemoryImage &Image,
           const codegen::NativeOptions &NO);
 

@@ -6,6 +6,8 @@
 
 #include "jit/Elision.h"
 
+#include "support/Support.h"
+
 #include <sstream>
 
 namespace vapor {
@@ -16,18 +18,10 @@ using target::ElisionPlan;
 
 namespace {
 
-uint64_t mix(uint64_t H, uint64_t V) {
-  H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-  return H;
-}
-
 uint64_t planHash(const ElisionPlan &P) {
-  uint64_t H = 0x454c49444eULL; // "ELIDN"
-  H = mix(H, static_cast<uint64_t>(P.Mode));
-  H = mix(H, P.Proven.size());
-  for (uint8_t B : P.Proven)
-    H = mix(H, B);
-  return H;
+  uint64_t H = hashCombine(0x454c49444eULL, // "ELIDN"
+                           static_cast<uint64_t>(P.Mode));
+  return hashBytes(P.Proven.data(), P.Proven.size(), H);
 }
 
 std::string arrayName(const ir::Function &F, uint32_t A) {
@@ -74,6 +68,7 @@ ElisionPlan buildElisionPlan(const ir::Function &F,
 
   P.Proven.assign(F.Instrs.size(), 0);
 
+  analysis::BoundsEvaluator BE(F, T.VSBytes, Params);
   for (const analysis::AccessFact &Fact : Cert->Facts) {
     const ir::Instr &I = F.Instrs[Fact.InstrIdx];
     std::ostringstream D;
@@ -120,7 +115,6 @@ ElisionPlan buildElisionPlan(const ir::Function &F,
       int64_t Limit =
           static_cast<int64_t>(F.Arrays[Fact.Array].NumElems) -
           static_cast<int64_t>(Fact.SpanElems);
-      analysis::BoundsEvaluator BE(F, T.VSBytes, Params);
       std::optional<analysis::Interval> Rng = BE.eval(Fact.IndexVal);
       if (Rng && Limit >= 0 && Rng->Min >= 0 && Rng->Max <= Limit) {
         P.Proven[Fact.InstrIdx] |= ElisionPlan::BoundsBit;

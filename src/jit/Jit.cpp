@@ -235,8 +235,10 @@ public:
     }
     emitRegion(F.Body);
 
-    if (Opt.CompilerTier == Tier::Strong)
-      hoistInvariants(M.Body, nullptr, 0);
+    if (Opt.CompilerTier == Tier::Strong) {
+      std::vector<int> Defs(M.Regs.size(), 0);
+      hoistInvariants(M.Body, Defs);
+    }
     modelRegisterPressure();
     if (!Opt.PromoteAccumulators)
       demoteAccumulators();
@@ -850,95 +852,75 @@ private:
 
   //===--- Pass 5: post passes --------------------------------------------===//
 
-  void collectDefined(const MRegion &R, std::set<MReg> &Out) {
+  /// Adds \p Delta to the definition count of every register \p L
+  /// defines: its induction variable, carried phis and body, nested
+  /// regions included.
+  void countDefs(const MLoop &L, int Delta, std::vector<int> &Defs) {
+    Defs[L.IndVar] += Delta;
+    for (const auto &C : L.Carried)
+      Defs[C.Phi] += Delta;
+    countDefs(L.Body, Delta, Defs);
+  }
+
+  void countDefs(const MRegion &R, int Delta, std::vector<int> &Defs) {
     for (const MNodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case MNodeKind::Instr:
         if (M.Instrs[N.Index].Dst != NoReg)
-          Out.insert(M.Instrs[N.Index].Dst);
+          Defs[M.Instrs[N.Index].Dst] += Delta;
         break;
-      case MNodeKind::Loop: {
-        const MLoop &L = M.Loops[N.Index];
-        Out.insert(L.IndVar);
-        for (const auto &C : L.Carried)
-          Out.insert(C.Phi);
-        collectDefined(L.Body, Out);
+      case MNodeKind::Loop:
+        countDefs(M.Loops[N.Index], Delta, Defs);
         break;
-      }
       case MNodeKind::If:
-        collectDefined(M.Ifs[N.Index].Then, Out);
-        collectDefined(M.Ifs[N.Index].Else, Out);
+        countDefs(M.Ifs[N.Index].Then, Delta, Defs);
+        countDefs(M.Ifs[N.Index].Else, Delta, Defs);
         break;
       }
-    }
-  }
-
-  static bool hoistable(const MInstr &I) {
-    switch (I.Op) {
-    case MOp::LdImm:
-    case MOp::LdFImm:
-    case MOp::Mov:
-    case MOp::LoadBase:
-    case MOp::Alu:
-    case MOp::Addr:
-    case MOp::VSplat:
-    case MOp::VAffine:
-    case MOp::VSetLane0:
-    case MOp::GetPerm:
-      return true;
-    default:
-      return false; // Loads/stores and lane ops stay put.
     }
   }
 
   /// Strong-tier loop-invariant code motion: hoists pure instructions
-  /// whose sources are defined outside the loop.
-  void hoistInvariants(MRegion &R, MRegion *Parent, size_t MyNodePos) {
-    (void)Parent;
-    (void)MyNodePos;
+  /// whose sources are defined outside the loop, to just before it. The
+  /// hoist order is the one a restart-from-the-top fixpoint gives: always
+  /// the first invariant instruction of the body. \p Defs counts each
+  /// register's definitions inside the loop being processed (all zero
+  /// between loops), so a hoist only decrements its destination's count.
+  void hoistInvariants(MRegion &R, std::vector<int> &Defs) {
     for (size_t NIdx = 0; NIdx < R.Nodes.size(); ++NIdx) {
       MNodeRef N = R.Nodes[NIdx];
       if (N.Kind == MNodeKind::If) {
-        hoistInvariants(M.Ifs[N.Index].Then, &R, NIdx);
-        hoistInvariants(M.Ifs[N.Index].Else, &R, NIdx);
+        hoistInvariants(M.Ifs[N.Index].Then, Defs);
+        hoistInvariants(M.Ifs[N.Index].Else, Defs);
         continue;
       }
       if (N.Kind != MNodeKind::Loop)
         continue;
       MLoop &L = M.Loops[N.Index];
-      hoistInvariants(L.Body, &R, NIdx);
-      bool Changed = true;
-      while (Changed) {
-        Changed = false;
-        std::set<MReg> DefinedIn;
-        collectDefined(L.Body, DefinedIn);
-        DefinedIn.insert(L.IndVar);
-        for (const auto &C : L.Carried)
-          DefinedIn.insert(C.Phi);
-        for (size_t BIdx = 0; BIdx < L.Body.Nodes.size(); ++BIdx) {
-          MNodeRef BN = L.Body.Nodes[BIdx];
-          if (BN.Kind != MNodeKind::Instr)
-            continue;
-          const MInstr &BI = M.Instrs[BN.Index];
-          if (!hoistable(BI))
-            continue;
-          bool Invariant = true;
-          for (MReg S : BI.Srcs)
-            Invariant &= !DefinedIn.count(S);
-          if (!Invariant)
-            continue;
-          // Move the node just before the loop in the parent region.
-          L.Body.Nodes.erase(L.Body.Nodes.begin() + BIdx);
-          auto Pos = std::find_if(R.Nodes.begin(), R.Nodes.end(),
-                                  [&](const MNodeRef &X) {
-                                    return X.Kind == MNodeKind::Loop &&
-                                           X.Index == N.Index;
-                                  });
-          R.Nodes.insert(Pos, BN);
-          Changed = true;
-          break; // Restart: indices shifted.
+      hoistInvariants(L.Body, Defs);
+      countDefs(L, +1, Defs);
+      std::vector<MNodeRef> Hoisted;
+      for (size_t BIdx = 0; BIdx < L.Body.Nodes.size();) {
+        MNodeRef BN = L.Body.Nodes[BIdx];
+        const MInstr *BI =
+            BN.Kind == MNodeKind::Instr ? &M.Instrs[BN.Index] : nullptr;
+        if (!BI || !isHoistable(BI->Op) ||
+            std::any_of(BI->Srcs.begin(), BI->Srcs.end(),
+                        [&](MReg S) { return S != NoReg && Defs[S] != 0; })) {
+          ++BIdx;
+          continue;
         }
+        L.Body.Nodes.erase(L.Body.Nodes.begin() + BIdx);
+        Hoisted.push_back(BN);
+        // Once a register has no definition left in the loop, an earlier
+        // instruction reading it may have become invariant: rescan from
+        // the top. Otherwise every earlier instruction is still variant.
+        if (BI->Dst != NoReg && --Defs[BI->Dst] == 0)
+          BIdx = 0;
       }
+      countDefs(L, -1, Defs);
+      R.Nodes.insert(R.Nodes.begin() + NIdx, Hoisted.begin(), Hoisted.end());
+      NIdx += Hoisted.size(); // Back on the loop; hoisted nodes are done.
     }
   }
 

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Assertion helpers, alignment arithmetic, and a deterministic RNG shared
-/// by every Vapor library. Nothing here depends on any other module.
+/// Assertion helpers, alignment arithmetic, the content-hash mixer, and a
+/// deterministic RNG shared by every Vapor library. Nothing here depends
+/// on any other module.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,9 +16,11 @@
 #define VAPOR_SUPPORT_SUPPORT_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace vapor {
@@ -72,6 +75,40 @@ constexpr bool isAligned(uint64_t Value, uint64_t Align) {
 /// \returns true if \p Value is a power of two (and nonzero).
 constexpr bool isPowerOf2(uint64_t Value) {
   return Value != 0 && (Value & (Value - 1)) == 0;
+}
+
+/// Folds the 64-bit word \p W into the running hash \p H. This is the one
+/// mixer behind every content hash in the system: IR functions, bytecode,
+/// cache keys, certificates and elision plans. Each round is an
+/// xor-multiply-xorshift. For a fixed \p W it permutes \p H, so two word
+/// sequences of equal length that differ in exactly one word never collide.
+/// It reads values only, so a hash repeats across processes.
+///
+/// It is fast, not collision resistant: whoever picks the input can make a
+/// later word cancel an earlier difference. An equal hash is never proof
+/// of equal content; the code cache compares content on every hit.
+constexpr uint64_t hashCombine(uint64_t H, uint64_t W) {
+  H = (H ^ W) * 0x9e3779b97f4a7c15ULL;
+  return H ^ (H >> 32);
+}
+
+/// Folds \p Len raw bytes into \p Seed a word at a time (host byte order).
+/// The length goes first, so a zero-padded tail word cannot alias a
+/// longer input.
+inline uint64_t hashBytes(const void *Data, size_t Len, uint64_t Seed = 0) {
+  uint64_t H = hashCombine(Seed, Len);
+  const unsigned char *P = static_cast<const unsigned char *>(Data);
+  for (; Len >= 8; P += 8, Len -= 8) {
+    uint64_t W;
+    std::memcpy(&W, P, 8);
+    H = hashCombine(H, W);
+  }
+  if (Len != 0) {
+    uint64_t W = 0;
+    std::memcpy(&W, P, Len);
+    H = hashCombine(H, W);
+  }
+  return H;
 }
 
 /// Deterministic 64-bit splitmix generator. Used to fill benchmark arrays

@@ -79,6 +79,24 @@ const char *target::mopMnemonic(MOp Op) {
   vapor_unreachable("bad machine opcode");
 }
 
+bool target::isHoistable(MOp Op) {
+  switch (Op) {
+  case MOp::LdImm:
+  case MOp::LdFImm:
+  case MOp::Mov:
+  case MOp::LoadBase:
+  case MOp::Alu:
+  case MOp::Addr:
+  case MOp::VSplat:
+  case MOp::VAffine:
+  case MOp::VSetLane0:
+  case MOp::GetPerm:
+    return true;
+  default:
+    return false;
+  }
+}
+
 namespace {
 
 class Printer {

@@ -87,6 +87,11 @@ enum class MOp : uint8_t {
 /// \returns the assembly mnemonic for \p Op ("vload.a", "getperm", ...).
 const char *mopMnemonic(MOp Op);
 
+/// \returns whether the strong tier's loop-invariant code motion may move
+/// an \p Op instruction out of a loop: a pure op with no memory access.
+/// Loads, stores and lane ops stay put.
+bool isHoistable(MOp Op);
+
 /// One machine instruction. Which fields are meaningful depends on Op;
 /// unset fields keep their defaults.
 struct MInstr {

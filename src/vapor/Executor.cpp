@@ -46,21 +46,21 @@ void recordDemotion(const kernels::Kernel &K, const RunOptions &O,
 
 /// The decode layer, through the code cache when \p Cached: a decoded
 /// module is a pure function of its encoded bytes, so decoding the same
-/// bytes again is a lookup.
-status::Expected<std::shared_ptr<const ir::Function>>
+/// bytes again is a lookup. The module id is 0 when it is not cached.
+status::Expected<jit::cache::CachedModule>
 decodeCached(const std::vector<uint8_t> &Bytes, bool Cached) {
-  uint64_t BytesHash = 0;
-  if (Cached) {
-    BytesHash = jit::cache::hashBytes(Bytes.data(), Bytes.size());
-    if (auto Module = jit::cache::findModule(BytesHash))
-      return Module;
-  }
+  if (Cached)
+    if (jit::cache::CachedModule Hit = jit::cache::findModule(Bytes); Hit.Fn)
+      return Hit;
   auto Decoded = bytecode::decode(Bytes);
   if (!Decoded)
     return Decoded.status();
   if (Cached)
-    return jit::cache::putModule(BytesHash, Decoded.take(), Bytes.size());
-  return std::make_shared<const ir::Function>(Decoded.take());
+    // Charged at twice the encoded size: the decode, plus the bytes the
+    // entry keeps to confirm hits.
+    return jit::cache::putModule(Bytes, Decoded.take(), 2 * Bytes.size());
+  return jit::cache::CachedModule{
+      std::make_shared<const ir::Function>(Decoded.take()), 0};
 }
 
 } // namespace
@@ -105,11 +105,10 @@ void countExecTier(ExecTier T) {
 uint64_t Executor::tieringKey() {
   uint64_t H;
   if (VecModule) {
-    // Server mode: the decoded module IS the function; its structural
-    // hash is also what the cache keys compiles under.
-    if (!VecModuleHash)
-      VecModuleHash = ir::hashFunction(*VecModule);
-    H = VecModuleHash;
+    // Server mode: the decoded module IS the function. A hash collision
+    // here only shares a hotness row, which picks a tier; every tier
+    // computes the same results.
+    H = ir::hashFunction(*VecModule);
   } else {
     // Kernel mode: names are unique in the registry and hashing one is
     // O(bytes-of-name), which keeps the per-invocation steady-state
@@ -161,15 +160,16 @@ RunOutcome Executor::runTiered(ExecTier Eager) {
     O2.Tiered = false;
     kernels::Kernel K2 = K;
     std::shared_ptr<const ir::Function> Vec = VecModule;
+    uint64_t VecId = VecModuleId;
     size_t PDB = PreDecodedBytes;
     bool FC = FailClosed;
     ExecTier CT = static_cast<ExecTier>(D.CompileTier);
     std::string Tenant = jit::cache::currentTenant();
     tiering::engine().enqueueCompile(
         Key, D.EntryTier, D.CompileTier,
-        [K2, O2, Vec, PDB, FC, CT, Tenant]() -> bool {
+        [K2, O2, Vec, VecId, PDB, FC, CT, Tenant]() -> bool {
           jit::cache::ScopedTenant Scope(Tenant);
-          RunOutcome BG = FC ? Executor(K2, O2, Vec, PDB).runChain(CT)
+          RunOutcome BG = FC ? Executor(K2, O2, Vec, PDB, VecId).runChain(CT)
                              : Executor(K2, O2).runChain(CT);
           return BG.Terminal.ok() &&
                  static_cast<uint8_t>(BG.Tier) <= static_cast<uint8_t>(CT);
@@ -326,11 +326,8 @@ Status Executor::prepareVectorized(RunOutcome &Out) {
     // here -- only the verify gate stands between the wire bytes and
     // the JIT.
     Out.BytecodeBytes = PreDecodedBytes;
-    const bool Cached = O.UseCodeCache && jit::cache::enabled();
-    if (Cached && !VecModuleHash)
-      VecModuleHash = ir::hashFunction(*VecModule);
     if (O.VerifyBytecode)
-      return verifyCached(*VecModule, VecModuleHash, Cached,
+      return verifyCached(*VecModule, VecModuleId,
                           "bytecode verification failed for ");
     return Status::okStatus();
   }
@@ -354,13 +351,13 @@ Status Executor::prepareVectorized(RunOutcome &Out) {
   auto Module = decodeCached(Encoded, Cached);
   if (!Module)
     return Module.status();
-  VecModule = Module.take();
-  VecModuleHash = Cached ? ir::hashFunction(*VecModule) : 0;
+  VecModule = Module->Fn;
+  VecModuleId = Module->Id;
 
   // The split layer's contract: what crosses it must be provably safe
   // for every lowering the online compiler may pick on this target.
   if (O.VerifyBytecode) {
-    Status St = verifyCached(*VecModule, VecModuleHash, Cached,
+    Status St = verifyCached(*VecModule, VecModuleId,
                              "bytecode verification failed for ");
     if (!St.ok())
       return St;
@@ -382,7 +379,7 @@ Status Executor::attemptNative(RunOutcome &Out) {
   Status St = prepareVectorized(Out);
   if (!St.ok())
     return St;
-  return runModule(Out, *VecModule, VecModuleHash, /*ForceScalarize=*/false,
+  return runModule(Out, *VecModule, VecModuleId, /*ForceScalarize=*/false,
                    RunEngine::Native);
 }
 
@@ -390,11 +387,11 @@ Status Executor::attemptVectorized(RunOutcome &Out) {
   Status St = prepareVectorized(Out);
   if (!St.ok())
     return St;
-  return runModule(Out, *VecModule, VecModuleHash, /*ForceScalarize=*/false);
+  return runModule(Out, *VecModule, VecModuleId, /*ForceScalarize=*/false);
 }
 
 Status Executor::attemptScalarJit(RunOutcome &Out) {
-  return runModule(Out, *VecModule, VecModuleHash, /*ForceScalarize=*/true);
+  return runModule(Out, *VecModule, VecModuleId, /*ForceScalarize=*/true);
 }
 
 Status Executor::attemptScalarBytecode(RunOutcome &Out) {
@@ -404,26 +401,27 @@ Status Executor::attemptScalarBytecode(RunOutcome &Out) {
   auto Module = decodeCached(Encoded, Cached);
   if (!Module)
     return Module.status();
-  const ir::Function &Fn = **Module;
-  uint64_t FnHash = Cached ? ir::hashFunction(Fn) : 0;
+  const ir::Function &Fn = *Module->Fn;
 
   if (O.VerifyBytecode) {
-    Status St = verifyCached(Fn, FnHash, Cached,
+    Status St = verifyCached(Fn, Module->Id,
                              "scalar bytecode verification failed for ");
     if (!St.ok())
       return St;
   }
 
-  return runModule(Out, Fn, FnHash, /*ForceScalarize=*/false);
+  return runModule(Out, Fn, Module->Id, /*ForceScalarize=*/false);
 }
 
-Status Executor::verifyCached(const ir::Function &Module, uint64_t FnHash,
-                              bool Cached, const char *FailPrefix) {
+Status Executor::verifyCached(const ir::Function &Module, uint64_t ModuleId,
+                              const char *FailPrefix) {
   Cert.reset(); // Never let a previous module's certificate leak forward.
+  const bool Cached =
+      ModuleId != 0 && O.UseCodeCache && jit::cache::enabled();
   uint64_t TargetHash = Cached ? jit::cache::hashTarget(O.Target) : 0;
   std::optional<jit::cache::VerifyResult> VRes;
   if (Cached)
-    VRes = jit::cache::findVerify(FnHash, TargetHash);
+    VRes = jit::cache::findVerify(ModuleId, TargetHash);
   if (!VRes) {
     obs::Span S("verify", "verifyModule");
     S.arg("kernel", K.Name);
@@ -446,7 +444,7 @@ Status Executor::verifyCached(const ir::Function &Module, uint64_t FnHash,
       VRes->Cert = std::make_shared<const analysis::SafetyCertificate>(
           std::move(Rep.Certificates.front()));
     if (Cached)
-      jit::cache::putVerify(FnHash, TargetHash, *VRes);
+      jit::cache::putVerify(ModuleId, TargetHash, *VRes);
   }
   Cert = VRes->Cert;
   if (!VRes->Ok)
@@ -456,7 +454,7 @@ Status Executor::verifyCached(const ir::Function &Module, uint64_t FnHash,
 }
 
 Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
-                           uint64_t FnHash, bool ForceScalarize,
+                           uint64_t ModuleId, bool ForceScalarize,
                            RunEngine Engine) {
   // --- Runtime layout: a fresh image per attempt, because a trapped run
   // may have partially written arrays. ---
@@ -486,15 +484,14 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
   JO.FoldAddressing = O.FoldAddressing;
   JO.PromoteAccumulators = O.PromoteAccumulators;
   JO.ForceScalarize = ForceScalarize;
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
+  const bool Cached =
+      ModuleId != 0 && O.UseCodeCache && jit::cache::enabled();
   uint64_t CompKey = 0;
   std::shared_ptr<const jit::CompileResult> R;
   auto T0 = std::chrono::steady_clock::now();
   if (Cached) {
-    if (!FnHash)
-      FnHash = ir::hashFunction(Module);
-    CompKey = jit::cache::compileKey(FnHash, O.Target, JO, RT);
-    R = jit::cache::findCompile(CompKey);
+    CompKey = jit::cache::compileKey(ModuleId, O.Target, JO, RT);
+    R = jit::cache::findCompile(ModuleId, CompKey);
   }
   if (!R) {
     auto CR = jit::compileChecked(Module, O.Target, RT, JO);
@@ -504,7 +501,7 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
                                .count();
       return CR.status();
     }
-    R = Cached ? jit::cache::putCompile(CompKey, CR.take())
+    R = Cached ? jit::cache::putCompile(ModuleId, CompKey, CR.take())
                : std::make_shared<const jit::CompileResult>(CR.take());
   }
   Out.CompileMicros += std::chrono::duration<double, std::micro>(
@@ -579,8 +576,8 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
     codegen::NativeOptions NO = O.Native;
     NO.Plan = PlanPtr;
     auto N0 = std::chrono::steady_clock::now();
-    auto NU = Cached ? jit::cache::nativeFor(CompKey, R->Code, O.Target,
-                                             *Out.Mem, NO)
+    auto NU = Cached ? jit::cache::nativeFor(ModuleId, CompKey, R->Code,
+                                             O.Target, *Out.Mem, NO)
                      : codegen::compileNative(R->Code, O.Target, *Out.Mem,
                                               NO);
     Out.CompileMicros += std::chrono::duration<double, std::micro>(
@@ -614,8 +611,8 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
   // layout shares one program.
   const bool Weak = JO.CompilerTier == jit::Tier::Weak;
   std::shared_ptr<const DecodedProgram> Prog =
-      Cached ? jit::cache::programFor(CompKey, R->Code, O.Target, *Out.Mem,
-                                      Weak, O.FuseOps, PlanPtr)
+      Cached ? jit::cache::programFor(ModuleId, CompKey, R->Code, O.Target,
+                                      *Out.Mem, Weak, O.FuseOps, PlanPtr)
              : DecodedProgram::build(R->Code, O.Target, *Out.Mem, Weak,
                                      O.FuseOps, PlanPtr);
   VM Machine(Prog, *Out.Mem);
@@ -689,7 +686,7 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
     Out.Terminal = Decoded.status();
     return Out;
   }
-  std::shared_ptr<const ir::Function> Module = Decoded.take();
+  std::shared_ptr<const ir::Function> Module = Decoded->Fn;
 
   // Synthesize the workload the executor drives: the decoded module is
   // the source of truth for arrays and params; the fill is the
@@ -706,6 +703,6 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
     kernels::defaultFill(Sink, F, Seed);
   };
 
-  return Executor(K, O, Module, W.Bytecode.size())
+  return Executor(K, O, Module, W.Bytecode.size(), Decoded->Id)
       .run(O.UseNative ? ExecTier::Native : ExecTier::Vectorized);
 }

@@ -65,10 +65,12 @@ public:
   /// and the interpreter tier -- which has no deadline checkpoint --
   /// must never run tenant-supplied input. \p K still supplies the
   /// workload (params, fill, name); its Source is the decoded module.
+  /// \p ModuleId is the code cache's id for it (jit::cache::findModule),
+  /// 0 when it is not cached: the verify and compile memos key on it.
   Executor(const kernels::Kernel &K, const RunOptions &O,
            std::shared_ptr<const ir::Function> PreDecoded,
-           size_t EncodedBytes)
-      : K(K), O(O), VecModule(std::move(PreDecoded)),
+           size_t EncodedBytes, uint64_t ModuleId = 0)
+      : K(K), O(O), VecModule(std::move(PreDecoded)), VecModuleId(ModuleId),
         PreDecodedBytes(EncodedBytes), FailClosed(true) {}
 
   /// Walks the chain starting at \p Entry (Vectorized for the
@@ -109,7 +111,7 @@ private:
 
   /// The shared front of the Native and Vectorized tiers: offline
   /// vectorize, encode/decode through the interchange format, verify
-  /// gate. On success VecModule/VecModuleHash are set. Re-running it is
+  /// gate. On success VecModule/VecModuleId are set. Re-running it is
   /// deterministic, so a Native -> Vectorized demotion simply prepares
   /// again (warm-cache runs memoize every stage anyway).
   status::Status prepareVectorized(RunOutcome &Out);
@@ -128,26 +130,26 @@ private:
 
   /// The shared online tail of the JIT tiers: layout, compileChecked
   /// (through the code cache when enabled), fill, VM run
-  /// (trap-recording). \p FnHash is ir::hashFunction(Module) when the
-  /// caller already computed it, 0 to compute on demand. On success
+  /// (trap-recording). \p ModuleId is the code cache's id for \p Module
+  /// (0 = not cached: no memo is used). On success
   /// fills the outcome's Cycles/Code/Mem; on failure \returns the Jit-
   /// or Vm-layer Status.
   status::Status runModule(RunOutcome &Out, const ir::Function &Module,
-                           uint64_t FnHash, bool ForceScalarize,
+                           uint64_t ModuleId, bool ForceScalarize,
                            RunEngine Engine = RunEngine::Vm);
 
   /// Verification with the verdict memoized in the code cache (keyed on
-  /// \p FnHash and the run's target). \p Cached gates cache use; the
-  /// failure Status message starts with \p FailPrefix.
-  status::Status verifyCached(const ir::Function &Module, uint64_t FnHash,
-                              bool Cached, const char *FailPrefix);
+  /// \p ModuleId and the run's target; 0 = not cached); the failure
+  /// Status message starts with \p FailPrefix.
+  status::Status verifyCached(const ir::Function &Module, uint64_t ModuleId,
+                              const char *FailPrefix);
 
   const kernels::Kernel &K;
   const RunOptions &O;
   /// Decoded vectorized module, if any; possibly shared with the code
   /// cache (immutable either way).
   std::shared_ptr<const ir::Function> VecModule;
-  uint64_t VecModuleHash = 0; ///< ir::hashFunction(*VecModule), if cached.
+  uint64_t VecModuleId = 0; ///< Code-cache id of VecModule (0 = uncached).
   size_t PreDecodedBytes = 0; ///< Wire size of the server-mode module.
   /// Server mode: stop (RunOutcome::Terminal) instead of demoting past
   /// ScalarJit. Also skips the offline vectorize/encode in

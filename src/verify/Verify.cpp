@@ -898,7 +898,12 @@ private:
       if (It != CertFacts.end())
         It->second.HasAlign = false;
     }
-    collectBoundsFacts(F.Body, /*LoopIdx=*/~0u);
+    // Static ranges only: no parameter values, so one evaluator serves
+    // every access of this target.
+    analysis::BoundsEvaluator Bounds(
+        F, Td.VSBytes,
+        [](const std::string &) { return std::optional<int64_t>(); });
+    collectBoundsFacts(F.Body, /*LoopIdx=*/~0u, Bounds);
     analysis::SafetyCertificate C;
     C.TargetName = Td.Name;
     C.VSBytes = Td.VSBytes;
@@ -1281,7 +1286,8 @@ private:
   /// cover. Vector accesses only count in vector-mode regions (scalar
   /// expansion re-emits them as per-lane accesses outside the
   /// certificate); scalar load/store count everywhere.
-  void collectBoundsFacts(const Region &R, uint32_t LoopIdx) {
+  void collectBoundsFacts(const Region &R, uint32_t LoopIdx,
+                          analysis::BoundsEvaluator &Bounds) {
     for (const NodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case NodeKind::Instr: {
@@ -1292,11 +1298,11 @@ private:
         case Opcode::AStore:
         case Opcode::UStore:
           if (!regionScalar(R))
-            addBoundsFact(N.Index, I, /*Vector=*/true, LoopIdx);
+            addBoundsFact(N.Index, I, /*Vector=*/true, LoopIdx, Bounds);
           break;
         case Opcode::Load:
         case Opcode::Store:
-          addBoundsFact(N.Index, I, /*Vector=*/false, LoopIdx);
+          addBoundsFact(N.Index, I, /*Vector=*/false, LoopIdx, Bounds);
           break;
         default:
           break;
@@ -1304,18 +1310,18 @@ private:
         break;
       }
       case NodeKind::Loop:
-        collectBoundsFacts(F.Loops[N.Index].Body, N.Index);
+        collectBoundsFacts(F.Loops[N.Index].Body, N.Index, Bounds);
         break;
       case NodeKind::If:
-        collectBoundsFacts(F.Ifs[N.Index].Then, LoopIdx);
-        collectBoundsFacts(F.Ifs[N.Index].Else, LoopIdx);
+        collectBoundsFacts(F.Ifs[N.Index].Then, LoopIdx, Bounds);
+        collectBoundsFacts(F.Ifs[N.Index].Else, LoopIdx, Bounds);
         break;
       }
     }
   }
 
   void addBoundsFact(uint32_t Idx, const Instr &I, bool Vector,
-                     uint32_t LoopIdx) {
+                     uint32_t LoopIdx, analysis::BoundsEvaluator &Bounds) {
     if (I.Array >= F.Arrays.size() || I.Ops.empty())
       return;
     int64_t ES = scalarSize(F.Arrays[I.Array].Elem);
@@ -1331,10 +1337,7 @@ private:
     Fa.IndexVal = I.Ops[0];
     // Static range when derivable without parameter values; otherwise the
     // consumer evaluates the range with the run's concrete parameters.
-    analysis::BoundsEvaluator BE(
-        F, T->VSBytes,
-        [](const std::string &) { return std::optional<int64_t>(); });
-    if (std::optional<analysis::Interval> Rng = BE.eval(I.Ops[0])) {
+    if (std::optional<analysis::Interval> Rng = Bounds.eval(I.Ops[0])) {
       Fa.DynamicRange = false;
       Fa.MinIdx = Rng->Min;
       Fa.MaxIdx = Rng->Max;

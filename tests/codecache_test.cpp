@@ -7,7 +7,8 @@
 // The memory-bound + cost-aware-LRU + per-tenant-accounting surface of
 // jit::cache (CodeCache.h). The module memo is the probe of choice: its
 // put takes an explicit cost, so every test controls entry sizes down to
-// the byte, and hits/misses are observable through findModule.
+// the byte, and hits/misses are observable through findModule. The last
+// tests pin that a hit needs equal content, not just an equal hash.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,14 @@ using namespace vapor::jit;
 namespace {
 
 ir::Function tinyFn(const std::string &Name) { return ir::Function(Name); }
+
+/// The eight bytes of \p K: a distinct module-memo key per value.
+std::vector<uint8_t> bytesOf(uint64_t K) {
+  std::vector<uint8_t> B(8);
+  for (int I = 0; I < 8; ++I)
+    B[I] = static_cast<uint8_t>(K >> (8 * I));
+  return B;
+}
 
 /// Every test starts from an empty, unbounded, enabled cache and leaves
 /// it that way: the cache is process-global and other suites share it.
@@ -49,28 +59,29 @@ protected:
 
 TEST_F(CodeCacheTest, UnboundedNeverEvicts) {
   for (uint64_t K = 1; K <= 64; ++K)
-    cache::putModule(K, tinyFn("m"), /*Cost=*/1 << 20);
+    cache::putModule(bytesOf(K), tinyFn("m"), /*Cost=*/1 << 20);
   cache::Stats S = cache::stats();
   EXPECT_EQ(S.Evictions, 0u);
   EXPECT_EQ(S.BytesLive, 64u << 20);
   EXPECT_EQ(S.CapacityBytes, 0u);
   for (uint64_t K = 1; K <= 64; ++K)
-    EXPECT_NE(cache::findModule(K), nullptr);
+    EXPECT_NE(cache::findModule(bytesOf(K)).Fn, nullptr);
 }
 
 TEST_F(CodeCacheTest, EvictsLeastRecentlyUsedFirst) {
   cache::setCapacity(3500);
-  cache::putModule(1, tinyFn("a"), 1000);
-  cache::putModule(2, tinyFn("b"), 1000);
-  cache::putModule(3, tinyFn("c"), 1000);
+  cache::putModule(bytesOf(1), tinyFn("a"), 1000);
+  cache::putModule(bytesOf(2), tinyFn("b"), 1000);
+  cache::putModule(bytesOf(3), tinyFn("c"), 1000);
   // Refresh 1: recency is now [1, 3, 2] with 2 at the cold end.
-  EXPECT_NE(cache::findModule(1), nullptr);
-  cache::putModule(4, tinyFn("d"), 1000);
+  EXPECT_NE(cache::findModule(bytesOf(1)).Fn, nullptr);
+  cache::putModule(bytesOf(4), tinyFn("d"), 1000);
 
-  EXPECT_EQ(cache::findModule(2), nullptr) << "cold entry must go first";
-  EXPECT_NE(cache::findModule(1), nullptr);
-  EXPECT_NE(cache::findModule(3), nullptr);
-  EXPECT_NE(cache::findModule(4), nullptr);
+  EXPECT_EQ(cache::findModule(bytesOf(2)).Fn, nullptr)
+      << "cold entry must go first";
+  EXPECT_NE(cache::findModule(bytesOf(1)).Fn, nullptr);
+  EXPECT_NE(cache::findModule(bytesOf(3)).Fn, nullptr);
+  EXPECT_NE(cache::findModule(bytesOf(4)).Fn, nullptr);
   cache::Stats S = cache::stats();
   EXPECT_EQ(S.Evictions, 1u);
   EXPECT_EQ(S.BytesLive, 3000u);
@@ -79,17 +90,17 @@ TEST_F(CodeCacheTest, EvictsLeastRecentlyUsedFirst) {
 
 TEST_F(CodeCacheTest, MixedCostsEvictUntilUnderBound) {
   cache::setCapacity(10000);
-  cache::putModule(1, tinyFn("small1"), 500);
-  cache::putModule(2, tinyFn("small2"), 500);
-  cache::putModule(3, tinyFn("big"), 8000); // 9000 live.
+  cache::putModule(bytesOf(1), tinyFn("small1"), 500);
+  cache::putModule(bytesOf(2), tinyFn("small2"), 500);
+  cache::putModule(bytesOf(3), tinyFn("big"), 8000); // 9000 live.
   // One 6000-cost insert must pop BOTH cold small entries AND the big
   // one (500+500+8000) before the total fits again: cost-aware eviction
   // keeps evicting, it does not stop after one victim.
-  cache::putModule(4, tinyFn("wide"), 6000);
-  EXPECT_EQ(cache::findModule(1), nullptr);
-  EXPECT_EQ(cache::findModule(2), nullptr);
-  EXPECT_EQ(cache::findModule(3), nullptr);
-  EXPECT_NE(cache::findModule(4), nullptr);
+  cache::putModule(bytesOf(4), tinyFn("wide"), 6000);
+  EXPECT_EQ(cache::findModule(bytesOf(1)).Fn, nullptr);
+  EXPECT_EQ(cache::findModule(bytesOf(2)).Fn, nullptr);
+  EXPECT_EQ(cache::findModule(bytesOf(3)).Fn, nullptr);
+  EXPECT_NE(cache::findModule(bytesOf(4)).Fn, nullptr);
   cache::Stats S = cache::stats();
   EXPECT_EQ(S.Evictions, 3u);
   EXPECT_EQ(S.BytesLive, 6000u);
@@ -97,24 +108,26 @@ TEST_F(CodeCacheTest, MixedCostsEvictUntilUnderBound) {
 
 TEST_F(CodeCacheTest, OversizedEntryIsServedButNeverResident) {
   cache::setCapacity(1000);
-  auto Got = cache::putModule(7, tinyFn("huge"), 5000);
-  ASSERT_NE(Got, nullptr) << "the caller always gets the artifact";
-  EXPECT_EQ(Got->Name, "huge");
-  EXPECT_EQ(cache::findModule(7), nullptr) << "but it is not cached";
+  auto Got = cache::putModule(bytesOf(7), tinyFn("huge"), 5000);
+  ASSERT_NE(Got.Fn, nullptr) << "the caller always gets the artifact";
+  EXPECT_EQ(Got.Fn->Name, "huge");
+  EXPECT_EQ(cache::findModule(bytesOf(7)).Fn, nullptr)
+      << "but it is not cached";
   cache::Stats S = cache::stats();
   EXPECT_LE(S.BytesLive, 1000u);
   EXPECT_GE(S.Evictions, 1u);
 }
 
 TEST_F(CodeCacheTest, ShrinkingCapacityEvictsImmediately) {
-  cache::putModule(1, tinyFn("a"), 4000);
-  cache::putModule(2, tinyFn("b"), 4000);
+  cache::putModule(bytesOf(1), tinyFn("a"), 4000);
+  cache::putModule(bytesOf(2), tinyFn("b"), 4000);
   EXPECT_EQ(cache::stats().BytesLive, 8000u);
   cache::setCapacity(4500);
   cache::Stats S = cache::stats();
   EXPECT_LE(S.BytesLive, 4500u);
-  EXPECT_EQ(cache::findModule(1), nullptr) << "older entry is the victim";
-  EXPECT_NE(cache::findModule(2), nullptr);
+  EXPECT_EQ(cache::findModule(bytesOf(1)).Fn, nullptr)
+      << "older entry is the victim";
+  EXPECT_NE(cache::findModule(bytesOf(2)).Fn, nullptr);
 }
 
 TEST_F(CodeCacheTest, VerifyEntriesShareTheRecencyList) {
@@ -122,11 +135,11 @@ TEST_F(CodeCacheTest, VerifyEntriesShareTheRecencyList) {
   // to make room for a module entry.
   cache::setCapacity(2000);
   cache::putVerify(11, 22, {true, "", nullptr}); // cost 256.
-  cache::putModule(1, tinyFn("a"), 1500);        // 1756 live.
-  cache::putModule(2, tinyFn("b"), 400);         // evicts the verify memo.
+  cache::putModule(bytesOf(1), tinyFn("a"), 1500); // 1756 live.
+  cache::putModule(bytesOf(2), tinyFn("b"), 400);  // evicts the verify memo.
   EXPECT_FALSE(cache::findVerify(11, 22).has_value());
-  EXPECT_NE(cache::findModule(1), nullptr);
-  EXPECT_NE(cache::findModule(2), nullptr);
+  EXPECT_NE(cache::findModule(bytesOf(1)).Fn, nullptr);
+  EXPECT_NE(cache::findModule(bytesOf(2)).Fn, nullptr);
 }
 
 //===--- Per-tenant accounting --------------------------------------------===//
@@ -143,12 +156,12 @@ TEST_F(CodeCacheTest, InsertionsAreAttributedToTheScopedTenant) {
   {
     cache::ScopedTenant T("tenant-a");
     EXPECT_EQ(cache::currentTenant(), "tenant-a");
-    cache::putModule(1, tinyFn("a1"), 1000);
-    cache::putModule(2, tinyFn("a2"), 2000);
+    cache::putModule(bytesOf(1), tinyFn("a1"), 1000);
+    cache::putModule(bytesOf(2), tinyFn("a2"), 2000);
     {
       cache::ScopedTenant Inner("tenant-b");
       EXPECT_EQ(cache::currentTenant(), "tenant-b");
-      cache::putModule(3, tinyFn("b1"), 4000);
+      cache::putModule(bytesOf(3), tinyFn("b1"), 4000);
     }
     EXPECT_EQ(cache::currentTenant(), "tenant-a") << "scopes nest";
   }
@@ -170,11 +183,11 @@ TEST_F(CodeCacheTest, EvictionsRefundTheOwningTenant) {
   cache::setCapacity(5000);
   {
     cache::ScopedTenant T("victim");
-    cache::putModule(1, tinyFn("v"), 3000);
+    cache::putModule(bytesOf(1), tinyFn("v"), 3000);
   }
   {
     cache::ScopedTenant T("survivor");
-    cache::putModule(2, tinyFn("s"), 4000); // Evicts victim's entry.
+    cache::putModule(bytesOf(2), tinyFn("s"), 4000); // Evicts victim's.
   }
   auto All = cache::tenantStats();
   const cache::TenantStats *V = lineFor(All, "victim");
@@ -196,9 +209,9 @@ void tallyWorkload(const std::string &Tenant, uint64_t KeyBase,
                    unsigned Inserts) {
   cache::ScopedTenant Scope(Tenant);
   for (unsigned I = 0; I < Inserts; ++I)
-    cache::putModule(KeyBase + I, tinyFn("w"), 100);
+    cache::putModule(bytesOf(KeyBase + I), tinyFn("w"), 100);
   for (unsigned I = 0; I < Inserts; ++I)
-    if (!cache::findModule(KeyBase + I))
+    if (!cache::findModule(bytesOf(KeyBase + I)).Fn)
       ADD_FAILURE() << "unbounded cache lost " << Tenant << " key " << I;
 }
 
@@ -250,9 +263,9 @@ TEST_F(CodeCacheTest, BoundHoldsUnderParallelChurn) {
       cache::ScopedTenant Scope("churn-" + std::to_string(T));
       for (uint64_t I = 0; I < 300; ++I) {
         uint64_t Key = (uint64_t(T) << 32) | I;
-        cache::putModule(Key, tinyFn("c"), 512 + (I % 7) * 768);
-        cache::findModule(Key);
-        cache::findModule((uint64_t(T) << 32) | (I / 2)); // Mix recency.
+        cache::putModule(bytesOf(Key), tinyFn("c"), 512 + (I % 7) * 768);
+        cache::findModule(bytesOf(Key));
+        cache::findModule(bytesOf((uint64_t(T) << 32) | (I / 2))); // Recency.
       }
     });
   for (std::thread &Th : Threads)
@@ -271,14 +284,53 @@ TEST_F(CodeCacheTest, BoundHoldsUnderParallelChurn) {
 
 TEST_F(CodeCacheTest, ClearKeepsLifetimeCountersDropsResidency) {
   cache::setCapacity(1000);
-  cache::putModule(1, tinyFn("a"), 800);
-  cache::putModule(2, tinyFn("b"), 800); // Evicts 1.
+  cache::putModule(bytesOf(1), tinyFn("a"), 800);
+  cache::putModule(bytesOf(2), tinyFn("b"), 800); // Evicts 1.
   EXPECT_EQ(cache::stats().Evictions, 1u);
   cache::clear();
   cache::Stats S = cache::stats();
   EXPECT_EQ(S.BytesLive, 0u);
   EXPECT_EQ(S.Evictions, 1u) << "clear() is not an eviction";
-  EXPECT_EQ(cache::findModule(2), nullptr);
+  EXPECT_EQ(cache::findModule(bytesOf(2)).Fn, nullptr);
+}
+
+//===--- Hits confirm content ---------------------------------------------===//
+
+TEST_F(CodeCacheTest, HashCollisionIsAMissNotAnotherModule) {
+  // Two 16-byte strings with equal hashBytes: the first words differ and
+  // B's second word cancels the state difference (the mixer xors each
+  // word into the state, so this takes no search).
+  uint64_t WA[2] = {1, 2}, WB[2] = {3, 0};
+  const uint64_t H0 = hashCombine(0, 16); // hashBytes folds the length.
+  WB[1] = WA[1] ^ hashCombine(H0, WA[0]) ^ hashCombine(H0, WB[0]);
+  std::vector<uint8_t> A(16), B(16);
+  std::memcpy(A.data(), WA, 16);
+  std::memcpy(B.data(), WB, 16);
+  ASSERT_EQ(hashBytes(A.data(), 16), hashBytes(B.data(), 16));
+
+  cache::CachedModule MA = cache::putModule(A, tinyFn("a"), 100);
+  ASSERT_NE(MA.Id, 0u);
+  EXPECT_EQ(cache::findModule(B).Fn, nullptr) << "same hash, other bytes";
+  cache::CachedModule MB = cache::putModule(B, tinyFn("b"), 100);
+  ASSERT_NE(MB.Fn, nullptr);
+  EXPECT_EQ(MB.Fn->Name, "b") << "B is served its own module";
+  EXPECT_EQ(MB.Id, 0u) << "uncached: A holds the slot";
+  EXPECT_EQ(cache::findModule(A).Fn, MA.Fn);
+  EXPECT_EQ(cache::findModule(A).Id, MA.Id);
+}
+
+TEST_F(CodeCacheTest, ModuleIdsNameOneByteStringForever) {
+  cache::CachedModule First = cache::putModule(bytesOf(1), tinyFn("a"), 100);
+  EXPECT_EQ(cache::putModule(bytesOf(1), tinyFn("a"), 100).Id, First.Id)
+      << "same bytes, same entry";
+  cache::CachedModule Other = cache::putModule(bytesOf(2), tinyFn("b"), 100);
+  EXPECT_NE(Other.Id, First.Id);
+  cache::putVerify(First.Id, 22, {true, "", nullptr});
+  EXPECT_FALSE(cache::findVerify(Other.Id, 22).has_value());
+  cache::clear();
+  cache::CachedModule Again = cache::putModule(bytesOf(1), tinyFn("a"), 100);
+  EXPECT_NE(Again.Id, First.Id) << "ids are not reused after clear()";
+  EXPECT_NE(Again.Id, Other.Id);
 }
 
 } // namespace

@@ -4,13 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Bytecode.h"
 #include "ir/Builder.h"
 #include "ir/Function.h"
 #include "ir/Interp.h"
 #include "ir/ScalarOps.h"
 #include "ir/Verifier.h"
+#include "jit/CodeCache.h"
+#include "kernels/Kernels.h"
+#include "vectorizer/Vectorizer.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace vapor;
 using namespace vapor::ir;
@@ -567,6 +573,110 @@ TEST(EvaluatorTest, DotProductAccumulates) {
     E.run();
     EXPECT_EQ(E.peekInt(Out, 0), Want) << "VS=" << VS;
   }
+}
+
+//===--- Structural hash ----------------------------------------------------//
+
+/// The modules the system hashes in practice: every kernel's scalar source
+/// and its split-layer vectorized module.
+std::vector<Function> kernelModules() {
+  std::vector<Function> Mods;
+  for (const kernels::Kernel &K : kernels::allKernels()) {
+    Mods.push_back(K.Source);
+    Mods.push_back(vectorizer::vectorize(K.Source).Output);
+  }
+  return Mods;
+}
+
+/// Sets \p Field of \p G to \p To, expects the hash to move off \p Base,
+/// and restores the field.
+template <typename T, typename U>
+void expectHashMoves(const Function &G, uint64_t Base, T &Field, U To,
+                     const std::string &What) {
+  T Old = Field;
+  Field = static_cast<T>(To);
+  EXPECT_NE(hashFunction(G), Base) << G.Name << ": " << What;
+  Field = Old;
+}
+
+TEST(HashFunctionTest, EverySingleFieldChangeMovesTheHash) {
+  for (Function &G : kernelModules()) {
+    const uint64_t H = hashFunction(G);
+    EXPECT_EQ(hashFunction(Function(G)), H) << G.Name << ": copy";
+    for (size_t V = 0; V < G.Values.size(); ++V)
+      expectHashMoves(G, H, G.Values[V].Ty.Vector, !G.Values[V].Ty.Vector,
+                      "type of %" + std::to_string(V));
+    for (size_t I = 0; I < G.Instrs.size(); ++I) {
+      Instr &In = G.Instrs[I];
+      std::string At = " of #" + std::to_string(I);
+      expectHashMoves(G, H, In.Op,
+                      In.Op == Opcode::Add ? Opcode::Sub : Opcode::Add,
+                      "opcode" + At);
+      for (size_t K = 0; K < In.Ops.size(); ++K)
+        expectHashMoves(G, H, In.Ops[K], In.Ops[K] + 1,
+                        "operand " + std::to_string(K) + At);
+      expectHashMoves(G, H, In.IntImm, In.IntImm + 1, "immediate" + At);
+      expectHashMoves(G, H, In.Hint.Mis, In.Hint.Mis + 1, "hint" + At);
+      expectHashMoves(G, H, In.Array, In.Array + 1, "array" + At);
+    }
+    for (size_t L = 0; L < G.Loops.size(); ++L) {
+      LoopStmt &Lp = G.Loops[L];
+      std::string At = " of loop " + std::to_string(L);
+      expectHashMoves(G, H, Lp.Lower, Lp.Lower + 1, "lower bound" + At);
+      expectHashMoves(G, H, Lp.Upper, Lp.Upper + 1, "upper bound" + At);
+      expectHashMoves(G, H, Lp.Step, Lp.Step + 1, "step" + At);
+      expectHashMoves(G, H, Lp.Role,
+                      Lp.Role == LoopRole::Plain ? LoopRole::Peel
+                                                 : LoopRole::Plain,
+                      "role" + At);
+      expectHashMoves(G, H, Lp.MaxSafeVF, Lp.MaxSafeVF + 1,
+                      "MaxSafeVF" + At);
+    }
+    for (size_t I = 0; I < G.Ifs.size(); ++I)
+      expectHashMoves(G, H, G.Ifs[I].Cond, G.Ifs[I].Cond + 1,
+                      "condition of if " + std::to_string(I));
+    for (ArrayInfo &AI : G.Arrays) {
+      std::string At = " of array " + AI.Name;
+      std::string Renamed = AI.Name;
+      Renamed.back() ^= 1;
+      expectHashMoves(G, H, AI.Name, Renamed, "name" + At);
+      expectHashMoves(G, H, AI.Elem,
+                      AI.Elem == ScalarKind::F32 ? ScalarKind::I32
+                                                 : ScalarKind::F32,
+                      "kind" + At);
+      expectHashMoves(G, H, AI.NumElems, AI.NumElems + 1, "extent" + At);
+      expectHashMoves(G, H, AI.BaseAlign, AI.BaseAlign * 2,
+                      "alignment" + At);
+    }
+    std::vector<Region *> Regions{&G.Body};
+    for (LoopStmt &L : G.Loops)
+      Regions.push_back(&L.Body);
+    for (IfStmt &S : G.Ifs) {
+      Regions.push_back(&S.Then);
+      Regions.push_back(&S.Else);
+    }
+    for (Region *R : Regions) {
+      if (R->Nodes.size() < 2)
+        continue;
+      std::swap(R->Nodes[0], R->Nodes[1]);
+      EXPECT_NE(hashFunction(G), H) << G.Name << ": region node order";
+      std::swap(R->Nodes[0], R->Nodes[1]);
+    }
+    EXPECT_EQ(hashFunction(G), H) << G.Name << ": every field restored";
+  }
+}
+
+TEST(HashFunctionTest, KernelModulesAndEncodingsHashPairwiseDistinct) {
+  std::vector<Function> Mods = kernelModules();
+  ASSERT_EQ(Mods.size(), 2 * kernels::ExpectedKernelCount);
+  std::set<uint64_t> FnHashes, ByteHashes;
+  for (const Function &F : Mods) {
+    FnHashes.insert(hashFunction(F));
+    std::vector<uint8_t> Bytes = bytecode::encode(F);
+    ByteHashes.insert(jit::cache::hashBytes(Bytes.data(), Bytes.size()));
+  }
+  EXPECT_EQ(FnHashes.size(), Mods.size());
+  EXPECT_EQ(ByteHashes.size(), Mods.size());
 }
 
 } // namespace

@@ -12,12 +12,17 @@
 #include "ir/Interp.h"
 #include "ir/Verifier.h"
 #include "jit/Jit.h"
+#include "kernels/Kernels.h"
 #include "support/Support.h"
 #include "target/Iaca.h"
 #include "target/VM.h"
 #include "vectorizer/Vectorizer.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <set>
 
 using namespace vapor;
 using namespace vapor::ir;
@@ -550,6 +555,113 @@ TEST(DepHintJitTest, JitScalarizesWhenVFExceedsHint) {
       ASSERT_EQ(Mem.peekInt(0, I), E.peekInt(0, I))
           << C.T.Name << " i=" << I;
   }
+}
+
+//===--- Strong-tier loop-invariant code motion ------------------------------//
+
+/// Every register \p L defines: induction variable, carried phis and every
+/// instruction of its body, nested regions included.
+void loopDefs(const MFunction &M, const MLoop &L, std::set<MReg> &Out) {
+  Out.insert(L.IndVar);
+  for (const MLoop::CarriedVar &C : L.Carried)
+    Out.insert(C.Phi);
+  std::function<void(const MRegion &)> Walk = [&](const MRegion &R) {
+    for (const MNodeRef &N : R.Nodes) {
+      if (N.Kind == MNodeKind::Instr && M.Instrs[N.Index].Dst != NoReg)
+        Out.insert(M.Instrs[N.Index].Dst);
+      else if (N.Kind == MNodeKind::Loop)
+        loopDefs(M, M.Loops[N.Index], Out);
+      else if (N.Kind == MNodeKind::If) {
+        Walk(M.Ifs[N.Index].Then);
+        Walk(M.Ifs[N.Index].Else);
+      }
+    }
+  };
+  Walk(L.Body);
+}
+
+/// Instructions that sit before a loop in its region but were emitted
+/// inside it. Registers are numbered in creation order, and a loop's
+/// induction variable is created right before its body is emitted, so such
+/// an instruction defines a register newer than the induction variable.
+/// LoadBase is exempt: bases are emitted into the function entry wherever
+/// they are first used.
+unsigned hoistedCount(const MFunction &M, const MRegion &R) {
+  unsigned N = 0;
+  for (size_t P = 0; P < R.Nodes.size(); ++P) {
+    const MNodeRef &Node = R.Nodes[P];
+    if (Node.Kind == MNodeKind::If) {
+      N += hoistedCount(M, M.Ifs[Node.Index].Then);
+      N += hoistedCount(M, M.Ifs[Node.Index].Else);
+      continue;
+    }
+    if (Node.Kind != MNodeKind::Loop)
+      continue;
+    const MLoop &L = M.Loops[Node.Index];
+    N += hoistedCount(M, L.Body);
+    for (size_t Q = 0; Q < P; ++Q) {
+      if (R.Nodes[Q].Kind != MNodeKind::Instr)
+        continue;
+      const MInstr &I = M.Instrs[R.Nodes[Q].Index];
+      N += I.Op != MOp::LoadBase && I.Dst != NoReg && I.Dst > L.IndVar;
+    }
+  }
+  return N;
+}
+
+/// Lowers every kernel's vectorized module for every target at \p Tier,
+/// bases known and aligned, and hands each result to \p Check.
+void forEveryLowering(
+    jit::Tier Tier,
+    const std::function<void(const std::string &, const MFunction &)> &Check) {
+  for (const kernels::Kernel &K : kernels::allKernels()) {
+    auto VR = vectorizer::vectorize(K.Source);
+    MemoryImage Mem;
+    for (const ArrayInfo &AI : VR.Output.Arrays)
+      Mem.addArray(AI, 0);
+    jit::Options JO;
+    JO.CompilerTier = Tier;
+    for (const TargetDesc &T : allTargets()) {
+      auto CR = jit::compile(VR.Output, T, jit::RuntimeInfo::fromMemory(Mem),
+                             JO);
+      Check(K.Name + "/" + T.Name, CR.Code);
+    }
+  }
+}
+
+TEST(JitLicmTest, StrongTierReachesTheFixpoint) {
+  unsigned Hoisted = 0;
+  forEveryLowering(jit::Tier::Strong, [&](const std::string &Cell,
+                                          const MFunction &M) {
+    Hoisted += hoistedCount(M, M.Body);
+    for (const MLoop &L : M.Loops) {
+      std::set<MReg> Defs;
+      loopDefs(M, L, Defs);
+      for (const MNodeRef &N : L.Body.Nodes) {
+        if (N.Kind != MNodeKind::Instr)
+          continue;
+        const MInstr &I = M.Instrs[N.Index];
+        EXPECT_FALSE(isHoistable(I.Op) &&
+                     std::none_of(I.Srcs.begin(), I.Srcs.end(),
+                                  [&](MReg S) { return Defs.count(S); }))
+            << Cell << ": loop body keeps invariant instruction #"
+            << N.Index << "\n"
+            << M.str();
+      }
+    }
+  });
+  // The detector the weak tier is checked with sees the strong tier's
+  // hoists.
+  EXPECT_GT(Hoisted, 0u);
+}
+
+TEST(JitLicmTest, WeakTierHoistsNothing) {
+  forEveryLowering(jit::Tier::Weak,
+                   [&](const std::string &Cell, const MFunction &M) {
+                     EXPECT_EQ(hoistedCount(M, M.Body), 0u)
+                         << Cell << "\n"
+                         << M.str();
+                   });
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 
 #include "bytecode/Bytecode.h"
 #include "ir/Builder.h"
+#include "jit/CodeCache.h"
 #include "kernels/Kernels.h"
 #include "server/Protocol.h"
 #include "server/Server.h"
@@ -28,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -677,6 +679,86 @@ TEST(RunEncodedModuleTest, GarbageBytecodeIsTerminalDecodeFailure) {
   RunOutcome Out = runEncodedModule(W, O);
   ASSERT_FALSE(Out.Terminal.ok());
   EXPECT_EQ(Out.Terminal.layer(), status::Layer::Bytecode);
+}
+
+/// Two encodings of \p K's vectorized module that the code cache's byte
+/// hash cannot tell apart. The second has its last array cut to half its
+/// elements. Eight bytes of a name given to a non-parameter value in
+/// both then cancel the hash difference: the word mixer xors each word
+/// into the state, so this takes no search.
+std::pair<std::vector<uint8_t>, std::vector<uint8_t>>
+collidingEncodings(const kernels::Kernel &K) {
+  ir::Function F = vectorizer::vectorize(K.Source, {}).Output;
+  const std::string Pad(24, '#');
+  std::find_if(F.Values.begin(), F.Values.end(), [](const ir::ValueInfo &V) {
+    return V.Def != ir::ValueDef::Param; // Parameters bind by name.
+  })->Name = Pad;
+  ir::Function Half = F;
+  Half.Arrays.back().NumElems /= 2;
+  std::vector<uint8_t> A = bytecode::encode(F), B = bytecode::encode(Half);
+  EXPECT_EQ(A.size(), B.size()) << "the extent must keep its varint length";
+  const size_t Pos =
+      std::search(A.begin(), A.end(), Pad.begin(), Pad.end()) - A.begin();
+  EXPECT_TRUE(std::equal(Pad.begin(), Pad.end(), B.begin() + Pos));
+  const size_t Word = (Pos + 7) / 8; // First whole word inside the name.
+  auto word = [](const std::vector<uint8_t> &V, size_t I) {
+    uint64_t W;
+    std::memcpy(&W, V.data() + 8 * I, 8);
+    return W;
+  };
+  uint64_t HA = hashCombine(0, A.size()), HB = hashCombine(0, B.size());
+  for (size_t I = 0; I < Word; ++I) {
+    HA = hashCombine(HA, word(A, I));
+    HB = hashCombine(HB, word(B, I));
+  }
+  const uint64_t Cancel = word(A, Word) ^ HA ^ HB;
+  std::memcpy(B.data() + 8 * Word, &Cancel, 8);
+  return {A, B};
+}
+
+TEST(RunEncodedModuleTest, BytesWithACollidingHashShareNoCacheEntry) {
+  std::vector<kernels::Kernel> All = kernels::allKernels();
+  const kernels::Kernel &K =
+      *std::find_if(All.begin(), All.end(),
+                    [](const auto &C) { return C.Name == "saxpy_fp"; });
+  auto [Full, Half] = collidingEncodings(K);
+  ASSERT_NE(Full, Half);
+  ASSERT_EQ(jit::cache::hashBytes(Full.data(), Full.size()),
+            jit::cache::hashBytes(Half.data(), Half.size()))
+      << "the construction must collide for this test to mean anything";
+  auto HalfModule = bytecode::decode(Half);
+  ASSERT_TRUE(HalfModule.ok()) << HalfModule.status().str();
+
+  // Either order: each run must decode, verify and compile its own
+  // module, never take what the other cached under the same hash. With
+  // the kernel's trip count the half module runs off the end of its
+  // image and traps; the full one completes on the vector tier.
+  for (bool HalfFirst : {false, true}) {
+    SCOPED_TRACE(HalfFirst ? "half first" : "full first");
+    jit::cache::clear();
+    jit::cache::resetStats();
+    ModuleWorkload WF, WH;
+    WF.Name = "full";
+    WF.Bytecode = Full;
+    WF.IntParams = WH.IntParams = K.IntParams;
+    WH.Name = "half";
+    WH.Bytecode = Half;
+    RunOptions O;
+    RunOutcome First = runEncodedModule(HalfFirst ? WH : WF, O);
+    RunOutcome Second = runEncodedModule(HalfFirst ? WF : WH, O);
+    const RunOutcome &F = HalfFirst ? Second : First;
+    const RunOutcome &H = HalfFirst ? First : Second;
+    EXPECT_TRUE(F.Terminal.ok()) << F.Terminal.str();
+    EXPECT_EQ(F.Tier, ExecTier::Vectorized);
+    EXPECT_TRUE(F.Demotions.empty());
+    EXPECT_FALSE(H.Terminal.ok()) << "the half module ran the full one's code";
+    EXPECT_FALSE(H.Demotions.empty());
+    jit::cache::Stats St = jit::cache::stats();
+    EXPECT_EQ(St.ModuleHits, 0u);
+    EXPECT_EQ(St.VerifyHits, 0u);
+    EXPECT_EQ(St.CompileHits, 0u);
+    EXPECT_EQ(St.ProgramHits, 0u);
+  }
 }
 
 } // namespace
