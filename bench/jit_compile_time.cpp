@@ -8,15 +8,19 @@
 // remained negligible ... in the microsecond range."
 //
 // Built on google-benchmark: wall-clock time of the online compiler on
-// scalar vs vectorized bytecode, followed by a printed ratio summary and
-// a cold-vs-warm measurement of the content-addressed code cache on the
-// executor's integrated compile path.
+// scalar vs vectorized bytecode, followed by a printed ratio summary, a
+// cold-vs-warm measurement of the content-addressed code cache on the
+// executor's integrated compile path, and the verifier's cost per KB of
+// bytecode for every kernel on every SIMD target.
 //
-//   jit_compile_time [--json [PATH]] [google-benchmark flags]
+//   jit_compile_time [--json [PATH]] [--verify-json PATH]
+//                    [google-benchmark flags]
 //
 // --json writes the machine-readable cache baseline (BENCH_jit.json by
-// default). Use --benchmark_filter=NONE to skip the timed micro-runs
-// and only produce the summaries.
+// default); --verify-json writes the verifier matrix to PATH, which
+// scripts/perf_gate.py --verify-linear gates. Use
+// --benchmark_filter=NONE to skip the timed micro-runs and only produce
+// the summaries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +31,7 @@
 #include "kernels/Kernels.h"
 #include "vapor/Pipeline.h"
 #include "vectorizer/Vectorizer.h"
+#include "verify/Verify.h"
 
 #include <benchmark/benchmark.h>
 
@@ -227,12 +232,141 @@ void printCacheSummary(const char *JsonPath) {
   std::printf("wrote %s\n", JsonPath);
 }
 
+/// The verifier's cost per KB of split bytecode, per kernel: the static
+/// gate must stay linear in module size like the JIT (paper Sec. I). Each
+/// call verifies one SIMD target, the way the executor's gate does. The
+/// cells are timed round-robin for VerifyReps rounds and each keeps its
+/// median, so a slow spell of the host hits every kernel alike: the gate
+/// compares kernels with each other, never with another host. A kernel's
+/// us/KB is the mean of its per-target medians over its encoded size.
+void printVerifySummary(const char *JsonPath) {
+  constexpr int VerifyReps = 31;
+  using Clock = std::chrono::steady_clock;
+  bench::printHeader("Verifier cost per KB of split bytecode, every kernel "
+                     "on every SIMD target (median of " +
+                     std::to_string(VerifyReps) + " interleaved calls)");
+  std::vector<target::TargetDesc> Simd;
+  for (const target::TargetDesc &T : target::allTargets())
+    if (T.hasSimd())
+      Simd.push_back(T);
+
+  struct Row {
+    std::string Kernel;
+    ir::Function Module{""};
+    size_t Bytes = 0;
+    std::vector<std::vector<double>> Micros; ///< Per target, per rep.
+    std::vector<double> MedianUs;            ///< Per target.
+    double UsPerKB = 0;
+  };
+  std::vector<Row> Rows;
+  for (const kernels::Kernel &K : kernels::allKernels()) {
+    Row R;
+    R.Kernel = K.Name;
+    std::vector<uint8_t> Bytes =
+        bytecode::encode(vectorizer::vectorize(K.Source).Output);
+    auto Decoded = bytecode::decode(Bytes);
+    if (!Decoded) {
+      std::fprintf(stderr, "%s: %s\n", K.Name.c_str(),
+                   Decoded.status().str().c_str());
+      std::exit(1);
+    }
+    R.Module = std::move(*Decoded);
+    R.Bytes = Bytes.size();
+    R.Micros.resize(Simd.size());
+    Rows.push_back(std::move(R));
+  }
+
+  std::vector<verify::VerifyOptions> Opts(Simd.size());
+  for (size_t T = 0; T < Simd.size(); ++T)
+    Opts[T].Targets = {Simd[T]};
+  for (int Rep = -1; Rep < VerifyReps; ++Rep) // Rep -1 warms up.
+    for (Row &R : Rows)
+      for (size_t T = 0; T < Simd.size(); ++T) {
+        auto T0 = Clock::now();
+        verify::Report V = verify::verifyModule(R.Module, Opts[T]);
+        auto T1 = Clock::now();
+        benchmark::DoNotOptimize(V.ObligationsProved);
+        if (!V.ok()) {
+          std::fprintf(stderr, "%s on %s: %s", R.Kernel.c_str(),
+                       Simd[T].Name.c_str(), V.str().c_str());
+          std::exit(1);
+        }
+        if (Rep >= 0)
+          R.Micros[T].push_back(
+              std::chrono::duration<double, std::micro>(T1 - T0).count());
+      }
+
+  std::vector<double> PerKB;
+  for (Row &R : Rows) {
+    for (std::vector<double> &M : R.Micros) {
+      std::sort(M.begin(), M.end());
+      R.MedianUs.push_back(M[M.size() / 2]);
+    }
+    R.UsPerKB = bench::arithMean(R.MedianUs) * 1024.0 /
+                static_cast<double>(R.Bytes);
+    PerKB.push_back(R.UsPerKB);
+  }
+  std::sort(PerKB.begin(), PerKB.end());
+  const double Median = PerKB[PerKB.size() / 2];
+  std::sort(Rows.begin(), Rows.end(), [](const Row &A, const Row &B) {
+    return A.UsPerKB > B.UsPerKB;
+  });
+  std::printf("%-16s %7s", "kernel", "bytes");
+  for (const target::TargetDesc &T : Simd)
+    std::printf(" %9s", (T.Name + "-us").c_str());
+  std::printf(" %8s %8s\n", "us/KB", "x-median");
+  for (const Row &R : Rows) {
+    std::printf("%-16s %7zu", R.Kernel.c_str(), R.Bytes);
+    for (double U : R.MedianUs)
+      std::printf(" %9.1f", U);
+    std::printf(" %8.1f %8.2f\n", R.UsPerKB, R.UsPerKB / Median);
+  }
+  std::printf("median %.1f us/KB; worst %s at %.2fx the median\n", Median,
+              Rows.front().Kernel.c_str(), Rows.front().UsPerKB / Median);
+
+  if (!JsonPath)
+    return;
+  std::ofstream OS(JsonPath);
+  if (!OS) {
+    std::fprintf(stderr, "cannot write %s\n", JsonPath);
+    std::exit(1);
+  }
+  char Buf[256];
+  OS << "{\n  \"bench\": \"jit_compile_time\",\n"
+        "  \"schema\": \"vapor-bench-verify-v1\",\n";
+  std::snprintf(Buf, sizeof(Buf),
+                "  \"reps\": %d,\n  \"median_us_per_kb\": %.2f,\n"
+                "  \"targets\": [",
+                VerifyReps, Median);
+  OS << Buf;
+  for (size_t T = 0; T < Simd.size(); ++T)
+    OS << (T ? ", " : "") << "\"" << Simd[T].Name << "\"";
+  OS << "],\n  \"kernels\": [\n";
+  for (size_t I = 0; I < Rows.size(); ++I) {
+    const Row &R = Rows[I];
+    std::snprintf(Buf, sizeof(Buf),
+                  "    {\"kernel\": \"%s\", \"bytes\": %zu, "
+                  "\"us_per_kb\": %.2f, \"us_per_call\": {",
+                  R.Kernel.c_str(), R.Bytes, R.UsPerKB);
+    OS << Buf;
+    for (size_t T = 0; T < Simd.size(); ++T) {
+      std::snprintf(Buf, sizeof(Buf), "%s\"%s\": %.2f", T ? ", " : "",
+                    Simd[T].Name.c_str(), R.MedianUs[T]);
+      OS << Buf;
+    }
+    OS << "}}" << (I + 1 < Rows.size() ? "," : "") << "\n";
+  }
+  OS << "  ]\n}\n";
+  std::printf("wrote %s\n", JsonPath);
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
-  // Peel off our own --json [PATH] before google-benchmark sees argv --
-  // it rejects flags it does not recognize.
+  // Peel off our own --json [PATH] / --verify-json PATH before
+  // google-benchmark sees argv -- it rejects flags it does not recognize.
   const char *JsonPath = nullptr;
+  const char *VerifyJsonPath = nullptr;
   std::vector<char *> Args;
   Args.push_back(argv[0]);
   for (int I = 1; I < argc; ++I) {
@@ -240,6 +374,12 @@ int main(int argc, char **argv) {
       JsonPath = "BENCH_jit.json";
       if (I + 1 < argc && argv[I + 1][0] != '-')
         JsonPath = argv[++I];
+    } else if (std::strcmp(argv[I], "--verify-json") == 0) {
+      if (I + 1 == argc) {
+        std::fprintf(stderr, "--verify-json needs a PATH\n");
+        return 2;
+      }
+      VerifyJsonPath = argv[++I];
     } else {
       Args.push_back(argv[I]);
     }
@@ -252,5 +392,6 @@ int main(int argc, char **argv) {
   benchmark::Shutdown();
   printRatioSummary();
   printCacheSummary(JsonPath);
+  printVerifySummary(VerifyJsonPath);
   return 0;
 }

@@ -108,6 +108,21 @@ Three modes:
                        perf_gate.py --elision-floor native_current.json \
                            --audit-json audit.json
 
+  --verify-linear      gates the static verifier's proportionality from one
+                       ``jit_compile_time --verify-json`` report
+                       (schema vapor-bench-verify-v1): the verifier's
+                       cost per KB of bytecode is measured for every
+                       registry kernel on every SIMD target, and no
+                       kernel may exceed 2.0x the median kernel. Verify
+                       time must grow with module size, not with a
+                       kernel's shape. The worst kernels are named in
+                       the verdict. Both sides of the ratio come from the
+                       same report, so the gate holds on any host. A
+                       report that is not exactly the 36 registry kernels
+                       (each named once) x the 4 SIMD targets is bad
+                       input:
+                       perf_gate.py --verify-linear verify_current.json
+
 Exit status: 0 pass, 1 regression, 2 bad input.
 """
 
@@ -118,6 +133,14 @@ import sys
 # Worst-cell floor of --tiering-floor: no kernel x target cell may answer
 # its first request more than 2x slower tiered than eager.
 TIERING_COLD_CELL_MIN = 0.5
+
+VERIFY_SCHEMA = "vapor-bench-verify-v1"
+# --verify-linear: no kernel's verify us/KB above this many times the
+# median kernel, over exactly this kernel x target matrix (the registry's
+# kernels::ExpectedKernelCount and every target with SIMD).
+VERIFY_LINEAR_MAX = 2.0
+VERIFY_KERNELS = 36
+VERIFY_TARGETS = ("sse", "altivec", "neon", "avx")
 TIERING_SCHEMA = "vapor-bench-tiering-v3"
 
 
@@ -228,7 +251,64 @@ def main():
     ap.add_argument("--tiering-steady-cell-min", type=float, default=0.85,
                     help="minimum per-cell steady-state ratio "
                          "(default 0.85)")
+    ap.add_argument("--verify-linear", action="store_true",
+                    help="gate a jit_compile_time --verify-json report: "
+                         "no kernel's verify us/KB above 2.0x the median "
+                         "kernel")
     args = ap.parse_args()
+
+    if args.verify_linear:
+        path = args.current or args.baseline
+        report = load(path)
+        if report.get("schema") != VERIFY_SCHEMA:
+            print(f"perf_gate: {path} has schema "
+                  f"{report.get('schema')!r}, not {VERIFY_SCHEMA!r}; "
+                  "regenerate it with jit_compile_time --verify-json",
+                  file=sys.stderr)
+            sys.exit(2)
+        kernels = report.get("kernels")
+        targets = report.get("targets")
+        if not isinstance(kernels, list) or not isinstance(targets, list) \
+                or sorted(targets) != sorted(VERIFY_TARGETS) \
+                or len(kernels) != VERIFY_KERNELS \
+                or len({k.get("kernel") for k in kernels
+                        if isinstance(k, dict)}) != VERIFY_KERNELS:
+            print(f"perf_gate: {path} is not {VERIFY_KERNELS} distinct "
+                  f"kernels x the SIMD targets {list(VERIFY_TARGETS)}",
+                  file=sys.stderr)
+            sys.exit(2)
+        for k in kernels:
+            per_call = k.get("us_per_call")
+            if not isinstance(k.get("us_per_kb"), (int, float)) \
+                    or k["us_per_kb"] <= 0 \
+                    or not isinstance(per_call, dict) \
+                    or sorted(per_call) != sorted(VERIFY_TARGETS) \
+                    or not all(isinstance(u, (int, float)) and u > 0
+                               for u in per_call.values()):
+                print(f"perf_gate: {path} has an incomplete row for "
+                      f"{k.get('kernel', '?')}", file=sys.stderr)
+                sys.exit(2)
+        per_kb = sorted(k["us_per_kb"] for k in kernels)
+        median = per_kb[len(per_kb) // 2]
+        worst = sorted(kernels, key=lambda k: -k["us_per_kb"])[:3]
+        ratio = worst[0]["us_per_kb"] / median
+        over = [k for k in kernels
+                if k["us_per_kb"] > VERIFY_LINEAR_MAX * median]
+        verdict = "FAIL" if over else "PASS"
+        print(f"perf_gate: {verdict}: verify cost over {len(kernels)} "
+              f"kernels x {len(targets)} SIMD targets: median "
+              f"{median:.1f} us/KB, worst {ratio:.2f}x the median "
+              f"(limit {VERIFY_LINEAR_MAX:.2f}x); slowest: "
+              + ", ".join(f"{k['kernel']} {k['us_per_kb']:.1f}"
+                          for k in worst))
+        if over:
+            print("perf_gate: verify time is no longer proportional to "
+                  "module size on: "
+                  + ", ".join(f"{k['kernel']} "
+                              f"{k['us_per_kb'] / median:.2f}x"
+                              for k in over), file=sys.stderr)
+            sys.exit(1)
+        sys.exit(0)
 
     if args.tiering_floor:
         path = args.current or args.baseline

@@ -438,6 +438,7 @@ Status Executor::verifyCached(const ir::Function &Module, uint64_t ModuleId,
           static_cast<uint64_t>(Rep.ObligationsProved));
     S.arg("obligations_failed",
           static_cast<uint64_t>(Rep.ObligationsFailed));
+    S.arg("scenario_forks", static_cast<uint64_t>(Rep.ScenarioForks));
     VRes = jit::cache::VerifyResult{Rep.ok(), Rep.ok() ? "" : Rep.str(), {}};
     // One target verified => at most one certificate.
     if (!Rep.Certificates.empty())

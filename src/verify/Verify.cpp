@@ -40,6 +40,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 
 using namespace vapor;
@@ -134,53 +135,130 @@ bool isPow2(int64_t X) { return X > 0 && (X & (X - 1)) == 0; }
 
 //===--- The abstract domain ----------------------------------------------===//
 
-/// An affine form c0 + sum(ci * Sym_i) over verifier symbols.
-struct Aff {
-  int64_t C = 0;
-  std::map<uint32_t, int64_t> T;
+/// Index of an affine form in its pass's AffPool.
+using AffId = uint32_t;
+constexpr AffId NoAff = ~0u;
 
-  bool isConst() const { return T.empty(); }
-};
+/// The affine forms c0 + sum(ci * Sym_i) over verifier symbols that one
+/// target pass builds. A form's terms are sorted by symbol and stored back
+/// to back in one arena, so building a form allocates nothing once the
+/// arena has grown. Forms are immutable: an id names the same form for
+/// the rest of the pass.
+class AffPool {
+public:
+  struct Term {
+    uint32_t Sym;
+    int64_t Coef;
+  };
 
-Aff affConst(int64_t C) {
-  Aff A;
-  A.C = C;
-  return A;
-}
-
-Aff affSym(uint32_t S) {
-  Aff A;
-  A.T[S] = 1;
-  return A;
-}
-
-Aff affAdd(const Aff &A, const Aff &B) {
-  Aff R = A;
-  R.C += B.C;
-  for (const auto &[S, Co] : B.T) {
-    auto It = R.T.find(S);
-    int64_t N = (It == R.T.end() ? 0 : It->second) + Co;
-    if (N)
-      R.T[S] = N;
-    else if (It != R.T.end())
-      R.T.erase(It);
+  void clear() {
+    Forms.clear();
+    Terms.clear();
   }
-  return R;
-}
 
-Aff affMulC(const Aff &A, int64_t K) {
-  Aff R;
-  if (K == 0)
-    return R;
-  R.C = A.C * K;
-  for (const auto &[S, Co] : A.T)
-    R.T[S] = Co * K;
-  return R;
-}
+  AffId constant(int64_t C) { return finish(C, Terms.size()); }
 
-Aff affNeg(const Aff &A) { return affMulC(A, -1); }
-Aff affSub(const Aff &A, const Aff &B) { return affAdd(A, affNeg(B)); }
-bool affEq(const Aff &A, const Aff &B) { return A.C == B.C && A.T == B.T; }
+  AffId sym(uint32_t S) {
+    Terms.push_back({S, 1});
+    return finish(0, Terms.size() - 1);
+  }
+
+  /// A + K * B; terms that cancel are dropped.
+  AffId add(AffId A, AffId B, int64_t K = 1) {
+    const Form FA = Forms[A], FB = Forms[B];
+    const size_t Begin = Terms.size();
+    uint32_t IA = FA.Begin, IB = FB.Begin;
+    const uint32_t EA = FA.Begin + FA.Size, EB = FB.Begin + FB.Size;
+    while (IA != EA || IB != EB) {
+      if (IB == EB || (IA != EA && Terms[IA].Sym < Terms[IB].Sym)) {
+        const Term X = Terms[IA++];
+        Terms.push_back(X);
+        continue;
+      }
+      const uint32_t S = Terms[IB].Sym;
+      int64_t N = Terms[IB++].Coef * K;
+      if (IA != EA && Terms[IA].Sym == S)
+        N += Terms[IA++].Coef;
+      if (N)
+        Terms.push_back({S, N});
+    }
+    return finish(FA.C + FB.C * K, Begin);
+  }
+
+  AffId mulC(AffId A, int64_t K) {
+    if (K == 0)
+      return constant(0);
+    return rewrite(A, Forms[A].C * K, [K](Term &X) {
+      X.Coef *= K;
+      return true;
+    });
+  }
+
+  /// A / K when K divides the constant and every coefficient of A.
+  std::optional<AffId> divExact(AffId A, int64_t K) {
+    if (K == 0 || Forms[A].C % K != 0)
+      return std::nullopt;
+    for (const Term &X : terms(A))
+      if (X.Coef % K != 0)
+        return std::nullopt;
+    return rewrite(A, Forms[A].C / K, [K](Term &X) {
+      X.Coef /= K;
+      return true;
+    });
+  }
+
+  /// A with the term of symbol \p S removed.
+  AffId without(AffId A, uint32_t S) {
+    return rewrite(A, Forms[A].C, [S](Term &X) { return X.Sym != S; });
+  }
+
+  bool isConst(AffId A) const { return Forms[A].Size == 0; }
+  int64_t constOf(AffId A) const { return Forms[A].C; }
+  /// Valid until the next form is built.
+  std::span<const Term> terms(AffId A) const {
+    return {Terms.data() + Forms[A].Begin, Forms[A].Size};
+  }
+
+  /// A == K * B.
+  bool equal(AffId A, AffId B, int64_t K = 1) const {
+    const Form FA = Forms[A], FB = Forms[B];
+    if (FA.C != FB.C * K || FA.Size != FB.Size)
+      return false;
+    for (uint32_t I = 0; I < FA.Size; ++I) {
+      const Term X = Terms[FA.Begin + I], Y = Terms[FB.Begin + I];
+      if (X.Sym != Y.Sym || X.Coef != Y.Coef * K)
+        return false;
+    }
+    return true;
+  }
+
+private:
+  struct Form {
+    int64_t C;
+    uint32_t Begin, Size;
+  };
+
+  /// Builds a form with constant \p C from the terms of \p A that \p Edit
+  /// keeps (returns true for), after \p Edit has rewritten them.
+  template <typename Fn> AffId rewrite(AffId A, int64_t C, Fn &&Edit) {
+    const Form FA = Forms[A];
+    const size_t Begin = Terms.size();
+    for (uint32_t I = FA.Begin; I < FA.Begin + FA.Size; ++I) {
+      Term X = Terms[I];
+      if (Edit(X))
+        Terms.push_back(X);
+    }
+    return finish(C, Begin);
+  }
+
+  AffId finish(int64_t C, size_t Begin) {
+    Forms.push_back({C, (uint32_t)Begin, (uint32_t)(Terms.size() - Begin)});
+    return (AffId)Forms.size() - 1;
+  }
+
+  std::vector<Form> Forms;
+  std::vector<Term> Terms;
+};
 
 /// What is known about one symbol.
 struct SymInfo {
@@ -192,20 +270,31 @@ struct SymInfo {
   Kind K = Kind::Opaque;
   uint32_t Array = NoArray;
   int64_t Mod = 0;
-  Aff Rhs;
+  AffId Rhs = NoAff;
 };
 
-/// One scenario of the abstract walk.
+/// One step of a scenario path. Steps form a tree through their parents;
+/// a state holds only its leaf, and the text is built for diagnostics.
+struct PathStep {
+  enum class Kind : uint8_t { Loop, Then, Else, Aligned, Fallback, Ge, Lt };
+  uint32_t Parent;
+  uint32_t Idx; ///< Loop, if or instruction index.
+  Kind K;
+};
+constexpr uint32_t TopPath = ~0u;
+
+/// One scenario of the abstract walk. Copying a state copies flat id
+/// arrays; the affine forms themselves live in the pass's pool.
 struct WalkState {
-  std::map<ValueId, Aff> Env;
+  std::vector<AffId> Env; ///< ValueId -> form; NoAff = not bound yet.
   /// Base alignment (bytes) assumed beyond the declared minimum, from the
-  /// arm of an alignment version guard.
-  std::map<uint32_t, uint32_t> AssumedAlign;
+  /// arm of an alignment version guard; per array, 0 = none.
+  std::vector<uint32_t> AssumedAlign;
   /// Branch choices of min/max scenario splits: (A - B, sign), sign = +1
   /// meaning "A - B >= 0 on this path". Later splits over an equal (or
   /// negated) quantity reuse the choice, keeping scenarios feasible.
-  std::vector<std::pair<Aff, int>> Signs;
-  std::string Path; ///< Human-readable scenario path for diagnostics.
+  std::vector<std::pair<AffId, int>> Signs;
+  uint32_t Path = TopPath; ///< Leaf step of this scenario's path.
 };
 
 //===--- The verifier -----------------------------------------------------===//
@@ -222,7 +311,7 @@ public:
     if (!StructErrs.empty())
       return Rep; // Deeper analyses assume a well-formed module.
 
-    buildUsers();
+    buildIndexes();
     hintSanity();
     checkLoopBounds();
     checkIdiomChains();
@@ -242,7 +331,14 @@ private:
   const VerifyOptions &Opt;
   Report Rep;
 
-  std::map<ValueId, std::vector<uint32_t>> Users;
+  /// Module-wide indexes, built once. Users of value V are the
+  /// instruction indices UserIdx[UserBegin[V] .. UserBegin[V + 1]), one
+  /// entry per operand slot, in instruction order.
+  std::vector<uint32_t> UserBegin, UserIdx;
+  /// init value -> the last loop-carried variable it initializes.
+  std::vector<const LoopStmt::CarriedVar *> CarriedByInit;
+  std::vector<bool> IsIfCond;       ///< Value is some if's condition.
+  std::vector<uint32_t> WidenMults; ///< widen_mult_lo/hi instructions.
   std::set<std::tuple<int, int, std::string, uint32_t, std::string>> SeenDiag;
 
   // Per-target pass state.
@@ -250,6 +346,8 @@ private:
   std::map<ValueId, bool> DetFold; ///< Guards folding identically everywhere.
   std::map<const Region *, bool> RegionScalar;
   std::vector<SymInfo> Syms;
+  AffPool Affs;
+  std::vector<PathStep> Paths;   ///< Scenario path steps.
   std::vector<uint32_t> BaseSym; ///< Array -> its ArrayBase symbol.
   std::set<uint32_t> ObSeen, ObFail, ConsFail;
   bool BudgetNoted = false;
@@ -275,11 +373,33 @@ private:
     Rep.Diags.push_back(std::move(D));
   }
 
-  void buildUsers() {
-    for (uint32_t Idx = 0; Idx < F.Instrs.size(); ++Idx)
-      for (ValueId V : F.Instrs[Idx].Ops)
-        Users[V].push_back(Idx);
+  void buildIndexes() {
+    const size_t NV = F.Values.size();
+    UserBegin.assign(NV + 1, 0);
+    for (const Instr &I : F.Instrs)
+      for (ValueId V : I.Ops)
+        ++UserBegin[V + 1];
+    for (size_t V = 0; V < NV; ++V)
+      UserBegin[V + 1] += UserBegin[V];
+    UserIdx.resize(UserBegin[NV]);
+    std::vector<uint32_t> Fill(UserBegin.begin(), UserBegin.end() - 1);
+    for (uint32_t Idx = 0; Idx < F.Instrs.size(); ++Idx) {
+      const Instr &I = F.Instrs[Idx];
+      for (ValueId V : I.Ops)
+        UserIdx[Fill[V]++] = Idx;
+      if (I.Op == Opcode::WidenMultLo || I.Op == Opcode::WidenMultHi)
+        WidenMults.push_back(Idx);
+    }
+    CarriedByInit.assign(NV, nullptr);
+    for (const LoopStmt &L : F.Loops)
+      for (const LoopStmt::CarriedVar &C : L.Carried)
+        CarriedByInit[C.Init] = &C;
+    IsIfCond.assign(NV, false);
+    for (const IfStmt &S : F.Ifs)
+      IsIfCond[S.Cond] = true;
   }
+
+  bool hasUsers(ValueId V) const { return UserBegin[V + 1] > UserBegin[V]; }
 
   const Instr *definingInstr(ValueId V) const {
     if (V >= F.Values.size() || F.Values[V].Def != ValueDef::Instr)
@@ -523,11 +643,7 @@ private:
   }
 
   void checkReductionChain(uint32_t Idx, const Instr &I) {
-    const LoopStmt::CarriedVar *CV = nullptr;
-    for (const LoopStmt &L : F.Loops)
-      for (const LoopStmt::CarriedVar &C : L.Carried)
-        if (C.Init == I.Result)
-          CV = &C;
+    const LoopStmt::CarriedVar *CV = CarriedByInit[I.Result];
     if (!CV) {
       diag(Check::IdiomChains, Severity::Warning, "", Idx,
            "init_reduc result does not initialize a loop-carried "
@@ -543,11 +659,8 @@ private:
     while (!Work.empty()) {
       ValueId V = Work.front();
       Work.pop_front();
-      auto It = Users.find(V);
-      if (It == Users.end())
-        continue;
-      for (uint32_t U : It->second) {
-        const Instr &UI = F.Instrs[U];
+      for (uint32_t U = UserBegin[V]; U < UserBegin[V + 1]; ++U) {
+        const Instr &UI = F.Instrs[UserIdx[U]];
         switch (UI.Op) {
         case Opcode::Add:
           SawAdd = true;
@@ -605,8 +718,8 @@ private:
   }
 
   void checkWidenPair(uint32_t Idx, const Instr &I, Opcode Partner) {
-    for (const Instr &J : F.Instrs)
-      if (J.Op == Partner && J.Ops == I.Ops)
+    for (uint32_t J : WidenMults)
+      if (F.Instrs[J].Op == Partner && F.Instrs[J].Ops == I.Ops)
         return;
     diag(Check::IdiomChains, Severity::Warning, "", Idx,
          std::string(opcodeMnemonic(I.Op)) + " has no matching " +
@@ -615,14 +728,11 @@ private:
   }
 
   void checkGuardUses(uint32_t Idx, const Instr &I) {
-    bool UsedAsCond = false;
-    for (const IfStmt &S : F.Ifs)
-      UsedAsCond |= S.Cond == I.Result;
-    if (!UsedAsCond)
+    if (!IsIfCond[I.Result])
       diag(Check::Guards, Severity::Warning, "", Idx,
            "version_guard result is never an if condition (dangling "
            "version guard)");
-    if (Users.count(I.Result))
+    if (hasUsers(I.Result))
       diag(Check::Guards, Severity::Warning, "", Idx,
            "version_guard result is used as a data operand");
   }
@@ -781,21 +891,39 @@ private:
     return (uint32_t)Syms.size() - 1;
   }
 
-  Aff affOf(WalkState &S, ValueId V) {
-    auto It = S.Env.find(V);
-    if (It != S.Env.end())
-      return It->second;
-    Aff A = affSym(newSym());
-    S.Env.emplace(V, A);
-    return A;
+  AffId newSymAff() { return Affs.sym(newSym()); }
+
+  /// The form bound to \p V, binding a fresh opaque symbol on first use.
+  AffId affOf(WalkState &S, ValueId V) {
+    AffId &Id = S.Env[V];
+    if (Id == NoAff)
+      Id = newSymAff();
+    return Id;
+  }
+
+  uint32_t addPath(uint32_t Parent, PathStep::Kind K, uint32_t Idx) {
+    Paths.push_back({Parent, Idx, K});
+    return (uint32_t)Paths.size() - 1;
+  }
+
+  std::string pathText(uint32_t Leaf) const {
+    if (Leaf == TopPath)
+      return "<top>";
+    static const char *const Affix[][2] = {
+        {"/L", ""}, {"/then", ""}, {"/else", ""}, {"/aligned", ""},
+        {"/fallback", ""}, {"/i", "+"}, {"/i", "-"}}; // By PathStep::Kind.
+    std::string Out;
+    for (uint32_t P = Leaf; P != TopPath; P = Paths[P].Parent) {
+      const char *const *A = Affix[(int)Paths[P].K];
+      Out.insert(0, A[0] + std::to_string(Paths[P].Idx) + A[1]);
+    }
+    return Out;
   }
 
   int64_t assumedAlignBytes(const WalkState &S, uint32_t A,
                             uint32_t Bump32Array) const {
-    int64_t Bytes = F.Arrays[A].BaseAlign;
-    auto It = S.AssumedAlign.find(A);
-    if (It != S.AssumedAlign.end())
-      Bytes = std::max<int64_t>(Bytes, It->second);
+    int64_t Bytes =
+        std::max<int64_t>(F.Arrays[A].BaseAlign, S.AssumedAlign[A]);
     if (A == Bump32Array)
       Bytes = std::max<int64_t>(Bytes, analysis::AlignModBytes);
     return Bytes;
@@ -818,30 +946,26 @@ private:
   /// alignment assumption the reduction consumes is appended to it — the
   /// derivation is only valid in worlds where all of them hold, and the
   /// certificate must say so.
-  std::optional<int64_t> residueMod(const WalkState &S, Aff A, int64_t W,
+  std::optional<int64_t> residueMod(const WalkState &S, AffId A, int64_t W,
                                     uint32_t Bump32Array,
                                     std::vector<analysis::BaseAlignReq>
-                                        *Reqs = nullptr) const {
+                                        *Reqs = nullptr) {
     if (W <= 1)
       return 0;
     for (int Iter = 0; Iter < 64; ++Iter) {
-      uint32_t Sid = ~0u;
-      int64_t Coef = 0;
-      for (auto It = A.T.rbegin(); It != A.T.rend(); ++It)
-        if (floorMod(It->second, W) != 0) {
-          Sid = It->first;
-          Coef = It->second;
-          break;
-        }
-      if (Sid == ~0u)
-        return floorMod(A.C, W);
+      std::span<const AffPool::Term> Ts = Affs.terms(A);
+      auto Hit = std::find_if(Ts.rbegin(), Ts.rend(),
+                              [W](const AffPool::Term &X) {
+                                return floorMod(X.Coef, W) != 0;
+                              });
+      if (Hit == Ts.rend())
+        return floorMod(Affs.constOf(A), W);
+      const auto [Sid, Coef] = *Hit;
       const SymInfo &SI = Syms[Sid];
-      Aff Zero;
       int64_t M = 0;
-      const Aff *Rhs = nullptr;
+      AffId Rhs = NoAff; // NoAff: the symbol is congruent to 0.
       if (SI.K == SymInfo::Kind::ArrayBase) {
         M = alignElems(S, SI.Array, Bump32Array);
-        Rhs = &Zero;
         if (Reqs) {
           int64_t ES =
               std::max<int64_t>(scalarSize(F.Arrays[SI.Array].Elem), 1);
@@ -850,15 +974,16 @@ private:
         }
       } else if (SI.K == SymInfo::Kind::Congruent) {
         M = SI.Mod;
-        Rhs = &SI.Rhs;
+        Rhs = SI.Rhs;
       } else {
         return std::nullopt;
       }
       // Coef*Sym = Coef*Rhs + Coef*M*t; the t part must vanish mod W.
       if (M <= 0 || floorMod(Coef * M, W) != 0)
         return std::nullopt;
-      A.T.erase(Sid);
-      A = affAdd(A, affMulC(*Rhs, Coef));
+      A = Affs.without(A, Sid);
+      if (Rhs != NoAff)
+        A = Affs.add(A, Rhs, Coef);
     }
     return std::nullopt;
   }
@@ -872,6 +997,8 @@ private:
     planRegion(F.Body, /*ParentScalar=*/false);
 
     Syms.clear();
+    Affs.clear();
+    Paths.clear();
     ObSeen.clear();
     ObFail.clear();
     ConsFail.clear();
@@ -879,12 +1006,15 @@ private:
     BudgetNoted = false;
     BaseSym.assign(F.Arrays.size(), 0);
     WalkState S0;
+    S0.Env.assign(F.Values.size(), NoAff);
+    S0.AssumedAlign.assign(F.Arrays.size(), 0);
     for (uint32_t A = 0; A < F.Arrays.size(); ++A)
       BaseSym[A] = newSym(SymInfo::Kind::ArrayBase, A);
     for (ValueId P : F.Params)
-      S0.Env[P] = affSym(newSym());
+      S0.Env[P] = newSymAff();
     if (!regionScalar(F.Body)) {
-      std::vector<WalkState> States{std::move(S0)};
+      std::vector<WalkState> States;
+      States.push_back(std::move(S0));
       walkRegionNodes(F.Body, States);
     }
     Rep.ObligationsFailed += ObFail.size();
@@ -938,28 +1068,32 @@ private:
 
   void walkLoop(uint32_t LoopIdx, WalkState &S) {
     const LoopStmt &L = F.Loops[LoopIdx];
-    Aff Lo = affOf(S, L.Lower);
-    Aff Up = affOf(S, L.Upper);
-    Aff St = affOf(S, L.Step);
-    Aff Span = affSub(Up, Lo);
-    bool KnownEmpty = Span.isConst() && Span.C <= 0;
+    AffId Lo = affOf(S, L.Lower);
+    AffId Up = affOf(S, L.Upper);
+    AffId St = affOf(S, L.Step);
+    AffId Span = Affs.add(Up, Lo, -1);
+    bool KnownEmpty = Affs.isConst(Span) && Affs.constOf(Span) <= 0;
     if (!KnownEmpty && !regionScalar(L.Body)) {
       WalkState B = S;
-      B.Path += "/L" + std::to_string(LoopIdx);
+      B.Path = addPath(S.Path, PathStep::Kind::Loop, LoopIdx);
       // iv = Lower + Step * k for an opaque iteration count k.
-      if (St.isConst() && St.C != 0)
-        B.Env[L.IndVar] = affAdd(Lo, affMulC(affSym(newSym()), St.C));
+      if (Affs.isConst(St) && Affs.constOf(St) != 0)
+        B.Env[L.IndVar] = Affs.add(Lo, newSymAff(), Affs.constOf(St));
       else
-        B.Env[L.IndVar] = affSym(newSym());
+        B.Env[L.IndVar] = newSymAff();
       for (const LoopStmt::CarriedVar &CV : L.Carried)
-        B.Env[CV.Phi] = affSym(newSym());
-      std::vector<WalkState> Body{std::move(B)};
+        B.Env[CV.Phi] = newSymAff();
+      std::vector<WalkState> Body;
+      Body.push_back(std::move(B));
       walkRegionNodes(L.Body, Body);
       // Body-local scenario splits die here: nothing escapes a loop but
       // its carried results, and those are opaque below.
     }
-    for (const LoopStmt::CarriedVar &CV : L.Carried)
-      S.Env[CV.Result] = affSym(newSym());
+    for (const LoopStmt::CarriedVar &CV : L.Carried) {
+      AffId R = newSymAff();
+      if (CV.Result < S.Env.size()) // Unchecked by ir::verify; never read.
+        S.Env[CV.Result] = R;
+    }
   }
 
   void walkIf(uint32_t IfIdx, WalkState &S) {
@@ -968,37 +1102,35 @@ private:
     if (DF != DetFold.end()) {
       // The dead arm is never compiled on this target.
       walkArm(DF->second ? If.Then : If.Else, S,
-              S.Path + (DF->second ? "/then" : "/else") +
-                  std::to_string(IfIdx),
-              nullptr);
+              DF->second ? PathStep::Kind::Then : PathStep::Kind::Else,
+              IfIdx, nullptr);
       return;
     }
     const Instr *G = guardOf(If.Cond);
     if (G && G->Guard == GuardKind::BasesAligned) {
       // Both arms are reachable depending on tier and runtime bases; the
       // guarded arm may assume VS-aligned bases for the guarded arrays.
-      walkArm(If.Then, S, S.Path + "/aligned" + std::to_string(IfIdx),
-              &G->GuardArgs);
-      walkArm(If.Else, S, S.Path + "/fallback" + std::to_string(IfIdx),
-              nullptr);
+      walkArm(If.Then, S, PathStep::Kind::Aligned, IfIdx, &G->GuardArgs);
+      walkArm(If.Else, S, PathStep::Kind::Fallback, IfIdx, nullptr);
       return;
     }
-    walkArm(If.Then, S, S.Path + "/then" + std::to_string(IfIdx), nullptr);
-    walkArm(If.Else, S, S.Path + "/else" + std::to_string(IfIdx), nullptr);
+    walkArm(If.Then, S, PathStep::Kind::Then, IfIdx, nullptr);
+    walkArm(If.Else, S, PathStep::Kind::Else, IfIdx, nullptr);
   }
 
-  void walkArm(const Region &Arm, const WalkState &S, std::string Path,
-               const std::vector<uint32_t> *AlignedArrays) {
+  void walkArm(const Region &Arm, const WalkState &S, PathStep::Kind K,
+               uint32_t IfIdx, const std::vector<uint32_t> *AlignedArrays) {
     if (regionScalar(Arm))
       return; // Scalar lowering: per-lane accesses cannot trap.
     WalkState A = S;
-    A.Path = std::move(Path);
+    A.Path = addPath(S.Path, K, IfIdx);
     if (AlignedArrays)
       for (uint32_t Arr : *AlignedArrays) {
         uint32_t &Cur = A.AssumedAlign[Arr];
         Cur = std::max(Cur, T->VSBytes);
       }
-    std::vector<WalkState> States{std::move(A)};
+    std::vector<WalkState> States;
+    States.push_back(std::move(A));
     walkRegionNodes(Arm, States);
   }
 
@@ -1015,64 +1147,59 @@ private:
     WalkState &S = States[SI];
     switch (I.Op) {
     case Opcode::ConstInt:
-      S.Env[I.Result] = affConst(I.IntImm);
+      S.Env[I.Result] = Affs.constant(I.IntImm);
       return;
-    case Opcode::Add:
-      S.Env[I.Result] = affAdd(affOf(S, I.Ops[0]), affOf(S, I.Ops[1]));
+    case Opcode::Add: {
+      AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
+      S.Env[I.Result] = Affs.add(A, B);
       return;
-    case Opcode::Sub:
-      S.Env[I.Result] = affSub(affOf(S, I.Ops[0]), affOf(S, I.Ops[1]));
+    }
+    case Opcode::Sub: {
+      AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
+      S.Env[I.Result] = Affs.add(A, B, -1);
       return;
+    }
     case Opcode::Neg:
-      S.Env[I.Result] = affNeg(affOf(S, I.Ops[0]));
+      S.Env[I.Result] = Affs.mulC(affOf(S, I.Ops[0]), -1);
       return;
     case Opcode::Mul: {
-      Aff A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
-      if (A.isConst())
-        S.Env[I.Result] = affMulC(B, A.C);
-      else if (B.isConst())
-        S.Env[I.Result] = affMulC(A, B.C);
+      AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
+      if (Affs.isConst(A))
+        S.Env[I.Result] = Affs.mulC(B, Affs.constOf(A));
+      else if (Affs.isConst(B))
+        S.Env[I.Result] = Affs.mulC(A, Affs.constOf(B));
       else
-        S.Env[I.Result] = affSym(newSym());
+        S.Env[I.Result] = newSymAff();
       return;
     }
     case Opcode::Shl: {
-      Aff A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
-      if (B.isConst() && B.C >= 0 && B.C < 62)
-        S.Env[I.Result] = affMulC(A, (int64_t)1 << B.C);
+      AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
+      const int64_t Sh = Affs.constOf(B);
+      if (Affs.isConst(B) && Sh >= 0 && Sh < 62)
+        S.Env[I.Result] = Affs.mulC(A, (int64_t)1 << Sh);
       else
-        S.Env[I.Result] = affSym(newSym());
+        S.Env[I.Result] = newSymAff();
       return;
     }
     case Opcode::Div: {
-      Aff A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
-      if (B.isConst() && B.C != 0 && A.C % B.C == 0) {
-        bool Exact = true;
-        for (const auto &[Sy, Co] : A.T)
-          Exact &= Co % B.C == 0;
-        if (Exact) {
-          Aff R;
-          R.C = A.C / B.C;
-          for (const auto &[Sy, Co] : A.T)
-            R.T[Sy] = Co / B.C;
-          S.Env[I.Result] = std::move(R);
-          return;
-        }
-      }
-      S.Env[I.Result] = affSym(newSym());
+      AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
+      std::optional<AffId> Q;
+      if (Affs.isConst(B))
+        Q = Affs.divExact(A, Affs.constOf(B));
+      S.Env[I.Result] = Q ? *Q : newSymAff();
       return;
     }
     case Opcode::Rem: {
-      Aff A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
+      AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
       // Truncated C remainder still satisfies r ≡ x (mod m); keep only
       // power-of-two moduli so wrap-around cannot break the fact.
-      if (B.isConst() && isPow2(B.C)) {
+      if (Affs.isConst(B) && isPow2(Affs.constOf(B))) {
         uint32_t Sy = newSym(SymInfo::Kind::Congruent);
-        Syms[Sy].Mod = B.C;
+        Syms[Sy].Mod = Affs.constOf(B);
         Syms[Sy].Rhs = A;
-        S.Env[I.Result] = affSym(Sy);
+        S.Env[I.Result] = Affs.sym(Sy);
       } else {
-        S.Env[I.Result] = affSym(newSym());
+        S.Env[I.Result] = newSymAff();
       }
       return;
     }
@@ -1084,21 +1211,21 @@ private:
     case Opcode::GetAlignLimit:
       // This instruction is only walked in vector-mode regions, where the
       // JIT materializes VS / sizeof(T).
-      S.Env[I.Result] = affConst(machineConst(I.TyParam));
+      S.Env[I.Result] = Affs.constant(machineConst(I.TyParam));
       return;
     case Opcode::GetMisalign: {
       int64_t AL = I.Array < F.Arrays.size()
                        ? machineConst(F.Arrays[I.Array].Elem)
                        : 0;
       if (AL <= 1) {
-        S.Env[I.Result] = affConst(0);
+        S.Env[I.Result] = Affs.constant(0);
       } else {
         // (base/ES + off) mod AL: congruent to BaseElems + off.
         uint32_t Sy = newSym(SymInfo::Kind::Congruent);
         Syms[Sy].Mod = AL;
         Syms[Sy].Rhs =
-            affAdd(affSym(BaseSym[I.Array]), affConst(I.IntImm));
-        S.Env[I.Result] = affSym(Sy);
+            Affs.add(Affs.sym(BaseSym[I.Array]), Affs.constant(I.IntImm));
+        S.Env[I.Result] = Affs.sym(Sy);
       }
       return;
     }
@@ -1107,7 +1234,7 @@ private:
       S.Env[I.Result] = affOf(S, I.Ops[0]);
       return;
     default:
-      S.Env[I.Result] = affSym(newSym());
+      S.Env[I.Result] = newSymAff();
       return;
     }
   }
@@ -1116,23 +1243,23 @@ private:
                   std::vector<WalkState> &States, size_t SI) {
     WalkState &S = States[SI];
     if (!I.Ty.isScalar() || !isIntKind(I.Ty.Elem)) {
-      S.Env[I.Result] = affSym(newSym());
+      S.Env[I.Result] = newSymAff();
       return;
     }
-    Aff A = affOf(S, I.Ops[0]);
-    Aff B = affOf(S, I.Ops[1]);
-    Aff D = affSub(A, B);
+    AffId A = affOf(S, I.Ops[0]);
+    AffId B = affOf(S, I.Ops[1]);
+    AffId D = Affs.add(A, B, -1);
     bool IsMax = I.Op == Opcode::Max;
     int Sign = 0;
-    if (D.isConst()) {
-      Sign = D.C >= 0 ? 1 : -1;
+    if (Affs.isConst(D)) {
+      Sign = Affs.constOf(D) >= 0 ? 1 : -1;
     } else {
       for (const auto &[FD, FS] : S.Signs) {
-        if (affEq(FD, D)) {
+        if (Affs.equal(FD, D)) {
           Sign = FS;
           break;
         }
-        if (affEq(FD, affNeg(D))) {
+        if (Affs.equal(FD, D, -1)) {
           Sign = -FS;
           break;
         }
@@ -1149,16 +1276,17 @@ private:
              "scenario budget exhausted; min/max result treated as "
              "opaque (sound: proofs may fail, never pass wrongly)");
       }
-      S.Env[I.Result] = affSym(newSym());
+      S.Env[I.Result] = newSymAff();
       return;
     }
+    ++Rep.ScenarioForks;
     WalkState Other = S;
     S.Signs.push_back({D, 1});
     S.Env[I.Result] = IsMax ? A : B;
-    S.Path += "/i" + std::to_string(Idx) + "+";
+    S.Path = addPath(S.Path, PathStep::Kind::Ge, Idx);
     Other.Signs.push_back({D, -1});
     Other.Env[I.Result] = IsMax ? B : A;
-    Other.Path += "/i" + std::to_string(Idx) + "-";
+    Other.Path = addPath(Other.Path, PathStep::Kind::Lt, Idx);
     States.push_back(std::move(Other)); // Invalidates S; must be last.
   }
 
@@ -1201,7 +1329,8 @@ private:
     int64_t ES = scalarSize(F.Arrays[I.Array].Elem);
     int64_t W = ES > 0 ? (int64_t)T->VSBytes / ES : 0;
     uint32_t Bump = I.Hint.known() && I.Hint.IfJitAligns ? I.Array : NoArray;
-    Aff Addr = affAdd(affSym(BaseSym[I.Array]), affOf(S, memIndex(I)));
+    AffId Index = affOf(S, memIndex(I));
+    AffId Addr = Affs.add(Affs.sym(BaseSym[I.Array]), Index);
     std::vector<analysis::BaseAlignReq> Reqs;
     std::optional<int64_t> R = residueMod(S, Addr, W, Bump, &Reqs);
     if (R && *R == 0) {
@@ -1216,7 +1345,7 @@ private:
     if (R)
       Why += " (derived residue " + std::to_string(*R) + " of " +
              std::to_string(W) + " elements)";
-    Why += "; scenario " + (S.Path.empty() ? std::string("<top>") : S.Path);
+    Why += "; scenario " + pathText(S.Path);
     diag(Check::Alignment, Severity::Error, T->Name, Idx, Why);
   }
 
@@ -1231,7 +1360,8 @@ private:
     if (W <= 1)
       return;
     uint32_t Bump = H.IfJitAligns ? I.Array : NoArray;
-    Aff Addr = affAdd(affSym(BaseSym[I.Array]), affOf(S, memIndex(I)));
+    AffId Index = affOf(S, memIndex(I));
+    AffId Addr = Affs.add(Affs.sym(BaseSym[I.Array]), Index);
     std::optional<int64_t> R = residueMod(S, Addr, W, Bump);
     int64_t Claim = floorMod(H.Mis / ES, W);
     if (R && *R == Claim)
@@ -1246,7 +1376,7 @@ private:
       Why = "hint claims mis ≡ " + std::to_string(Claim * ES) + "B (mod " +
             std::to_string(T->VSBytes) + "B) but the derived residue is " +
             std::to_string(*R * ES) + "B";
-    Why += "; scenario " + (S.Path.empty() ? std::string("<top>") : S.Path);
+    Why += "; scenario " + pathText(S.Path);
     diag(Check::HintConsistency, Severity::Error, T->Name, Idx, Why);
   }
 

@@ -78,6 +78,9 @@ struct Report {
   uint64_t ObligationsProved = 0;
   uint64_t ObligationsFailed = 0;
   unsigned TargetsChecked = 0;
+  /// Min/max scenario forks the abstract walks took, summed over targets:
+  /// what the verifier's cost grows with beyond module size.
+  uint64_t ScenarioForks = 0;
   /// One proof-carrying certificate per SIMD target that produced any
   /// per-access facts (analysis/Certificate.h). Consumers must run the
   /// independent checker before acting on them — these records are the

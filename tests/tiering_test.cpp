@@ -538,6 +538,106 @@ TEST(TieringServerModeTest, DeadlineExceededDoesNotPin) {
   jit::tiering::engine().reset();
 }
 
+//===--- Hotness-row collisions -------------------------------------------===//
+//
+// A hotness row picks a tier and nothing else. Rows key on a hash that a
+// crafted input can collide -- the module hash in server mode, the
+// kernel name otherwise -- so two different functions can share one.
+// The salt is the last word tieringKey folds, and hashCombine(H, Salt)
+// is a bijection applied to H ^ Salt, so undoing it solves for the salt
+// that puts a second function on the first one's row.
+
+/// Undoes hashCombine's mixing: unmix(hashCombine(H, W)) == H ^ W.
+uint64_t unmix(uint64_t K) {
+  K ^= K >> 32; // The high half passed the xorshift unchanged.
+  const uint64_t Odd = 0x9e3779b97f4a7c15ULL;
+  uint64_t Inv = Odd; // Right mod 2^3; each Newton step doubles the bits.
+  for (int I = 0; I < 5; ++I)
+    Inv *= 2 - Odd * Inv;
+  return K * Inv;
+}
+
+TEST(TieringCollisionTest, SharedRowOnlyPicksTheTier) {
+  ASSERT_EQ(unmix(hashCombine(0x1234, 0xabcd)), 0x1234u ^ 0xabcdu);
+  const Kernel KA = kernelByName("dissolve_s8");
+  const Kernel KB = kernelByName("sfir_s16");
+  ASSERT_EQ(KA.Tolerance, 0.0); // Integer kernels: golden is bit-exact.
+  ASSERT_EQ(KB.Tolerance, 0.0);
+  const uint64_t FillSeed = ModuleWorkload{}.FillSeed;
+  jit::tiering::engine().setConfig(smallConfig());
+
+  uint64_t Salt = 0xC011DE;
+  for (bool Server : {false, true})
+    for (bool AFirst : {true, false}) {
+      SCOPED_TRACE(std::string(Server ? "runEncodedModule" : "runKernel") +
+                   (AFirst ? ", dissolve_s8 first" : ", sfir_s16 first"));
+      const Kernel &First = AFirst ? KA : KB;
+      const Kernel &Second = AFirst ? KB : KA;
+      RunOptions O;
+      O.Target = target::sseTarget();
+      O.Tiered = true;
+
+      auto keyOf = [&](const Kernel &K, uint64_t S) {
+        RunOptions OS = O;
+        OS.TieringSalt = S;
+        if (!Server)
+          return Executor(K, OS).tieringKey();
+        std::vector<uint8_t> Bytes = encodedKernel(K.Name.c_str());
+        auto Module = bytecode::decode(Bytes);
+        EXPECT_TRUE(Module.ok()) << Module.status().str();
+        return Executor(K, OS,
+                        std::make_shared<const ir::Function>(
+                            std::move(*Module)),
+                        Bytes.size())
+            .tieringKey();
+      };
+      auto runChecked = [&](const Kernel &K, uint64_t S) {
+        RunOptions OS = O;
+        OS.TieringSalt = S;
+        RunOutcome Out;
+        Kernel Golden = K;
+        if (Server) {
+          ModuleWorkload W;
+          W.Name = K.Name;
+          W.Bytecode = encodedKernel(K.Name.c_str());
+          W.IntParams = K.IntParams;
+          W.FPParams = K.FPParams;
+          Out = runEncodedModule(W, OS);
+          Golden.Fill = [FillSeed](kernels::FillSink &Sink,
+                                   const ir::Function &F) {
+            kernels::defaultFill(Sink, F, FillSeed);
+          };
+        } else {
+          Out = runKernel(K, Flow::SplitVectorized, OS);
+        }
+        EXPECT_TRUE(Out.Terminal.ok()) << K.Name << ": " << Out.Terminal.str();
+        std::string Err;
+        EXPECT_TRUE(Out.Terminal.ok() && checkAgainstGolden(Golden, Out, Err))
+            << Err;
+        jit::tiering::engine().drain();
+        return Out.EntryTier;
+      };
+
+      const uint64_t SaltFirst = ++Salt;
+      const uint64_t SaltSecond =
+          unmix(keyOf(First, SaltFirst)) ^ unmix(keyOf(Second, 0));
+      ASSERT_EQ(keyOf(First, SaltFirst), keyOf(Second, SaltSecond));
+
+      jit::cache::clear();
+      jit::tiering::engine().reset();
+      bool Promoted = false;
+      for (int R = 0; R < 10 && !Promoted; ++R)
+        Promoted = runChecked(First, SaltFirst) == ExecTier::Vectorized;
+      ASSERT_TRUE(Promoted);
+      // The second function has never run, yet it enters at the tier the
+      // first one earned on the shared row, and computes its own result.
+      EXPECT_EQ(runChecked(Second, SaltSecond), ExecTier::Vectorized);
+      EXPECT_EQ(runChecked(First, SaltFirst), ExecTier::Vectorized);
+      EXPECT_EQ(runChecked(Second, SaltSecond), ExecTier::Vectorized);
+    }
+  jit::tiering::engine().reset();
+}
+
 //===--- vapor-explain support --------------------------------------------===//
 
 // Executor::tieringKey is exposed exactly so vapor-explain can look up

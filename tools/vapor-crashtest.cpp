@@ -37,7 +37,7 @@
 // JIT faults are what push runs all the way down to the interpreter.
 //
 // Exit status is the number of failed cases (0 = contract holds).
-// --json writes a machine-readable summary (BENCH_crashtest.json).
+// --json <path> writes a machine-readable summary of the sweep.
 //
 // The kernel x target cells run across the work-stealing sweep pool
 // (--jobs N, default VAPOR_JOBS or the hardware concurrency; 1 forces

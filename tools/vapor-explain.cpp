@@ -385,11 +385,13 @@ int main(int argc, char **argv) {
   VO.Targets = Ts;
   verify::Report Rep = verify::verifyModule(*Decoded, VO);
   std::printf("  %s: %llu proof obligations proved, %llu failed "
-              "(%u target%s checked)\n",
+              "(%u target%s checked, %llu min/max scenario fork%s)\n",
               Rep.ok() ? "ok" : "REJECTED",
               static_cast<unsigned long long>(Rep.ObligationsProved),
               static_cast<unsigned long long>(Rep.ObligationsFailed),
-              Rep.TargetsChecked, Rep.TargetsChecked == 1 ? "" : "s");
+              Rep.TargetsChecked, Rep.TargetsChecked == 1 ? "" : "s",
+              static_cast<unsigned long long>(Rep.ScenarioForks),
+              Rep.ScenarioForks == 1 ? "" : "s");
   if (!Rep.ok())
     std::printf("%s\n", Rep.str().c_str());
   for (const analysis::SafetyCertificate &C : Rep.Certificates) {
