@@ -17,6 +17,7 @@
 
 #include "obs/Obs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -70,6 +71,16 @@ inline double harmonicMean(const std::vector<double> &Xs) {
   for (double X : Xs)
     S += 1.0 / X;
   return static_cast<double>(Xs.size()) / S;
+}
+
+/// \returns the median of \p Xs (the mean of the middle two for an even
+/// count), or 0 for none.
+inline double median(std::vector<double> Xs) {
+  if (Xs.empty())
+    return 0;
+  std::sort(Xs.begin(), Xs.end());
+  size_t N = Xs.size();
+  return N % 2 ? Xs[N / 2] : 0.5 * (Xs[N / 2 - 1] + Xs[N / 2]);
 }
 
 inline double geoMean(const std::vector<double> &Xs) {

@@ -83,11 +83,6 @@ std::string tierList(unsigned Mask, const char *Quote, const char *Sep) {
   return S;
 }
 
-double median(std::vector<double> V) {
-  std::sort(V.begin(), V.end());
-  return V.empty() ? 0 : V[V.size() / 2];
-}
-
 double wallMicros(const std::function<void()> &F) {
   auto T0 = Clock::now();
   F();
@@ -131,8 +126,8 @@ Cell measure(size_t CellIdx, const kernels::Kernel &K,
     C.ColdEntered |= 1u << static_cast<unsigned>(Out.EntryTier);
     C.ColdExecuted |= 1u << static_cast<unsigned>(Out.Tier);
   }
-  C.EagerColdUs = median(ColdE);
-  C.TieredColdUs = median(ColdT);
+  C.EagerColdUs = bench::median(ColdE);
+  C.TieredColdUs = bench::median(ColdT);
 
   // Promotion convergence: one salt, repeated invocations with a drain
   // after each so background compiles land deterministically; stop when
@@ -167,9 +162,9 @@ Cell measure(size_t CellIdx, const kernels::Kernel &K,
         [&] { runKernel(K, Flow::SplitVectorized, Tiered); }));
     Ratio.push_back(VT.back() > 0 ? VE.back() / VT.back() : 0);
   }
-  C.EagerSteadyUs = median(VE);
-  C.TieredSteadyUs = median(VT);
-  C.SteadyRatio = median(Ratio);
+  C.EagerSteadyUs = bench::median(VE);
+  C.TieredSteadyUs = bench::median(VT);
+  C.SteadyRatio = bench::median(Ratio);
 
   C.ColdSpeedup =
       C.TieredColdUs > 0 ? C.EagerColdUs / C.TieredColdUs : 0;

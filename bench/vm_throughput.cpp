@@ -5,10 +5,9 @@
 // Every figure in the repro is produced by replaying kernels through the
 // target VM, so its dispatch speed bounds how fast the whole experiment
 // matrix runs. This binary measures the host-side throughput of the
-// pre-decoded interpreter -- with and without the macro-op fusion
-// peephole -- on a small kernel basket (streaming saxpy_fp, the
-// compute-dense dct_s32fp, and the reduction-carrying sfir_fp) across
-// all five modelled targets (sse, altivec, neon, avx, scalar).
+// pre-decoded interpreter with and without the macro-op fusion peephole,
+// on every registry kernel x all five modelled targets (sse, altivec,
+// neon, avx, scalar): 180 cells.
 //
 //   vm_throughput          print the human-readable measurements
 //   vm_throughput --json [PATH]
@@ -18,10 +17,20 @@
 //                          target) to PATH (default BENCH_vm.json in
 //                          the working directory)
 //
-// The headline ns_per_dispatched_op (the perf gate's metric,
-// scripts/perf_gate.py) is aligned split-vectorized saxpy_fp on sse with
-// fusion ON -- the configuration every sweep actually runs. Timing runs
-// are serial on purpose (wall-clock timing under an oversubscribed pool
+// Each cell decodes the same MachineIR twice, fused and unfused, and
+// times them in interleaved batches of 2^18 dispatched ops (about a
+// millisecond), alternating which program goes first: 11 reps in each of
+// three passes over the matrix. A rep's ratio is unfused time over fused
+// time, and the cell's fused_speedup is the median of its 33 ratios, so
+// a host speed step, a preemption or a noisy pass moves some reps, not
+// the cell.
+// scripts/perf_gate.py holds every cell and the geomean above floors.
+//
+// The headline ns_per_dispatched_op (the perf gate's absolute metric) is
+// aligned split-vectorized saxpy_fp on sse with fusion ON -- the
+// configuration every sweep actually runs -- timed over its own longer
+// window, next to the ON-but-idle tracing overhead. Timing runs are
+// serial on purpose (wall-clock timing under an oversubscribed pool
 // measures contention, not dispatch); only the deterministic Fig. 6
 // cycle sweep uses the thread pool.
 //
@@ -33,55 +42,74 @@
 #include "vapor/Sweep.h"
 
 #include <algorithm>
-#include <tuple>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <tuple>
 
 using namespace vapor;
 using namespace vapor::bench;
 
 namespace {
 
-struct Throughput {
-  double OpsPerSec = 0;
-  double NsPerOp = 0;
-  uint64_t OpsPerRun = 0;
-  uint32_t PreFusionOps = 0; ///< Static ops before the peephole.
-  uint32_t SuperOps = 0;     ///< Superops the peephole emitted.
-};
+using Clock = std::chrono::steady_clock;
 
-/// Replays one prepared kernel execution until \p Seconds of wall time
-/// has accumulated and \returns dispatch-loop throughput. \p Fuse
-/// selects whether the measured program ran the fusion peephole.
-Throughput measure(const RunOutcome &Out, const target::TargetDesc &T,
-                   const kernels::Kernel &K, bool Fuse,
-                   double Seconds = 0.5) {
-  auto Prog =
-      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, Fuse);
-  target::VM M(Prog, *Out.Mem);
+/// Passes over the matrix, interleaved reps per cell and pass, and the
+/// dispatched ops one timed batch of a program runs (about a millisecond
+/// on a 4-ns/op host). The batch is a fixed amount of work, not a time
+/// slice, so every build and host replays a kernel the same number of
+/// times over the same evolving memory image. A cell's reps are spread
+/// over three passes, seconds apart, so a burst of host noise that
+/// lands on one pass moves a third of them: never the median.
+constexpr int Passes = 3;
+constexpr int PassReps = 11;
+constexpr uint64_t CellBatchOps = uint64_t(1) << 18;
+
+/// A VM over one decoded program of a prepared run, parameters bound.
+std::unique_ptr<target::VM>
+boundVM(const std::shared_ptr<const target::DecodedProgram> &Prog,
+        const RunOutcome &Out, const kernels::Kernel &K) {
+  auto M = std::make_unique<target::VM>(Prog, *Out.Mem);
   for (const auto &P : K.IntParams)
-    M.setParamInt(P.first, P.second);
+    M->setParamInt(P.first, P.second);
   for (const auto &P : K.FPParams)
-    M.setParamFP(P.first, P.second);
+    M->setParamFP(P.first, P.second);
+  return M;
+}
 
-  M.run(); // Warm-up; also gives the per-run op count.
-  uint64_t OpsPerRun = M.instrsExecuted();
+/// Warm-up run; a run that traps would time the halted VM, not the
+/// kernel, so it is fatal. \returns the dispatched ops of one run.
+uint64_t warmUp(target::VM &M, const std::string &What) {
+  status::Status S = M.run();
+  if (!S.ok())
+    fatalError("vm_throughput: " + What + ": " + S.str());
+  return M.instrsExecuted();
+}
 
-  using Clock = std::chrono::steady_clock;
+double timeRuns(target::VM &M, unsigned Runs) {
+  auto T0 = Clock::now();
+  for (unsigned I = 0; I < Runs; ++I)
+    M.run();
+  return std::chrono::duration<double>(Clock::now() - T0).count();
+}
+
+/// Replays one prepared kernel execution (fused) until \p Seconds of wall
+/// time has accumulated and \returns ns per dispatched op.
+double headlineNsPerOp(const RunOutcome &Out, const target::TargetDesc &T,
+                       const kernels::Kernel &K, double Seconds = 0.5) {
+  auto M = boundVM(
+      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, true), Out,
+      K);
+  uint64_t OpsPerRun = warmUp(*M, K.Name + " on " + T.Name);
   uint64_t Runs = 0;
-  auto Start = Clock::now();
   double Elapsed = 0;
   do {
-    for (int I = 0; I < 16; ++I)
-      M.run();
+    Elapsed += timeRuns(*M, 16);
     Runs += 16;
-    Elapsed = std::chrono::duration<double>(Clock::now() - Start).count();
   } while (Elapsed < Seconds);
-
-  double Ops = static_cast<double>(OpsPerRun) * static_cast<double>(Runs);
-  return {Ops / Elapsed, Elapsed * 1e9 / Ops, OpsPerRun,
-          Prog->PreFusionOps, Prog->FusedOps};
+  return Elapsed * 1e9 /
+         (static_cast<double>(OpsPerRun) * static_cast<double>(Runs));
 }
 
 /// Measures the fused program's dispatch cost in the default observability
@@ -97,32 +125,17 @@ std::pair<double, double> measureObsOverhead(const RunOutcome &Out,
                                              const target::TargetDesc &T,
                                              const kernels::Kernel &K,
                                              double Seconds = 0.6) {
-  auto Prog =
-      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, true);
-  target::VM M(Prog, *Out.Mem);
-  for (const auto &P : K.IntParams)
-    M.setParamInt(P.first, P.second);
-  for (const auto &P : K.FPParams)
-    M.setParamFP(P.first, P.second);
-  M.run(); // Warm-up.
-  uint64_t OpsPerRun = M.instrsExecuted();
-
-  using Clock = std::chrono::steady_clock;
+  auto M = boundVM(
+      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, true), Out,
+      K);
+  uint64_t OpsPerRun = warmUp(*M, K.Name + " on " + T.Name);
   double Total = 0;
   double MinIdle = 1e30, MinOff = 1e30;
   do {
-    auto T0 = Clock::now();
-    for (int I = 0; I < 16; ++I)
-      M.run();
-    auto T1 = Clock::now();
+    double DIdle = timeRuns(*M, 16);
     bool Prev = obs::setEnabled(false);
-    auto T2 = Clock::now();
-    for (int I = 0; I < 16; ++I)
-      M.run();
-    auto T3 = Clock::now();
+    double DOff = timeRuns(*M, 16);
     obs::setEnabled(Prev);
-    double DIdle = std::chrono::duration<double>(T1 - T0).count();
-    double DOff = std::chrono::duration<double>(T3 - T2).count();
     MinIdle = std::min(MinIdle, DIdle);
     MinOff = std::min(MinOff, DOff);
     Total += DIdle + DOff;
@@ -136,9 +149,54 @@ std::pair<double, double> measureObsOverhead(const RunOutcome &Out,
 struct Cell {
   std::string Kernel;
   std::string Target;
-  Throughput Fused;
-  Throughput Unfused;
+  uint64_t OpsPerRun = 0;
+  uint32_t PreFusionOps = 0; ///< Static ops before the peephole.
+  uint32_t SuperOps = 0;     ///< Superops the peephole emitted.
+  /// Per rep: unfused/fused time ratio, and ns per dispatched op of each.
+  std::vector<double> Ratio, NsU, NsF;
+  double speedup() const { return median(Ratio); }
 };
+
+/// Times the fused and the unfused program of one prepared run in
+/// PassReps interleaved batch pairs and appends them to \p C. Both
+/// programs come from the same MachineIR and run over the same memory
+/// image, so each pair sees the same data and, a millisecond apart, the
+/// same host speed.
+void measureCell(const RunOutcome &Out, const target::TargetDesc &T,
+                 const kernels::Kernel &K, Cell &C) {
+  auto ProgU =
+      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, false);
+  auto ProgF =
+      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, true);
+  auto MU = boundVM(ProgU, Out, K);
+  auto MF = boundVM(ProgF, Out, K);
+  std::string What = K.Name + " on " + T.Name;
+  uint64_t Ops = warmUp(*MU, What);
+  if (warmUp(*MF, What) != Ops)
+    fatalError("vm_throughput: " + What + ": fusion changed the op count");
+
+  unsigned Runs = static_cast<unsigned>(
+      std::max<uint64_t>(1, CellBatchOps / std::max<uint64_t>(Ops, 1)));
+  double OpsPerBatch = static_cast<double>(Ops) * Runs;
+  for (int R = 0; R < PassReps; ++R) {
+    double TU, TF;
+    if (R % 2) {
+      TF = timeRuns(*MF, Runs);
+      TU = timeRuns(*MU, Runs);
+    } else {
+      TU = timeRuns(*MU, Runs);
+      TF = timeRuns(*MF, Runs);
+    }
+    C.Ratio.push_back(TU / TF);
+    C.NsU.push_back(TU * 1e9 / OpsPerBatch);
+    C.NsF.push_back(TF * 1e9 / OpsPerBatch);
+  }
+  C.Kernel = K.Name;
+  C.Target = T.Name;
+  C.OpsPerRun = Ops;
+  C.PreFusionOps = ProgF->PreFusionOps;
+  C.SuperOps = ProgF->FusedOps;
+}
 
 double figure6HarmonicMean(const target::TargetDesc &T,
                            const std::vector<kernels::Kernel> &All,
@@ -161,67 +219,66 @@ int main(int argc, char **argv) {
 
   auto Sink = traceSinkFromEnv();
   std::vector<kernels::Kernel> All = kernels::allKernels();
+  const target::TargetDesc Targets[] = {
+      target::sseTarget(), target::altivecTarget(), target::neonTarget(),
+      target::avxTarget(), target::scalarTarget()};
 
-  // The measured basket: a streaming FP kernel, a compute-dense integer/
-  // FP transform, a reduction (carried accumulator) kernel, and a
-  // striped saturating-DP kernel (narrow-int lanes, sat-add/max recur-
-  // rence, horizontal-max epilogue), on every target the repro models
-  // (the scalar row is the no-SIMD baseline the harmonic means are
-  // normalized against).
-  const char *KernelNames[] = {"saxpy_fp", "dct_s32fp", "sfir_fp", "ssv_u8"};
-  const std::pair<const char *, target::TargetDesc> Targets[] = {
-      {"sse", target::sseTarget()},
-      {"altivec", target::altivecTarget()},
-      {"neon", target::neonTarget()},
-      {"avx", target::avxTarget()},
-      {"scalar", target::scalarTarget()}};
-
-  std::vector<Cell> Cells;
-  // Headline obs overhead: the fused headline measurement runs in the
-  // default state (obs compiled in, no per-dispatch cost, counters live
-  // = "ON-but-idle"); NsObsOff re-measures with the master switch dark.
-  // scripts/perf_gate.py --obs-overhead holds idle <= off * 1.02.
-  double NsObsIdle = 0, NsObsOff = 0;
-  for (const char *KName : KernelNames) {
-    const kernels::Kernel *K = sweep::kernelByNameOrNull(All, KName);
-    if (!K)
-      fatalError(std::string("no such kernel: ") + KName);
-    for (const auto &[TName, T] : Targets) {
-      RunOptions O;
-      O.Target = T;
-      RunOutcome Out = runKernel(*K, Flow::SplitVectorized, O);
-      Cell C;
-      C.Kernel = KName;
-      C.Target = TName;
-      // The headline cell gets the long window; the matrix rows use a
-      // shorter one to keep the binary's wall time reasonable.
-      bool Headline = !std::strcmp(KName, "saxpy_fp") && !std::strcmp(TName, "sse");
-      double Secs = Headline ? 0.5 : 0.2;
-      C.Unfused = measure(Out, T, *K, /*Fuse=*/false, Secs);
-      C.Fused = measure(Out, T, *K, /*Fuse=*/true, Secs);
-      if (Headline)
-        std::tie(NsObsIdle, NsObsOff) = measureObsOverhead(Out, T, *K);
-      Cells.push_back(std::move(C));
+  // The headline cell (saxpy_fp x sse, fused) also gets a long absolute
+  // window and the obs-overhead measurement. Headline obs overhead: the
+  // default state has obs compiled in, no per-dispatch cost, counters
+  // live ("ON-but-idle"); NsObsOff re-measures with the master switch
+  // dark. scripts/perf_gate.py --obs-overhead holds idle <= off * 1.02.
+  double NsHeadline = 0, NsObsIdle = 0, NsObsOff = 0;
+  std::vector<Cell> Cells(All.size() * std::size(Targets));
+  for (int Pass = 0; Pass < Passes; ++Pass) {
+    size_t I = 0;
+    for (const kernels::Kernel &K : All) {
+      for (const target::TargetDesc &T : Targets) {
+        RunOptions O;
+        O.Target = T;
+        RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
+        measureCell(Out, T, K, Cells[I++]);
+        if (Pass == 0 && K.Name == "saxpy_fp" && T.Name == "sse") {
+          NsHeadline = headlineNsPerOp(Out, T, K);
+          std::tie(NsObsIdle, NsObsOff) = measureObsOverhead(Out, T, K);
+        }
+      }
     }
   }
-
-  const Cell &Headline = Cells.front(); // saxpy_fp x sse.
+  if (NsHeadline == 0)
+    fatalError("vm_throughput: the registry has no saxpy_fp");
 
   printHeader("VM dispatch throughput (split-vectorized, strong tier, "
-              "fused vs unfused)");
-  std::printf("%-12s %-6s %10s %12s %12s %9s %9s\n", "kernel", "target",
+              "fused vs unfused, median of " +
+              std::to_string(Passes * PassReps) + " interleaved reps)");
+  std::printf("%-16s %-8s %10s %10s %10s %9s %8s\n", "kernel", "target",
               "ops/run", "ns/op-unf", "ns/op-fus", "superops", "speedup");
-  for (const Cell &C : Cells)
-    std::printf("%-12s %-6s %10llu %12.3f %12.3f %4u/%-4u %8.1f%%\n",
+  std::vector<double> Speedups;
+  for (const Cell &C : Cells) {
+    std::printf("%-16s %-8s %10llu %10.3f %10.3f %4u/%-4u %8.3f\n",
                 C.Kernel.c_str(), C.Target.c_str(),
-                static_cast<unsigned long long>(C.Fused.OpsPerRun),
-                C.Unfused.NsPerOp, C.Fused.NsPerOp, C.Fused.SuperOps,
-                C.Fused.PreFusionOps,
-                100.0 * (C.Unfused.NsPerOp - C.Fused.NsPerOp) /
-                    C.Unfused.NsPerOp);
+                static_cast<unsigned long long>(C.OpsPerRun), median(C.NsU),
+                median(C.NsF), C.SuperOps, C.PreFusionOps, C.speedup());
+    Speedups.push_back(C.speedup());
+  }
+  std::vector<const Cell *> Slowest;
+  for (const Cell &C : Cells)
+    Slowest.push_back(&C);
+  std::sort(Slowest.begin(), Slowest.end(),
+            [](const Cell *A, const Cell *B) {
+              return A->speedup() < B->speedup();
+            });
+  size_t Below1 = std::count_if(Speedups.begin(), Speedups.end(),
+                                [](double X) { return X < 1.0; });
+  std::printf("\nfused speedup over %zu cells: geomean %.3f, %zu below 1, "
+              "slowest:",
+              Cells.size(), geoMean(Speedups), Below1);
+  for (size_t I = 0; I < 3 && I < Slowest.size(); ++I)
+    std::printf(" %s/%s %.3f", Slowest[I]->Kernel.c_str(),
+                Slowest[I]->Target.c_str(), Slowest[I]->speedup());
   std::printf("\nheadline (saxpy_fp, sse, fused):\n");
-  std::printf("machine ops / sec     %12.3e\n", Headline.Fused.OpsPerSec);
-  std::printf("ns / dispatched op    %12.2f\n", Headline.Fused.NsPerOp);
+  std::printf("machine ops / sec     %12.3e\n", 1e9 / NsHeadline);
+  std::printf("ns / dispatched op    %12.2f\n", NsHeadline);
   std::printf("ns / op, obs idle     %12.2f\n", NsObsIdle);
   std::printf("ns / op, obs off      %12.2f  (tracing overhead %+.2f%%)\n",
               NsObsOff, 100.0 * (NsObsIdle - NsObsOff) / NsObsOff);
@@ -248,18 +305,25 @@ int main(int argc, char **argv) {
                 "  \"ns_per_dispatched_op\": %.3f,\n"
                 "  \"ns_per_op_obs_idle\": %.3f,\n"
                 "  \"ns_per_op_obs_off\": %.3f,\n"
+                "  \"cell_reps\": %d,\n"
+                "  \"fused_speedup_geomean\": %.4f,\n"
                 "  \"cells\": [\n",
-                Headline.Fused.OpsPerSec, Headline.Fused.NsPerOp, NsObsIdle,
-                NsObsOff);
+                1e9 / NsHeadline, NsHeadline, NsObsIdle, NsObsOff,
+                Passes * PassReps,
+                geoMean(Speedups));
   OS << Buf;
   for (size_t I = 0; I < Cells.size(); ++I) {
     const Cell &C = Cells[I];
     std::snprintf(Buf, sizeof(Buf),
                   "    {\"kernel\": \"%s\", \"target\": \"%s\", "
+                  "\"ops_per_run\": %llu, "
                   "\"ns_per_op_unfused\": %.3f, \"ns_per_op_fused\": %.3f, "
+                  "\"fused_speedup\": %.4f, "
                   "\"static_ops\": %u, \"superops\": %u}%s\n",
-                  C.Kernel.c_str(), C.Target.c_str(), C.Unfused.NsPerOp,
-                  C.Fused.NsPerOp, C.Fused.PreFusionOps, C.Fused.SuperOps,
+                  C.Kernel.c_str(), C.Target.c_str(),
+                  static_cast<unsigned long long>(C.OpsPerRun),
+                  median(C.NsU), median(C.NsF), C.speedup(), C.PreFusionOps,
+                  C.SuperOps,
                   I + 1 < Cells.size() ? "," : "");
     OS << Buf;
   }

@@ -22,6 +22,17 @@ Three modes:
                        (sanitizer instrumentation, emulation), which is why
                        the sanitize CI job uses it.
 
+                       Both modes also gate fusion on every cell of the
+                       current report, which must hold the full matrix:
+                       the 36 registry kernels x sse, altivec, neon, avx
+                       and scalar. A cell's fused_speedup is the median
+                       of its interleaved per-rep unfused/fused time
+                       ratios. No cell may fall below FUSION_CELL_MIN
+                       and the geomean not below FUSION_GEOMEAN_MIN, so
+                       a superop that loses on some kernels cannot hide
+                       behind the headline. The slowest cells are named
+                       in the verdict.
+
   --obs-overhead       gates the observability layer's ON-but-idle cost:
                        the report's ns_per_op_obs_idle (obs compiled in,
                        no sink installed — the default configuration every
@@ -128,11 +139,25 @@ Exit status: 0 pass, 1 regression, 2 bad input.
 
 import argparse
 import json
+import math
 import sys
 
 # Worst-cell floor of --tiering-floor: no kernel x target cell may answer
 # its first request more than 2x slower tiered than eager.
 TIERING_COLD_CELL_MIN = 0.5
+
+# Fusion floors of the vm_throughput modes, over the full kernel x target
+# matrix (fused_speedup = unfused time / fused time, median of interleaved
+# reps). Set from full-matrix runs on a 4-vCPU Cooper Lake host: over ten
+# default runs the slowest cell read 0.96-1.01 and the geomean 1.09-1.16,
+# over eight ASan+UBSan runs 1.00-1.01 and 1.09-1.10. The build before
+# the ScalarOps helpers were forced inline reads a slowest cell of
+# 0.53-0.54 (ASan 0.88) and a geomean of 1.03-1.06 (ASan 1.07), with 24
+# (ASan 15) cells below 0.95.
+FUSION_CELL_MIN = 0.93
+FUSION_GEOMEAN_MIN = 1.05
+VM_MATRIX_KERNELS = 36
+VM_MATRIX_TARGETS = ("sse", "altivec", "neon", "avx", "scalar")
 
 VERIFY_SCHEMA = "vapor-bench-verify-v1"
 # --verify-linear: no kernel's verify us/KB above this many times the
@@ -181,6 +206,51 @@ def native_gate_applies(report, path, allow_missing):
           f"measuring host (features: {report.get('cpu_features', '?')}); "
           "nothing to gate (--allow-missing)")
     return False
+
+
+def fusion_gate(report, path):
+    """Per-cell and geomean fusion floors over the full matrix.
+
+    Exits 2 when *report* is not exactly the registry kernels x
+    VM_MATRIX_TARGETS with a positive fused_speedup per cell; returns
+    True when every floor holds.
+    """
+    cells = report.get("cells")
+    speedup = {}
+    for c in cells if isinstance(cells, list) else []:
+        if not isinstance(c, dict):
+            speedup = None
+            break
+        key = (c.get("kernel"), c.get("target"))
+        v = c.get("fused_speedup")
+        if key in speedup or not isinstance(v, (int, float)) or v <= 0:
+            speedup = None
+            break
+        speedup[key] = v
+    kernels = {k for k, _ in speedup or {}}
+    if not speedup or len(kernels) != VM_MATRIX_KERNELS \
+            or len(speedup) != VM_MATRIX_KERNELS * len(VM_MATRIX_TARGETS) \
+            or {t for _, t in speedup} != set(VM_MATRIX_TARGETS):
+        print(f"perf_gate: {path} does not hold a fused_speedup for each "
+              f"of the {VM_MATRIX_KERNELS} kernels x "
+              f"{list(VM_MATRIX_TARGETS)}; regenerate it with the current "
+              "vm_throughput", file=sys.stderr)
+        sys.exit(2)
+    geomean = math.exp(sum(math.log(v) for v in speedup.values())
+                       / len(speedup))
+    ranked = sorted(speedup.items(), key=lambda kv: kv[1])
+    below = [kv for kv in ranked if kv[1] < FUSION_CELL_MIN]
+    ok = not below and geomean >= FUSION_GEOMEAN_MIN
+    print(f"perf_gate: {'PASS' if ok else 'FAIL'}: fused speedup over "
+          f"{len(speedup)} cells: geomean {geomean:.3f} (floor "
+          f"{FUSION_GEOMEAN_MIN:.2f}), {len(below)} cells below "
+          f"{FUSION_CELL_MIN:.2f}; slowest: "
+          + ", ".join(f"{k}/{t} {v:.3f}" for (k, t), v in ranked[:3]))
+    if below:
+        print("perf_gate: fusion loses on: "
+              + ", ".join(f"{k}/{t} {v:.3f}" for (k, t), v in below),
+              file=sys.stderr)
+    return ok
 
 
 def headline_cell(report):
@@ -623,13 +693,13 @@ def main():
     verdict = "PASS" if measured <= limit else "FAIL"
     print(f"perf_gate: {verdict}: {what}, delta {delta:+.1%} "
           f"(limit +{args.max_regress:.0%})")
+    fusion_ok = fusion_gate(cur, args.current)
     if measured > limit:
         print("perf_gate: dispatch throughput regressed past the gate; "
               "either fix the regression or deliberately refresh "
               "BENCH_vm.json with the bench's --json output",
               file=sys.stderr)
-        sys.exit(1)
-    sys.exit(0)
+    sys.exit(0 if measured <= limit and fusion_ok else 1)
 
 
 if __name__ == "__main__":

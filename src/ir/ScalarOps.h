@@ -11,6 +11,13 @@
 /// compute with two's-complement wraparound (ints) or IEEE (floats), and
 /// re-encode with masking to the element width.
 ///
+/// Every helper is always-inline. The VM's kind-templated handlers call
+/// them with a constant kind and opcode, and only an inlined body lets
+/// those switches fold so each lane becomes straight-line arithmetic;
+/// left to its heuristics, GCC keeps thousands of out-of-line calls in
+/// the handler table. A call it cannot inline is a build error, so that
+/// regression cannot come back silently.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VAPOR_IR_SCALAROPS_H
@@ -28,7 +35,7 @@ namespace vapor {
 namespace ir {
 
 /// \returns the lane payload mask for kind \p K.
-constexpr uint64_t laneMask(ScalarKind K) {
+VAPOR_ALWAYS_INLINE constexpr uint64_t laneMask(ScalarKind K) {
   unsigned Bytes = scalarSize(K);
   if (K == ScalarKind::I1)
     return 1;
@@ -37,7 +44,7 @@ constexpr uint64_t laneMask(ScalarKind K) {
 
 /// Decodes \p Raw as a signed 64-bit integer (sign- or zero-extending
 /// according to the signedness of \p K).
-inline int64_t decodeInt(ScalarKind K, uint64_t Raw) {
+VAPOR_ALWAYS_INLINE int64_t decodeInt(ScalarKind K, uint64_t Raw) {
   assert(isIntKind(K) || K == ScalarKind::I1);
   Raw &= laneMask(K);
   if (!isSignedKind(K))
@@ -49,18 +56,18 @@ inline int64_t decodeInt(ScalarKind K, uint64_t Raw) {
   return static_cast<int64_t>((Raw ^ SignBit)) - static_cast<int64_t>(SignBit);
 }
 
-inline uint64_t encodeInt(ScalarKind K, int64_t V) {
+VAPOR_ALWAYS_INLINE uint64_t encodeInt(ScalarKind K, int64_t V) {
   return static_cast<uint64_t>(V) & laneMask(K);
 }
 
-inline double decodeFP(ScalarKind K, uint64_t Raw) {
+VAPOR_ALWAYS_INLINE double decodeFP(ScalarKind K, uint64_t Raw) {
   assert(isFloatKind(K));
   if (K == ScalarKind::F32)
     return std::bit_cast<float>(static_cast<uint32_t>(Raw));
   return std::bit_cast<double>(Raw);
 }
 
-inline uint64_t encodeFP(ScalarKind K, double V) {
+VAPOR_ALWAYS_INLINE uint64_t encodeFP(ScalarKind K, double V) {
   assert(isFloatKind(K));
   if (K == ScalarKind::F32)
     return std::bit_cast<uint32_t>(static_cast<float>(V));
@@ -68,7 +75,8 @@ inline uint64_t encodeFP(ScalarKind K, double V) {
 }
 
 /// Applies binary arithmetic opcode \p Op on lanes of kind \p K.
-inline uint64_t applyBinop(Opcode Op, ScalarKind K, uint64_t A, uint64_t B) {
+VAPOR_ALWAYS_INLINE uint64_t applyBinop(Opcode Op, ScalarKind K, uint64_t A,
+                                        uint64_t B) {
   if (isFloatKind(K)) {
     double X = decodeFP(K, A), Y = decodeFP(K, B);
     double R;
@@ -145,11 +153,15 @@ inline uint64_t applyBinop(Opcode Op, ScalarKind K, uint64_t A, uint64_t B) {
     R = X % Y;
     break;
   case Opcode::Min:
-    R = X < Y ? X : Y;
+  case Opcode::Max: {
+    // Unsigned kinds order unsigned, as in applyCompare. Narrower
+    // unsigned lanes decode zero-extended, so only U64 needs it.
+    bool Less = isSignedKind(K) ? X < Y
+                                : static_cast<uint64_t>(X) <
+                                      static_cast<uint64_t>(Y);
+    R = Less == (Op == Opcode::Min) ? X : Y;
     break;
-  case Opcode::Max:
-    R = X > Y ? X : Y;
-    break;
+  }
   case Opcode::And:
     R = X & Y;
     break;
@@ -188,7 +200,7 @@ inline uint64_t applyBinop(Opcode Op, ScalarKind K, uint64_t A, uint64_t B) {
 /// final float equals the one the double path produces. min/max select
 /// an operand unchanged. Everything else forwards to applyBinop.
 template <Opcode Op, ScalarKind K>
-inline uint64_t applyBinopT(uint64_t A, uint64_t B) {
+VAPOR_ALWAYS_INLINE uint64_t applyBinopT(uint64_t A, uint64_t B) {
   if constexpr (K == ScalarKind::F32 &&
                 (Op == Opcode::Add || Op == Opcode::Sub ||
                  Op == Opcode::Mul || Op == Opcode::Div ||
@@ -214,7 +226,7 @@ inline uint64_t applyBinopT(uint64_t A, uint64_t B) {
   }
 }
 
-inline uint64_t applyUnop(Opcode Op, ScalarKind K, uint64_t A) {
+VAPOR_ALWAYS_INLINE uint64_t applyUnop(Opcode Op, ScalarKind K, uint64_t A) {
   if (isFloatKind(K)) {
     double X = decodeFP(K, A);
     switch (Op) {
@@ -244,7 +256,8 @@ inline uint64_t applyUnop(Opcode Op, ScalarKind K, uint64_t A) {
 
 /// \returns 1 or 0 for comparison \p Op on lanes of kind \p K. Unsigned
 /// kinds compare unsigned; floats compare IEEE (no NaN ordering games).
-inline uint64_t applyCompare(Opcode Op, ScalarKind K, uint64_t A, uint64_t B) {
+VAPOR_ALWAYS_INLINE uint64_t applyCompare(Opcode Op, ScalarKind K, uint64_t A,
+                                          uint64_t B) {
   int Rel; // -1, 0, 1
   if (isFloatKind(K)) {
     double X = decodeFP(K, A), Y = decodeFP(K, B);
@@ -276,7 +289,8 @@ inline uint64_t applyCompare(Opcode Op, ScalarKind K, uint64_t A, uint64_t B) {
 
 /// Converts one lane from kind \p Src to kind \p Dst with C semantics
 /// (truncation, sign/zero extension, int<->fp, fp narrowing).
-inline uint64_t applyConvert(ScalarKind Src, ScalarKind Dst, uint64_t Raw) {
+VAPOR_ALWAYS_INLINE uint64_t applyConvert(ScalarKind Src, ScalarKind Dst,
+                                          uint64_t Raw) {
   if (isFloatKind(Src) && isFloatKind(Dst))
     return encodeFP(Dst, decodeFP(Src, Raw));
   if (isFloatKind(Src)) {

@@ -8,7 +8,7 @@
 /// The execution engine behind every measured number in the repro: runs
 /// a jit-compiled MFunction against a MemoryImage on one of the target
 /// machine models and reports modeled cycles plus executed-instruction
-/// counts. Executing 32 kernels x 4 flows x 5 targets per bench sweep
+/// counts. Executing 36 kernels x 4 flows x 5 targets per bench sweep
 /// (counts verified against Pipeline.h's Flow enum and the kernel and
 /// target registries) makes this the hot path of the repository, so it
 /// is built as a pre-decoded threaded interpreter:

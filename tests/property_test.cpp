@@ -252,14 +252,17 @@ TEST_P(PipelineFuzzTest, RandomKernelCorrectOnEveryTarget) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzzTest, ::testing::Range(0, 16));
 
-//===--- Narrow-int boundary semantics -----------------------------------------//
+//===--- Integer boundary semantics --------------------------------------------//
 //
-// Every narrow-int (I8/U8/I16/U16) binop, fed the full cross product of
-// its kind's boundary operands (min, max, -1/0/1, the sign-flip edge),
-// must produce identical results from all three executors: the golden
-// interpreter, the cycle-model VM on every target, and the native x86-64
-// tier. ScalarOps.h is the single semantics source; this pins the VM
-// handler table and the native lane/packed encodings to it.
+// Every integer binop, fed the full cross product of its kind's boundary
+// operands (min, max, -1/0/1, the sign-flip edge), must produce identical
+// results from all three executors: the golden interpreter, the
+// cycle-model VM on every target, and the native x86-64 tier. ScalarOps.h
+// is the single semantics source; this pins the VM handler table and the
+// native lane/packed encodings to it. The narrow kinds (I8/U8/I16/U16)
+// also carry the saturating ops; the wide kinds (I32/U32/I64/U64) pin
+// the 32- and 64-bit lanes. A second test drives the same operands
+// through the shapes the fuser turns into its ALU superops.
 
 std::vector<int64_t> boundaryValues(ScalarKind K) {
   switch (K) {
@@ -271,6 +274,19 @@ std::vector<int64_t> boundaryValues(ScalarKind K) {
     return {-32768, -32767, -129, -1, 0, 1, 127, 32766, 32767};
   case ScalarKind::U16:
     return {0, 1, 255, 32767, 32768, 65534, 65535};
+  case ScalarKind::I32:
+    return {INT32_MIN, INT32_MIN + 1, -65536, -1, 0, 1, 32767,
+            INT32_MAX - 1, INT32_MAX};
+  case ScalarKind::U32:
+    return {0, 1, 65535, INT32_MAX, int64_t(1) << 31, (int64_t(1) << 31) + 1,
+            UINT32_MAX - 1, UINT32_MAX};
+  case ScalarKind::I64:
+    return {INT64_MIN, INT64_MIN + 1, -(int64_t(1) << 32), -1, 0, 1,
+            UINT32_MAX, INT64_MAX - 1, INT64_MAX};
+  case ScalarKind::U64:
+    // Lanes above INT64_MAX are poked as their two's-complement bits.
+    return {0, 1, int64_t(1) << 32, INT64_MAX, INT64_MIN, INT64_MIN + 1, -2,
+            -1};
   default:
     return {};
   }
@@ -281,6 +297,8 @@ std::vector<Opcode> boundaryOps(ScalarKind K) {
                              Opcode::Min, Opcode::Max, Opcode::And,
                              Opcode::Or,  Opcode::Xor, Opcode::Shl,
                              Opcode::ShrL, Opcode::ShrA};
+  if (scalarSize(K) > 2) // Saturating ops exist for I8/I16 lanes only.
+    return Ops;
   if (isSignedKind(K)) {
     Ops.push_back(Opcode::AddSatS);
     Ops.push_back(Opcode::SubSatS);
@@ -288,6 +306,19 @@ std::vector<Opcode> boundaryOps(ScalarKind K) {
     Ops.push_back(Opcode::AddSatU);
     Ops.push_back(Opcode::SubSatU);
   }
+  return Ops;
+}
+
+/// The boundary ops the VM fuser instantiates superops for (its
+/// fusibleBin set): add, sub, mul, min, max and the saturating ops.
+std::vector<Opcode> superopOps(ScalarKind K) {
+  std::vector<Opcode> Ops;
+  for (Opcode Op : boundaryOps(K))
+    if (Op == Opcode::Add || Op == Opcode::Sub || Op == Opcode::Mul ||
+        Op == Opcode::Min || Op == Opcode::Max || Op == Opcode::AddSatS ||
+        Op == Opcode::SubSatS || Op == Opcode::AddSatU ||
+        Op == Opcode::SubSatU)
+      Ops.push_back(Op);
   return Ops;
 }
 
@@ -353,10 +384,118 @@ TEST_P(NarrowIntBoundaryTest, AllExecutorsAgreeOnBoundaryOperands) {
   }
 }
 
+/// Kernel shapes the VM fuser turns into its ALU superops, over the
+/// boundary cross product (a[j], b[j]) at every j:
+///   BinBin    o[j] = (a[j] op b[j]) op2 c[j]            binop+binop
+///   BinStore  o[j] = a[j] op b[j], o's address hoisted   binop+store
+///   LoadBin   o[j] = b[j] op a[j], b's address hoisted   load+binop
+/// The last two run an inner loop of one trip: the JIT hoists the
+/// inner-invariant address of o[j] (BinStore) or b[j] (LoadBin) out of
+/// it, so no address op splits the pair and the fuser forms the superop
+/// on every target.
+enum class SuperopShape { BinBin, BinStore, LoadBin };
+
+kernels::Kernel superopKernel(ScalarKind K, SuperopShape Shape, Opcode Op,
+                              Opcode Op2) {
+  std::vector<int64_t> Vals = boundaryValues(K);
+  size_t N = Vals.size() * Vals.size();
+  kernels::Kernel Kn;
+  const char *ShapeName = Shape == SuperopShape::BinBin     ? "binbin"
+                          : Shape == SuperopShape::BinStore ? "binstore"
+                                                            : "loadbin";
+  Kn.Name = std::string("nb_") + ShapeName + "_" + opcodeMnemonic(Op) +
+            "_" + opcodeMnemonic(Op2) + "_" + scalarKindName(K);
+  Kn.Suite = "property";
+  Function F(Kn.Name);
+  uint32_t A = F.addArray("a", K, N, scalarSize(K));
+  uint32_t Bd = F.addArray("b", K, N, scalarSize(K));
+  uint32_t C = F.addArray("c", K, N, scalarSize(K));
+  uint32_t O = F.addArray("o", K, N, scalarSize(K));
+  ValueId NP = F.addParam("n", Type::scalar(ScalarKind::I64));
+  ValueId One = F.addParam("one", Type::scalar(ScalarKind::I64));
+  IrBuilder B(F);
+  auto LJ = B.beginLoop(B.constIdx(0), NP, B.constIdx(1));
+  ValueId J = LJ.indVar();
+  if (Shape == SuperopShape::BinBin) {
+    // c loads first, so nothing separates the two binops.
+    ValueId Z = B.load(C, J);
+    ValueId X = B.load(A, J);
+    X = B.binop(Op, X, B.load(Bd, J));
+    B.store(O, J, B.binop(Op2, X, Z));
+  } else {
+    auto LI = B.beginLoop(B.constIdx(0), One, B.constIdx(1));
+    ValueId I = B.add(J, LI.indVar());
+    if (Shape == SuperopShape::BinStore) {
+      ValueId X = B.load(A, I);
+      B.store(O, J, B.binop(Op, X, B.load(Bd, I)));
+    } else {
+      ValueId Y = B.load(A, I);
+      B.store(O, I, B.binop(Op, B.load(Bd, J), Y));
+    }
+    B.endLoop(LI);
+  }
+  B.endLoop(LJ);
+  verifyOrDie(F);
+  Kn.Source = std::move(F);
+  Kn.IntParams["n"] = static_cast<int64_t>(N);
+  Kn.IntParams["one"] = 1;
+  Kn.Fill = [Vals](kernels::FillSink &S, const Function &) {
+    uint64_t I = 0;
+    for (int64_t X : Vals)
+      for (int64_t Y : Vals) {
+        S.pokeInt(0, I, X);
+        S.pokeInt(1, I, Y);
+        // c walks the values on a diagonal, so each intermediate meets
+        // a spread of second operands.
+        S.pokeInt(2, I, Vals[(I + I / Vals.size()) % Vals.size()]);
+        ++I;
+      }
+  };
+  return Kn;
+}
+
+TEST_P(NarrowIntBoundaryTest, SuperopShapesAgreeFusedAndUnfused) {
+  ScalarKind K = GetParam();
+  std::vector<Opcode> Ops = superopOps(K);
+  for (size_t I = 0; I < Ops.size(); ++I) {
+    // Each op runs once as the first and once as the second binop.
+    Opcode Next = Ops[(I + 1) % Ops.size()];
+    for (SuperopShape Shape : {SuperopShape::BinBin, SuperopShape::BinStore,
+                               SuperopShape::LoadBin}) {
+      kernels::Kernel Kn = superopKernel(K, Shape, Ops[I], Next);
+      for (const TargetDesc &T : allTargets()) {
+        RunOptions O;
+        O.Target = T;
+        // A cache hit would hand both runs one pre-decoded program.
+        O.UseCodeCache = false;
+        O.FuseOps = false;
+        RunOutcome Unfused = runKernel(Kn, Flow::SplitVectorized, O);
+        O.FuseOps = true;
+        RunOutcome Fused = runKernel(Kn, Flow::SplitVectorized, O);
+        std::string Err;
+        EXPECT_TRUE(checkAgainstGolden(Kn, Unfused, Err))
+            << Kn.Name << " on " << T.Name << " (unfused): " << Err;
+        EXPECT_TRUE(checkAgainstGolden(Kn, Fused, Err))
+            << Kn.Name << " on " << T.Name << " (fused): " << Err;
+        EXPECT_EQ(Fused.Cycles, Unfused.Cycles) << Kn.Name << " on "
+                                                << T.Name;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(NarrowKinds, NarrowIntBoundaryTest,
                          ::testing::Values(ScalarKind::I8, ScalarKind::U8,
                                            ScalarKind::I16,
                                            ScalarKind::U16),
+                         [](const auto &Info) {
+                           return std::string(scalarKindName(Info.param));
+                         });
+
+INSTANTIATE_TEST_SUITE_P(WideKinds, NarrowIntBoundaryTest,
+                         ::testing::Values(ScalarKind::I32, ScalarKind::U32,
+                                           ScalarKind::I64,
+                                           ScalarKind::U64),
                          [](const auto &Info) {
                            return std::string(scalarKindName(Info.param));
                          });
