@@ -153,7 +153,9 @@ TIERING_COLD_CELL_MIN = 0.5
 # over eight ASan+UBSan runs 1.00-1.01 and 1.09-1.10. The build before
 # the ScalarOps helpers were forced inline reads a slowest cell of
 # 0.53-0.54 (ASan 0.88) and a geomean of 1.03-1.06 (ASan 1.07), with 24
-# (ASan 15) cells below 0.95.
+# (ASan 15) cells below 0.95. Not yet measured on CI's runners or on
+# another CPU family: a cell's ratio depends on handler placement, and
+# on Skylake-family cores on the decoded-uop cache (ROADMAP item 4).
 FUSION_CELL_MIN = 0.93
 FUSION_GEOMEAN_MIN = 1.05
 VM_MATRIX_KERNELS = 36

@@ -444,32 +444,36 @@ struct VMOps {
     return PC + 1;
   }
 
-  // Unpack, dot and pack run at a (narrow, wide) kind pair. Each lane
-  // body is written once and always inlined into a runtime-kind handler
-  // and into one instantiation per narrow kind NK, whose wide kind is
-  // widenKind(NK) (pack narrows from widenKind(NK) to NK). In an
-  // instantiation both kinds are constants, so the converts and the
-  // lane arithmetic fold like the ALU handlers'. Widen-mult keeps only
-  // its runtime-kind handler: no registry kernel's program runs it.
+  // Unpack, dot and pack get one instantiation per narrow kind NK; the
+  // wide kind is widenKind(NK), the only pairing the IR verifier admits
+  // (pack narrows from widenKind(NK) to NK). With both kinds constants
+  // the converts and the lane arithmetic fold like the ALU handlers'.
+  // Widen-mult keeps a runtime-kind handler: no registry kernel's
+  // program runs it.
 
-  VAPOR_ALWAYS_INLINE static void packLanes(VM &Vm, const DOp &O,
-                                            ScalarKind WK, ScalarKind NK) {
+  template <ScalarKind NK>
+  VAPOR_VM_HANDLER uint32_t packK(VM &Vm, const DOp &O, uint32_t PC) {
+    constexpr ScalarKind WK = widenKind(NK);
     unsigned Half = O.Lanes / 2;
     for (unsigned L = 0; L < Half; ++L) {
       Vm.R[O.A + L] = applyConvert(WK, NK, Vm.R[O.B + L]);
       Vm.R[O.A + Half + L] = applyConvert(WK, NK, Vm.R[O.C + L]);
     }
+    return PC + 1;
   }
 
-  VAPOR_ALWAYS_INLINE static void unpackLanes(VM &Vm, const DOp &O,
-                                              ScalarKind NK, ScalarKind WK) {
+  template <ScalarKind NK>
+  VAPOR_VM_HANDLER uint32_t unpackK(VM &Vm, const DOp &O, uint32_t PC) {
+    constexpr ScalarKind WK = widenKind(NK);
     uint64_t Off = static_cast<uint64_t>(O.Imm);
     for (unsigned J = 0; J < O.Lanes; ++J)
       Vm.R[O.A + J] = applyConvert(NK, WK, Vm.R[O.B + Off + J]);
+    return PC + 1;
   }
 
-  VAPOR_ALWAYS_INLINE static void dotLanes(VM &Vm, const DOp &O,
-                                           ScalarKind NK, ScalarKind WK) {
+  template <ScalarKind NK>
+  VAPOR_VM_HANDLER uint32_t dotK(VM &Vm, const DOp &O, uint32_t PC) {
+    constexpr ScalarKind WK = widenKind(NK);
     for (unsigned J = 0; J < O.Lanes; ++J) {
       uint64_t P0 =
           applyBinop(Opcode::Mul, WK,
@@ -483,38 +487,6 @@ struct VMOps {
           Opcode::Add, WK,
           applyBinop(Opcode::Add, WK, Vm.R[O.D + J], P0), P1);
     }
-  }
-
-  VAPOR_VM_HANDLER uint32_t pack(VM &Vm, const DOp &O, uint32_t PC) {
-    packLanes(Vm, O, srcKindOf(O), kindOf(O));
-    return PC + 1;
-  }
-
-  VAPOR_VM_HANDLER uint32_t unpack(VM &Vm, const DOp &O, uint32_t PC) {
-    unpackLanes(Vm, O, srcKindOf(O), kindOf(O));
-    return PC + 1;
-  }
-
-  VAPOR_VM_HANDLER uint32_t dot(VM &Vm, const DOp &O, uint32_t PC) {
-    dotLanes(Vm, O, srcKindOf(O), kindOf(O));
-    return PC + 1;
-  }
-
-  template <ScalarKind NK>
-  VAPOR_VM_HANDLER uint32_t packK(VM &Vm, const DOp &O, uint32_t PC) {
-    packLanes(Vm, O, widenKind(NK), NK);
-    return PC + 1;
-  }
-
-  template <ScalarKind NK>
-  VAPOR_VM_HANDLER uint32_t unpackK(VM &Vm, const DOp &O, uint32_t PC) {
-    unpackLanes(Vm, O, NK, widenKind(NK));
-    return PC + 1;
-  }
-
-  template <ScalarKind NK>
-  VAPOR_VM_HANDLER uint32_t dotK(VM &Vm, const DOp &O, uint32_t PC) {
-    dotLanes(Vm, O, NK, widenKind(NK));
     return PC + 1;
   }
 
@@ -1016,25 +988,22 @@ struct VMDecoder {
     case MOp::VPack:
       O.B = Off[I.Srcs[0]];
       O.C = Off[I.Srcs[1]];
-      O.SrcKind = static_cast<uint8_t>(F.Regs[I.Srcs[0]].Kind);
-      O.Fn = pickWiden(I.Kind, F.Regs[I.Srcs[0]].Kind, &VMOps::pack,
+      O.Fn = pickWiden("pack", I.Kind, F.Regs[I.Srcs[0]].Kind,
                        []<ScalarKind K> { return &VMOps::packK<K>; });
       break;
     case MOp::VUnpackLo:
     case MOp::VUnpackHi:
-      O.Fn = pickWiden(F.Regs[I.Srcs[0]].Kind, I.Kind, &VMOps::unpack,
+      O.Fn = pickWiden("unpack", F.Regs[I.Srcs[0]].Kind, I.Kind,
                        []<ScalarKind K> { return &VMOps::unpackK<K>; });
       O.B = Off[I.Srcs[0]];
-      O.SrcKind = static_cast<uint8_t>(F.Regs[I.Srcs[0]].Kind);
       O.Imm = I.Op == MOp::VUnpackHi ? O.Lanes : 0;
       break;
     case MOp::VDot:
-      O.Fn = pickWiden(F.Regs[I.Srcs[0]].Kind, I.Kind, &VMOps::dot,
+      O.Fn = pickWiden("dot", F.Regs[I.Srcs[0]].Kind, I.Kind,
                        []<ScalarKind K> { return &VMOps::dotK<K>; });
       O.B = Off[I.Srcs[0]];
       O.C = Off[I.Srcs[1]];
       O.D = Off[I.Srcs[2]];
-      O.SrcKind = static_cast<uint8_t>(F.Regs[I.Srcs[0]].Kind);
       break;
     case MOp::Reduce:
       O.Fn = pickReduce(I.SubOp, I.Kind);
@@ -1229,7 +1198,9 @@ struct VMDecoder {
 
   // Each pick* resolves (sub-opcode, scalar kind) to a fully templated
   // handler; kinds outside VAPOR_VM_FOREACH_KIND get the runtime-kind
-  // fallback, so every decodable op still has a handler.
+  // fallback, so every decodable op still has a handler. The widening
+  // idioms (pickWiden) are the exception: the verifier admits one kind
+  // pair per narrow kind, and every such pair has an instantiation.
 
   template <Opcode Sub> static Handler pickBinK(ScalarKind K, bool V) {
     switch (K) {
@@ -1359,11 +1330,11 @@ struct VMDecoder {
     }
   }
 
-  /// Resolves a widening idiom from narrow kind \p NK to wide kind \p WK:
-  /// \p Inst's instantiation for NK when WK is widenKind(NK), the only
-  /// pairing the IR verifier admits, else the runtime-kind \p Runtime.
+  /// Resolves widening idiom \p What from narrow kind \p NK to wide kind
+  /// \p WK to \p Inst's instantiation for NK. WK must be widenKind(NK),
+  /// the only pairing the IR verifier admits; any other pair is fatal.
   template <typename InstFn>
-  static Handler pickWiden(ScalarKind NK, ScalarKind WK, Handler Runtime,
+  static Handler pickWiden(const char *What, ScalarKind NK, ScalarKind WK,
                            InstFn Inst) {
     if (WK == widenKind(NK))
       switch (NK) {
@@ -1375,7 +1346,9 @@ struct VMDecoder {
       default:
         break;
       }
-    return Runtime;
+    fatalError(std::string("VM: ") + What + " between " +
+               scalarKindName(NK) + " and " + scalarKindName(WK) +
+               " is not a widening kind pair");
   }
 
   template <Opcode Sub> static Handler pickReduceK(ScalarKind K) {

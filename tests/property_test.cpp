@@ -454,6 +454,46 @@ kernels::Kernel superopKernel(ScalarKind K, SuperopShape Shape, Opcode Op,
   return Kn;
 }
 
+bool isBinCls(OpCls C) { return C == OpCls::BinS || C == OpCls::BinV; }
+
+/// Whether the superop \p Shape names formed: some adjacent pair (X, Y)
+/// of \p Unfused of that shape, with Y reading X's result, became one
+/// op of class Fused in \p Fused. Each op of Fused stands for one op of
+/// Unfused, or for two when it is a superop; the peephole merges no
+/// other pair here, since these kernels hold no spill nops (checked).
+bool superopFormed(const DecodedProgram &Unfused,
+                   const DecodedProgram &Fused, SuperopShape Shape) {
+  auto Matches = [Shape](const DecodedProgram::DOp &X,
+                         const DecodedProgram::DOp &Y) {
+    bool Feeds = Y.B == X.A || Y.C == X.A;
+    switch (Shape) {
+    case SuperopShape::BinBin:
+      return isBinCls(X.Cls) && Y.Cls == X.Cls && Feeds;
+    case SuperopShape::BinStore:
+      return isBinCls(X.Cls) &&
+             (Y.Cls == OpCls::StoreS || Y.Cls == OpCls::VStore) &&
+             Y.B == X.A;
+    case SuperopShape::LoadBin:
+      return (X.Cls == OpCls::LoadS || X.Cls == OpCls::VLoad) &&
+             isBinCls(Y.Cls) && Feeds;
+    }
+    return false;
+  };
+  for (const DecodedProgram::DOp &Op : Unfused.Code)
+    if (Op.Cls == OpCls::Nop)
+      return false;
+  bool Found = false;
+  size_t J = 0;
+  for (const DecodedProgram::DOp &Op : Fused.Code) {
+    bool Pair = Op.Cls == OpCls::Fused || Op.Cls == OpCls::FusedBr;
+    if (Op.Cls == OpCls::Fused && J + 1 < Unfused.Code.size() &&
+        Matches(Unfused.Code[J], Unfused.Code[J + 1]))
+      Found = true;
+    J += Pair ? 2 : 1;
+  }
+  return Found && J == Unfused.Code.size();
+}
+
 TEST_P(NarrowIntBoundaryTest, SuperopShapesAgreeFusedAndUnfused) {
   ScalarKind K = GetParam();
   std::vector<Opcode> Ops = superopOps(K);
@@ -479,6 +519,15 @@ TEST_P(NarrowIntBoundaryTest, SuperopShapesAgreeFusedAndUnfused) {
             << Kn.Name << " on " << T.Name << " (fused): " << Err;
         EXPECT_EQ(Fused.Cycles, Unfused.Cycles) << Kn.Name << " on "
                                                 << T.Name;
+        // The superop must have formed, or the fused run only repeats
+        // the unfused one.
+        auto ProgU = DecodedProgram::build(Fused.Code, T, *Fused.Mem,
+                                           /*Weak=*/false, /*Fuse=*/false);
+        auto ProgF = DecodedProgram::build(Fused.Code, T, *Fused.Mem,
+                                           /*Weak=*/false, /*Fuse=*/true);
+        EXPECT_GT(ProgF->FusedOps, 0u) << Kn.Name << " on " << T.Name;
+        EXPECT_TRUE(superopFormed(*ProgU, *ProgF, Shape))
+            << Kn.Name << " on " << T.Name << ": the pair did not fuse";
       }
     }
   }

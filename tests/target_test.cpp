@@ -338,6 +338,28 @@ TEST(VMTest, WeakTierChargesX87ForScalarFP) {
   EXPECT_GT(Weak.cycles(), Strong.cycles());
 }
 
+/// Pack, unpack and dot decode only at the verifier's kind pairs (wide =
+/// widenKind(narrow)); any other pair stops the decoder.
+TEST(VMTest, WideningOpOutsideVerifierKindPairIsFatal) {
+  MFunction F;
+  F.Name = "badpack";
+  F.VSBytes = 16;
+  MReg A = F.makeReg(ScalarKind::I32, true);
+  MReg Bv = F.makeReg(ScalarKind::I32, true);
+  MInstr P;
+  P.Op = MOp::VPack;
+  P.Kind = ScalarKind::I8; // I32 packs to I16.
+  P.Vector = true;
+  P.Srcs = {A, Bv};
+  P.Dst = F.makeReg(ScalarKind::I8, true);
+  F.Instrs = {P};
+  F.Body.Nodes = {{MNodeKind::Instr, 0}};
+
+  MemoryImage Mem;
+  EXPECT_DEATH(DecodedProgram::build(F, sseTarget(), Mem),
+               "pack between i8 and i32 is not a widening kind pair");
+}
+
 TEST(IacaTest, SaxpyShapedLoopMatchesPaperArithmetic) {
   // 2 loads + 1 store + mul + add, folded addressing: the paper's AVX
   // native saxpy_fp comes to 2 cycles/iteration.
