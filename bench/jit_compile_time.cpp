@@ -13,11 +13,9 @@
 // executor's integrated compile path, and the verifier's cost per KB of
 // bytecode for every kernel on every SIMD target.
 //
-//   jit_compile_time [--json [PATH]] [--verify-json PATH]
-//                    [google-benchmark flags]
+//   jit_compile_time [--verify-json PATH] [google-benchmark flags]
 //
-// --json writes the machine-readable cache baseline (BENCH_jit.json by
-// default); --verify-json writes the verifier matrix to PATH, which
+// --verify-json writes the verifier matrix to PATH, which
 // scripts/perf_gate.py --verify-linear gates. Use
 // --benchmark_filter=NONE to skip the timed micro-runs and only produce
 // the summaries.
@@ -164,20 +162,14 @@ void printRatioSummary() {
 /// executor's integrated compile path (Pipeline::runKernel). Cold runs
 /// start from a cleared cache and pay hash + verify + compile + decode;
 /// warm runs repeat the identical request and pay only the hash and
-/// lookup. Optionally writes the machine-readable baseline to
-/// \p JsonPath.
-void printCacheSummary(const char *JsonPath) {
+/// lookup.
+void printCacheSummary() {
   bench::printHeader(
       "Online-stage code cache: compile path cold (empty cache) vs warm "
       "(content hit), split-vectorized on sse");
   std::printf("%-14s %10s %10s %10s\n", "kernel", "cold-us", "warm-us",
               "speedup");
 
-  struct Row {
-    const char *Kernel;
-    double ColdUs = 0, WarmUs = 0;
-  };
-  std::vector<Row> Rows;
   const bool WasEnabled = jit::cache::setEnabled(true);
   for (const char *Name : SampleKernels) {
     kernels::Kernel K = kernels::kernelByName(Name);
@@ -193,43 +185,13 @@ void printCacheSummary(const char *JsonPath) {
     }
     std::sort(Cold.begin(), Cold.end());
     std::sort(Warm.begin(), Warm.end());
-    Row R{Name, Cold[Cold.size() / 2], Warm[Warm.size() / 2]};
-    std::printf("%-14s %10.2f %10.3f %9.0fx\n", R.Kernel, R.ColdUs, R.WarmUs,
-                R.ColdUs / R.WarmUs);
-    Rows.push_back(R);
+    const double ColdUs = Cold[Cold.size() / 2];
+    const double WarmUs = Warm[Warm.size() / 2];
+    std::printf("%-14s %10.2f %10.3f %9.0fx\n", Name, ColdUs, WarmUs,
+                ColdUs / WarmUs);
   }
   jit::cache::setEnabled(WasEnabled);
   jit::cache::clear();
-
-  if (!JsonPath)
-    return;
-  std::ofstream OS(JsonPath);
-  if (!OS) {
-    std::fprintf(stderr, "cannot write %s\n", JsonPath);
-    std::exit(1);
-  }
-  double SumCold = 0, SumWarm = 0;
-  for (const Row &R : Rows) {
-    SumCold += R.ColdUs;
-    SumWarm += R.WarmUs;
-  }
-  char Buf[256];
-  OS << "{\n  \"bench\": \"jit_compile_time\",\n"
-        "  \"flow\": \"split_vectorized\",\n  \"target\": \"sse\",\n";
-  std::snprintf(Buf, sizeof(Buf),
-                "  \"cache_speedup_avg\": %.1f,\n  \"kernels\": [\n",
-                SumCold / SumWarm);
-  OS << Buf;
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "    {\"kernel\": \"%s\", \"cold_compile_us\": %.2f, "
-                  "\"warm_compile_us\": %.3f}%s\n",
-                  Rows[I].Kernel, Rows[I].ColdUs, Rows[I].WarmUs,
-                  I + 1 < Rows.size() ? "," : "");
-    OS << Buf;
-  }
-  OS << "  ]\n}\n";
-  std::printf("wrote %s\n", JsonPath);
 }
 
 /// The verifier's cost per KB of split bytecode, per kernel: the static
@@ -363,18 +325,13 @@ void printVerifySummary(const char *JsonPath) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Peel off our own --json [PATH] / --verify-json PATH before
-  // google-benchmark sees argv -- it rejects flags it does not recognize.
-  const char *JsonPath = nullptr;
+  // Peel off our own --verify-json PATH before google-benchmark sees
+  // argv -- it rejects flags it does not recognize.
   const char *VerifyJsonPath = nullptr;
   std::vector<char *> Args;
   Args.push_back(argv[0]);
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--json") == 0) {
-      JsonPath = "BENCH_jit.json";
-      if (I + 1 < argc && argv[I + 1][0] != '-')
-        JsonPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--verify-json") == 0) {
+    if (std::strcmp(argv[I], "--verify-json") == 0) {
       if (I + 1 == argc) {
         std::fprintf(stderr, "--verify-json needs a PATH\n");
         return 2;
@@ -391,7 +348,7 @@ int main(int argc, char **argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   printRatioSummary();
-  printCacheSummary(JsonPath);
+  printCacheSummary();
   printVerifySummary(VerifyJsonPath);
   return 0;
 }

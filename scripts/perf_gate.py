@@ -3,14 +3,14 @@
 
 Compares a freshly measured ``vm_throughput --json`` report against the
 committed baseline (BENCH_vm.json) and fails when the headline
-``ns_per_dispatched_op`` regressed by more than the allowed fraction
-(default 15%). Improvements always pass; the committed baseline is only
-refreshed deliberately, by re-running the bench and checking the JSON in.
+``ns_per_dispatched_op`` regressed by more than MAX_REGRESS (15%).
+Improvements always pass; the committed baseline is only refreshed
+deliberately, by re-running the bench and checking the JSON in.
 
 Three modes:
 
   absolute (default)   current.ns_per_dispatched_op must be at most
-                       baseline.ns_per_dispatched_op * (1 + --max-regress).
+                       baseline.ns_per_dispatched_op * (1 + MAX_REGRESS).
                        Meaningful on runners comparable to the one that
                        produced the baseline.
 
@@ -18,7 +18,7 @@ Three modes:
                        instead checks an internal invariant of the current
                        report: the fused headline cell must not be slower
                        than its own unfused measurement by more than
-                       --max-regress. This is stable under uniform slowdown
+                       MAX_REGRESS. This is stable under uniform slowdown
                        (sanitizer instrumentation, emulation), which is why
                        the sanitize CI job uses it.
 
@@ -37,7 +37,7 @@ Three modes:
                        the report's ns_per_op_obs_idle (obs compiled in,
                        no sink installed — the default configuration every
                        run pays) must be at most ns_per_op_obs_off (master
-                       switch dark) * (1 + --max-obs-overhead, default 2%).
+                       switch dark) * (1 + MAX_OBS_OVERHEAD, 2%).
                        Both numbers come from one interleaved measurement
                        inside the current report, so this mode needs only
                        one report and no baseline:
@@ -46,9 +46,9 @@ Three modes:
   --native-floor       gates the native tier's payoff from one
                        ``native_throughput --json`` report: the headline
                        cell's native_ns_per_op must be at most
-                       vm_ns_per_op * --native-floor-ratio (default 0.5,
-                       i.e. native must at least halve the VM's fused
-                       dispatch cost). It also holds the saturating-kernel
+                       vm_ns_per_op * NATIVE_FLOOR_RATIO (0.5, i.e.
+                       native must at least halve the VM's fused dispatch
+                       cost). It also holds the saturating-kernel
                        lowering floor: every cell whose kernel carries the
                        "saturating" feature (the striped-DP SSV/Viterbi
                        family) must report packed_ops >= 1 on SIMD
@@ -75,7 +75,7 @@ Three modes:
                        completed work (completed > 0, throughput > 0),
                        and the bounded code cache must be earning its
                        keep (cache_hit_rate at least
-                       --server-min-hit-rate, default 0.10):
+                       SERVER_MIN_HIT_RATE, 0.10):
                        perf_gate.py --server-floor BENCH_server.json
 
   --tiering-floor      gates tiered execution's payoff from one
@@ -83,22 +83,22 @@ Three modes:
                        (BENCH_tiering.json, schema v3) over EVERY
                        kernel x target cell: the geomean cold
                        time-to-first-result speedup must be at least
-                       --tiering-cold-floor (default 2.0) and the worst
-                       cell at least TIERING_COLD_CELL_MIN (0.5); no
+                       TIERING_COLD_FLOOR (2.0) and the worst cell at
+                       least TIERING_COLD_CELL_MIN (0.5); no
                        cell's cold runs may have executed the
                        interpreter (the one cold tier is the
                        forced-scalar JIT); every cell must have
                        converged to the eager tier; and steady-state
                        tiered throughput must stay within 5% of eager:
                        steady_ratio_geomean at least
-                       --tiering-steady-floor (default 0.95) with no
-                       single cell below --tiering-steady-cell-min
-                       (default 0.85); a cell's steady ratio is the
-                       median of its interleaved per-rep eager/tiered
-                       ratios. The slowest cells are named in the
-                       verdict. Every ratio compares two numbers from
-                       the same report on the same host, so the gate
-                       holds under uniform slowdown (sanitizers). A
+                       TIERING_STEADY_FLOOR (0.95) with no single cell
+                       below TIERING_STEADY_CELL_MIN (0.85); a cell's
+                       steady ratio is the median of its interleaved
+                       per-rep eager/tiered ratios. The slowest cells
+                       are named in the verdict. Every ratio compares
+                       two numbers from the same report on the same
+                       host, so the gate holds under uniform slowdown
+                       (sanitizers). A
                        report of any other schema is bad input:
                        perf_gate.py --tiering-floor BENCH_tiering.json
 
@@ -106,8 +106,8 @@ Three modes:
                        native_throughput report: the report's
                        geomean_elide_speedup (elision ON vs OFF, native,
                        geomean over every kernel x target cell) must be
-                       at least --elision-floor-geomean (default 1.0:
-                       elision must never cost throughput on average; a
+                       at least ELISION_FLOOR_GEOMEAN (1.0: elision
+                       must never cost throughput on average; a
                        single cell is too noisy to gate, the geomean over
                        the full matrix is stable). Both sides of every
                        ratio come from the same report, so the gate holds
@@ -142,9 +142,26 @@ import json
 import math
 import sys
 
-# Worst-cell floor of --tiering-floor: no kernel x target cell may answer
-# its first request more than 2x slower tiered than eager.
+# Headline regression allowed by the vm_throughput modes (absolute
+# against the baseline, or fused against unfused with --relative).
+MAX_REGRESS = 0.15
+# --obs-overhead: ON-but-idle tracing may cost at most this fraction.
+MAX_OBS_OVERHEAD = 0.02
+# --native-floor: the native headline ns/op at most this share of the VM's.
+NATIVE_FLOOR_RATIO = 0.5
+# --elision-floor: geomean elision-ON-vs-OFF native speedup at least this.
+ELISION_FLOOR_GEOMEAN = 1.0
+# --server-floor: the replay's code-cache hit rate at least this.
+SERVER_MIN_HIT_RATE = 0.10
+
+# --tiering-floor: geomean cold time-to-first-result speedup over every
+# cell, and the worst cell: no kernel x target cell may answer its first
+# request more than 2x slower tiered than eager. Steady-state tiered
+# throughput over eager: geomean, and the worst cell.
+TIERING_COLD_FLOOR = 2.0
 TIERING_COLD_CELL_MIN = 0.5
+TIERING_STEADY_FLOOR = 0.95
+TIERING_STEADY_CELL_MIN = 0.85
 
 # Fusion floors of the vm_throughput modes, over the full kernel x target
 # matrix (fused_speedup = unfused time / fused time, median of interleaved
@@ -271,28 +288,19 @@ def main():
     ap.add_argument("current", nargs="?", default=None,
                     help="freshly measured vm_throughput --json (unused "
                          "with --obs-overhead)")
-    ap.add_argument("--max-regress", type=float, default=0.15,
-                    help="allowed fractional regression (default 0.15)")
     ap.add_argument("--relative", action="store_true",
                     help="gate fused-vs-unfused within the current report "
                          "instead of against the baseline's nanoseconds")
     ap.add_argument("--obs-overhead", action="store_true",
                     help="gate ON-but-idle tracing cost against the dark "
                          "measurement inside one report")
-    ap.add_argument("--max-obs-overhead", type=float, default=0.02,
-                    help="allowed idle-tracing overhead (default 0.02)")
     ap.add_argument("--native-floor", action="store_true",
                     help="gate the native tier's headline ns/op against "
                          "the VM's fused ns/op inside one "
                          "native_throughput report")
-    ap.add_argument("--native-floor-ratio", type=float, default=0.5,
-                    help="maximum native/VM ns-per-op ratio (default 0.5)")
     ap.add_argument("--elision-floor", action="store_true",
                     help="gate elided vs unelided native ns/op inside one "
                          "native_throughput report")
-    ap.add_argument("--elision-floor-geomean", type=float, default=1.0,
-                    help="minimum geomean elision-ON-vs-OFF native speedup "
-                         "(default 1.0)")
     ap.add_argument("--audit-json", default=None,
                     help="with --elision-floor: a vapor-crashtest --audit "
                          "--json report that must show zero would-have-"
@@ -306,23 +314,11 @@ def main():
                     help="gate a vapor-replay BENCH_server.json report: "
                          "contract-clean load run, work completed, cache "
                          "hit rate above the floor")
-    ap.add_argument("--server-min-hit-rate", type=float, default=0.10,
-                    help="minimum cache_hit_rate for --server-floor "
-                         "(default 0.10)")
     ap.add_argument("--tiering-floor", action="store_true",
                     help="gate a tiering_latency BENCH_tiering.json "
                          "report: all-cell and worst-cell cold TTFR "
                          "speedup, no interpreter cold runs, and "
                          "steady-state parity with eager")
-    ap.add_argument("--tiering-cold-floor", type=float, default=2.0,
-                    help="minimum geomean cold-TTFR speedup over every "
-                         "cell (default 2.0)")
-    ap.add_argument("--tiering-steady-floor", type=float, default=0.95,
-                    help="minimum geomean steady-state tiered/eager "
-                         "throughput ratio (default 0.95)")
-    ap.add_argument("--tiering-steady-cell-min", type=float, default=0.85,
-                    help="minimum per-cell steady-state ratio "
-                         "(default 0.85)")
     ap.add_argument("--verify-linear", action="store_true",
                     help="gate a jit_compile_time --verify-json report: "
                          "no kernel's verify us/KB above 2.0x the median "
@@ -419,18 +415,18 @@ def main():
         slowest = sorted(cells, key=lambda c: c["cold_speedup"])[:5]
         cold_min = slowest[0]["cold_speedup"]
         bad = []
-        if cold < args.tiering_cold_floor:
+        if cold < TIERING_COLD_FLOOR:
             bad.append(f"cold speedup geomean {cold:.2f}x"
-                       f"<{args.tiering_cold_floor:.2f}x")
+                       f"<{TIERING_COLD_FLOOR:.2f}x")
         if cold_min < TIERING_COLD_CELL_MIN:
             bad.append(f"worst cold cell {cold_min:.3f}x"
                        f"<{TIERING_COLD_CELL_MIN:.2f}x")
-        if steady < args.tiering_steady_floor:
+        if steady < TIERING_STEADY_FLOOR:
             bad.append(f"steady ratio geomean {steady:.3f}"
-                       f"<{args.tiering_steady_floor:.2f}")
-        if steady_min < args.tiering_steady_cell_min:
+                       f"<{TIERING_STEADY_FLOOR:.2f}")
+        if steady_min < TIERING_STEADY_CELL_MIN:
             bad.append(f"steady ratio min {steady_min:.3f}"
-                       f"<{args.tiering_steady_cell_min:.2f}")
+                       f"<{TIERING_STEADY_CELL_MIN:.2f}")
         # The interpreter is the degradation chain's last resort, never a
         # cold entry: a cold run that executed it is a tiering regression.
         interp = [name(c) for c in cells
@@ -449,13 +445,13 @@ def main():
         verdict = "FAIL" if bad else "PASS"
         print(f"perf_gate: {verdict}: tiered cold-TTFR geomean {cold:.2f}x "
               f"over {len(cells)} cells (floor "
-              f"{args.tiering_cold_floor:.1f}x), worst {cold_min:.3f}x "
+              f"{TIERING_COLD_FLOOR:.1f}x), worst {cold_min:.3f}x "
               f"(floor {TIERING_COLD_CELL_MIN:.2f}x); slowest: "
               + ", ".join(f"{name(c)} {c['cold_speedup']:.3f}x"
                           for c in slowest)
               + f"; steady ratio geomean {steady:.3f} min "
-              f"{steady_min:.3f} (floors {args.tiering_steady_floor:.2f}/"
-              f"{args.tiering_steady_cell_min:.2f})")
+              f"{steady_min:.3f} (floors {TIERING_STEADY_FLOOR:.2f}/"
+              f"{TIERING_STEADY_CELL_MIN:.2f})")
         if bad:
             print("perf_gate: tiered execution broke its latency "
                   "contract: " + ", ".join(bad), file=sys.stderr)
@@ -494,9 +490,9 @@ def main():
                 sys.exit(2)
         if completed <= 0 or rps <= 0:
             bad.append(f"completed={completed} throughput={rps}")
-        if hit < args.server_min_hit_rate:
+        if hit < SERVER_MIN_HIT_RATE:
             bad.append(f"cache_hit_rate={hit:.3f}"
-                       f"<{args.server_min_hit_rate:.2f}")
+                       f"<{SERVER_MIN_HIT_RATE:.2f}")
         verdict = "FAIL" if bad else "PASS"
         print(f"perf_gate: {verdict}: server replay "
               f"completed={completed} p50={report.get('p50_ms', 0):.2f}ms "
@@ -523,13 +519,13 @@ def main():
             print(f"perf_gate: {path} has no usable geomean_elide_speedup",
                   file=sys.stderr)
             sys.exit(2)
-        verdict = "PASS" if geo >= args.elision_floor_geomean else "FAIL"
+        verdict = "PASS" if geo >= ELISION_FLOOR_GEOMEAN else "FAIL"
         print(f"perf_gate: {verdict}: geomean elision-ON-vs-OFF native "
               f"speedup {geo:.2f}x "
-              f"(floor {args.elision_floor_geomean:.2f}x); headline "
+              f"(floor {ELISION_FLOOR_GEOMEAN:.2f}x); headline "
               f"elided {report.get('native_ns_per_op_elide', 0):.4f} vs "
               f"unelided {report.get('native_ns_per_op', 0):.4f} ns/op")
-        if geo < args.elision_floor_geomean:
+        if geo < ELISION_FLOOR_GEOMEAN:
             print("perf_gate: certificate-driven check elision no longer "
                   "pays for itself across the matrix; check whether the "
                   "verifier stopped certifying accesses or the native "
@@ -578,12 +574,12 @@ def main():
                 print(f"perf_gate: {path} has no usable {name}",
                       file=sys.stderr)
                 sys.exit(2)
-        limit = vm * args.native_floor_ratio
+        limit = vm * NATIVE_FLOOR_RATIO
         ratio = native / vm
         verdict = "PASS" if native <= limit else "FAIL"
         print(f"perf_gate: {verdict}: native {native:.4f} vs VM fused "
               f"{vm:.3f} ns/op, ratio {ratio:.2f} "
-              f"(limit {args.native_floor_ratio:.2f})")
+              f"(limit {NATIVE_FLOOR_RATIO:.2f})")
         if native > limit:
             print("perf_gate: the native tier no longer clears its payoff "
                   "floor against the VM; check the emitter for lost inline "
@@ -636,12 +632,12 @@ def main():
                 print(f"perf_gate: {path} has no usable {name} "
                       f"(built with -DVAPOR_OBS=OFF?)", file=sys.stderr)
                 sys.exit(2)
-        limit = off * (1.0 + args.max_obs_overhead)
+        limit = off * (1.0 + MAX_OBS_OVERHEAD)
         delta = (idle - off) / off
         verdict = "PASS" if idle <= limit else "FAIL"
         print(f"perf_gate: {verdict}: obs idle {idle:.3f} vs dark "
               f"{off:.3f} ns/op, overhead {delta:+.2%} "
-              f"(limit +{args.max_obs_overhead:.0%})")
+              f"(limit +{MAX_OBS_OVERHEAD:.0%})")
         if idle > limit:
             print("perf_gate: ON-but-idle tracing overhead exceeds the "
                   "budget; a recording site is probably doing work before "
@@ -690,11 +686,11 @@ def main():
                 f"ns/dispatched-op")
         measured = cur_ns
 
-    limit = ref_ns * (1.0 + args.max_regress)
+    limit = ref_ns * (1.0 + MAX_REGRESS)
     delta = (measured - ref_ns) / ref_ns
     verdict = "PASS" if measured <= limit else "FAIL"
     print(f"perf_gate: {verdict}: {what}, delta {delta:+.1%} "
-          f"(limit +{args.max_regress:.0%})")
+          f"(limit +{MAX_REGRESS:.0%})")
     fusion_ok = fusion_gate(cur, args.current)
     if measured > limit:
         print("perf_gate: dispatch throughput regressed past the gate; "

@@ -560,7 +560,7 @@ private:
       // then fit an imm and the 64-bit intermediate cannot overflow.
       return scalarSize(K) <= 2;
     default:
-      return false; // Div/Rem keep the VM's assert-on-zero via the shim.
+      return false; // Div/Rem: the shim's total ir::divRemInt, no idiv.
     }
   }
 

@@ -74,6 +74,25 @@ VAPOR_ALWAYS_INLINE uint64_t encodeFP(ScalarKind K, double V) {
   return std::bit_cast<uint64_t>(V);
 }
 
+/// Integer division (\p Rem false) or remainder of the decoded lanes
+/// \p X and \p Y of kind \p K, with one total definition, RISC-V's:
+/// x / 0 is all ones, x % 0 is x, and the one overflowing quotient,
+/// MIN / -1, is MIN with remainder 0. Unsigned kinds divide unsigned.
+/// No operand traps, so no executor computing through here can.
+VAPOR_ALWAYS_INLINE int64_t divRemInt(ScalarKind K, bool Rem, int64_t X,
+                                      int64_t Y) {
+  if (Y == 0)
+    return Rem ? X : -1; // -1 encodes as all ones in every kind.
+  if (!isSignedKind(K)) {
+    const uint64_t UX = static_cast<uint64_t>(X);
+    const uint64_t UY = static_cast<uint64_t>(Y);
+    return static_cast<int64_t>(Rem ? UX % UY : UX / UY);
+  }
+  if (Y == -1) // Wrapping negation: MIN / -1 is MIN.
+    return Rem ? 0 : static_cast<int64_t>(0 - static_cast<uint64_t>(X));
+  return Rem ? X % Y : X / Y;
+}
+
 /// Applies binary arithmetic opcode \p Op on lanes of kind \p K.
 VAPOR_ALWAYS_INLINE uint64_t applyBinop(Opcode Op, ScalarKind K, uint64_t A,
                                         uint64_t B) {
@@ -145,12 +164,8 @@ VAPOR_ALWAYS_INLINE uint64_t applyBinop(Opcode Op, ScalarKind K, uint64_t A,
                              static_cast<uint64_t>(Y));
     break;
   case Opcode::Div:
-    assert(Y != 0 && "integer division by zero");
-    R = X / Y;
-    break;
   case Opcode::Rem:
-    assert(Y != 0 && "integer remainder by zero");
-    R = X % Y;
+    R = divRemInt(K, Op == Opcode::Rem, X, Y);
     break;
   case Opcode::Min:
   case Opcode::Max: {

@@ -149,9 +149,7 @@ std::vector<uint8_t> server::encodeRunRequest(const RunRequest &R) {
   W.str(R.Tenant);
   W.str(R.Name);
   W.str(R.Target);
-  uint8_t Flags = (R.UseNative ? 1u : 0u) | (R.VerifyBytecode ? 2u : 0u) |
-                  (R.UseCodeCache ? 4u : 0u);
-  W.u8(Flags);
+  W.u8(R.UseNative ? 1u : 0u);
   W.u8(R.Elide);
   W.u8(R.Inject);
   W.u64(R.DeadlineFuel);
@@ -183,9 +181,7 @@ Status server::decodeRunRequest(const uint8_t *Data, size_t Len,
   Out.Target = R.str();
   uint8_t Flags = R.u8();
   Out.UseNative = (Flags & 1u) != 0;
-  Out.VerifyBytecode = (Flags & 2u) != 0;
-  Out.UseCodeCache = (Flags & 4u) != 0;
-  if ((Flags & ~7u) != 0)
+  if ((Flags & ~1u) != 0)
     return malformed("run request: unknown flag bits");
   Out.Elide = R.u8();
   if (Out.Elide > 2)

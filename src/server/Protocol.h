@@ -66,15 +66,14 @@ bool isRequestKind(uint8_t K);
 
 /// One kernel-execution request: an already-vectorized bytecode module
 /// plus everything the executor needs to run it. The server trusts no
-/// field; the bytecode goes through the full decode/verify gate.
+/// field; the bytecode goes through decode and then the verify gate,
+/// which every vector tier runs and no request can switch off.
 struct RunRequest {
   uint64_t RequestId = 0; ///< Client-chosen; unique per connection.
   std::string Tenant;     ///< Quota/cache accounting identity.
   std::string Name;       ///< Label for traces and error messages.
   std::string Target;     ///< Target model name ("sse", "avx", ...).
-  bool UseNative = false;
-  bool VerifyBytecode = true;
-  bool UseCodeCache = true;
+  bool UseNative = false;    ///< Flag bit 0x1; any other bit is malformed.
   uint8_t Elide = 1;        ///< target::ElisionMode value (validated).
   uint64_t DeadlineFuel = 0; ///< 0 = accept the server's default budget.
   uint64_t FillSeed = 7;

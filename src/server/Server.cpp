@@ -344,8 +344,6 @@ struct Server::Impl {
     RunOptions RO;
     RO.Target = *TD;
     RO.UseNative = Req.UseNative;
-    RO.VerifyBytecode = Req.VerifyBytecode;
-    RO.UseCodeCache = Req.UseCodeCache;
     RO.Elide = static_cast<target::ElisionMode>(Req.Elide);
     uint64_t Fuel =
         Req.DeadlineFuel ? Req.DeadlineFuel : Opts.DefaultDeadlineFuel;

@@ -44,11 +44,12 @@ void recordDemotion(const kernels::Kernel &K, const RunOptions &O,
               {"status", obs::argStr(St.str())}});
 }
 
-/// The decode layer, through the code cache when \p Cached: a decoded
+/// The decode layer, through the code cache when it is enabled: a decoded
 /// module is a pure function of its encoded bytes, so decoding the same
 /// bytes again is a lookup. The module id is 0 when it is not cached.
 status::Expected<jit::cache::CachedModule>
-decodeCached(const std::vector<uint8_t> &Bytes, bool Cached) {
+decodeCached(const std::vector<uint8_t> &Bytes) {
+  const bool Cached = jit::cache::enabled();
   if (Cached)
     if (jit::cache::CachedModule Hit = jit::cache::findModule(Bytes); Hit.Fn)
       return Hit;
@@ -120,8 +121,7 @@ uint64_t Executor::tieringKey() {
   uint64_t Flags = (O.UseNative ? 1u : 0u) | (FailClosed ? 2u : 0u) |
                    (O.FoldAddressing ? 4u : 0u) |
                    (O.PromoteAccumulators ? 8u : 0u) |
-                   (O.FuseOps ? 16u : 0u) | (O.VerifyBytecode ? 32u : 0u) |
-                   (O.UseCodeCache ? 64u : 0u) |
+                   (O.FuseOps ? 16u : 0u) |
                    (static_cast<uint64_t>(O.Tier) << 8) |
                    (static_cast<uint64_t>(O.Elide) << 16);
   H = jit::cache::hashCombine(H, Flags);
@@ -159,18 +159,14 @@ RunOutcome Executor::runTiered(ExecTier Eager) {
     RunOptions O2 = O;
     O2.Tiered = false;
     kernels::Kernel K2 = K;
-    std::shared_ptr<const ir::Function> Vec = VecModule;
-    uint64_t VecId = VecModuleId;
-    size_t PDB = PreDecodedBytes;
-    bool FC = FailClosed;
     ExecTier CT = static_cast<ExecTier>(D.CompileTier);
     std::string Tenant = jit::cache::currentTenant();
     tiering::engine().enqueueCompile(
         Key, D.EntryTier, D.CompileTier,
-        [K2, O2, Vec, VecId, PDB, FC, CT, Tenant]() -> bool {
+        [K2, O2, Vec = VecModule, Bytes = VecModuleBytes, Id = VecModuleId,
+         FC = FailClosed, CT, Tenant]() -> bool {
           jit::cache::ScopedTenant Scope(Tenant);
-          RunOutcome BG = FC ? Executor(K2, O2, Vec, PDB, VecId).runChain(CT)
-                             : Executor(K2, O2).runChain(CT);
+          RunOutcome BG = Executor(K2, O2, Vec, Bytes, Id, FC).runChain(CT);
           return BG.Terminal.ok() &&
                  static_cast<uint8_t>(BG.Tier) <= static_cast<uint8_t>(CT);
         });
@@ -238,23 +234,14 @@ RunOutcome Executor::runChain(ExecTier Entry) {
         Out.Terminal = St;
         break;
       }
-      ExecTier Next;
-      if (St.layer() == Layer::Verify) {
-        Next = ExecTier::ScalarJit; // Forced-scalar code is safe to run.
-      } else if (St.layer() == Layer::Vm) {
-        ++Out.Retries; // Deoptimize: recompile scalar after the trap.
-        Next = ExecTier::ScalarJit;
-      } else if (FailClosed) {
-        // Server mode has no ScalarBytecode tier (no trusted source to
-        // re-encode); a lowering failure recovers on the forced-scalar
-        // re-JIT of the same pre-decoded module instead. Decode cannot
-        // fail here -- the module arrived decoded.
-        Next = ExecTier::ScalarJit;
-      } else {
-        // Decode failures leave no module to re-JIT; JIT failures demote
-        // past the vector bytecode entirely.
-        Next = ExecTier::ScalarBytecode;
-      }
+      // Demote to the next tier that can run: the forced-scalar re-JIT
+      // of the decoded module (safe whatever the gate or the lowering
+      // rejected), or, when the decode itself failed, the scalar
+      // bytecode. A runtime trap is a deoptimization: count a retry.
+      if (St.layer() == Layer::Vm)
+        ++Out.Retries;
+      const ExecTier Next =
+          VecModule ? ExecTier::ScalarJit : ExecTier::ScalarBytecode;
       Out.Demotions.push_back(St);
       recordDemotion(K, O, St, T, Next);
       T = Next;
@@ -271,9 +258,10 @@ RunOutcome Executor::runChain(ExecTier Entry) {
         break;
       }
       if (FailClosed || St.code() == Code::DeadlineExceeded) {
-        // Fail closed: past ScalarJit lie only tiers that re-derive
-        // from trusted kernel source or run the checkpoint-free
-        // interpreter -- neither may see tenant-supplied input.
+        // The one place trust decides: past ScalarJit lie only tiers
+        // that re-derive from trusted kernel source or run the
+        // checkpoint-free interpreter -- neither may see tenant-supplied
+        // input, so a server flow fails closed here.
         Out.Tier = ExecTier::ScalarJit;
         Out.Terminal = St;
         break;
@@ -320,50 +308,36 @@ RunOutcome Executor::runChain(ExecTier Entry) {
 }
 
 Status Executor::prepareVectorized(RunOutcome &Out) {
-  if (FailClosed) {
-    // Server mode: the module arrived pre-decoded (and pre-vectorized),
-    // so there is no offline stage and no interchange round trip to run
-    // here -- only the verify gate stands between the wire bytes and
-    // the JIT.
-    Out.BytecodeBytes = PreDecodedBytes;
-    if (O.VerifyBytecode)
-      return verifyCached(*VecModule, VecModuleId,
-                          "bytecode verification failed for ");
-    return Status::okStatus();
+  if (!VecModule) {
+    // --- Offline stage (trusted: keeps its internal asserts) ---
+    auto VR = vectorizer::vectorize(K.Source, O.VecOpts);
+    Out.AnyLoopVectorized = VR.anyVectorized();
+    Out.LoopDecisions = VR.Loops;
+
+    // The split layer is a real interchange format: encode and decode
+    // what the online compiler consumes (also yields the size
+    // statistic). The decode and verification verdicts are pure
+    // functions of the encoded bytes (and target), so sweep re-runs
+    // take them from the cache.
+    std::vector<uint8_t> Encoded = bytecode::encode(VR.Output);
+    VecModuleBytes = Encoded.size();
+    if (obs::tracingActive())
+      obs::event("bytecode", "encode",
+                 {{"kernel", obs::argStr(K.Name)},
+                  {"bytes", obs::argStr(static_cast<uint64_t>(
+                                Encoded.size()))}});
+    auto Module = decodeCached(Encoded);
+    if (!Module)
+      return Module.status();
+    VecModule = Module->Fn;
+    VecModuleId = Module->Id;
   }
-
-  // --- Offline stage (trusted: keeps its internal asserts) ---
-  auto VR = vectorizer::vectorize(K.Source, O.VecOpts);
-  Out.AnyLoopVectorized = VR.anyVectorized();
-  Out.LoopDecisions = VR.Loops;
-
-  // The split layer is a real interchange format: encode and decode what
-  // the online compiler consumes (also yields the size statistic). The
-  // decode and verification verdicts are pure functions of the encoded
-  // bytes (and target), so sweep re-runs take them from the cache.
-  std::vector<uint8_t> Encoded = bytecode::encode(VR.Output);
-  Out.BytecodeBytes = Encoded.size();
-  if (obs::tracingActive())
-    obs::event("bytecode", "encode",
-               {{"kernel", obs::argStr(K.Name)},
-                {"bytes", obs::argStr(static_cast<uint64_t>(Encoded.size()))}});
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  auto Module = decodeCached(Encoded, Cached);
-  if (!Module)
-    return Module.status();
-  VecModule = Module->Fn;
-  VecModuleId = Module->Id;
+  Out.BytecodeBytes = VecModuleBytes;
 
   // The split layer's contract: what crosses it must be provably safe
   // for every lowering the online compiler may pick on this target.
-  if (O.VerifyBytecode) {
-    Status St = verifyCached(*VecModule, VecModuleId,
-                             "bytecode verification failed for ");
-    if (!St.ok())
-      return St;
-  }
-
-  return Status::okStatus();
+  return verifyCached(*VecModule, VecModuleId,
+                      "bytecode verification failed for ");
 }
 
 Status Executor::attemptNative(RunOutcome &Out) {
@@ -391,24 +365,22 @@ Status Executor::attemptVectorized(RunOutcome &Out) {
 }
 
 Status Executor::attemptScalarJit(RunOutcome &Out) {
+  Out.BytecodeBytes = VecModuleBytes; // Also on a tiered cold entry.
   return runModule(Out, *VecModule, VecModuleId, /*ForceScalarize=*/true);
 }
 
 Status Executor::attemptScalarBytecode(RunOutcome &Out) {
   std::vector<uint8_t> Encoded = bytecode::encode(K.Source);
   Out.BytecodeBytes = Encoded.size();
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  auto Module = decodeCached(Encoded, Cached);
+  auto Module = decodeCached(Encoded);
   if (!Module)
     return Module.status();
   const ir::Function &Fn = *Module->Fn;
 
-  if (O.VerifyBytecode) {
-    Status St = verifyCached(Fn, Module->Id,
-                             "scalar bytecode verification failed for ");
-    if (!St.ok())
-      return St;
-  }
+  Status St = verifyCached(Fn, Module->Id,
+                           "scalar bytecode verification failed for ");
+  if (!St.ok())
+    return St;
 
   return runModule(Out, Fn, Module->Id, /*ForceScalarize=*/false);
 }
@@ -416,8 +388,7 @@ Status Executor::attemptScalarBytecode(RunOutcome &Out) {
 Status Executor::verifyCached(const ir::Function &Module, uint64_t ModuleId,
                               const char *FailPrefix) {
   Cert.reset(); // Never let a previous module's certificate leak forward.
-  const bool Cached =
-      ModuleId != 0 && O.UseCodeCache && jit::cache::enabled();
+  const bool Cached = ModuleId != 0 && jit::cache::enabled();
   uint64_t TargetHash = Cached ? jit::cache::hashTarget(O.Target) : 0;
   std::optional<jit::cache::VerifyResult> VRes;
   if (Cached)
@@ -485,8 +456,7 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
   JO.FoldAddressing = O.FoldAddressing;
   JO.PromoteAccumulators = O.PromoteAccumulators;
   JO.ForceScalarize = ForceScalarize;
-  const bool Cached =
-      ModuleId != 0 && O.UseCodeCache && jit::cache::enabled();
+  const bool Cached = ModuleId != 0 && jit::cache::enabled();
   uint64_t CompKey = 0;
   std::shared_ptr<const jit::CompileResult> R;
   auto T0 = std::chrono::steady_clock::now();
@@ -680,8 +650,7 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
   // Decode first (through the cache when enabled): the bytes are the
   // only definition of the work, so a decode failure is terminal -- no
   // lower tier can synthesize a module the wire format rejected.
-  auto Decoded =
-      decodeCached(W.Bytecode, O.UseCodeCache && jit::cache::enabled());
+  auto Decoded = decodeCached(W.Bytecode);
   if (!Decoded) {
     RunOutcome Out;
     Out.Terminal = Decoded.status();
@@ -689,19 +658,20 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
   }
   std::shared_ptr<const ir::Function> Module = Decoded->Fn;
 
-  // Synthesize the workload the executor drives: the decoded module is
-  // the source of truth for arrays and params; the fill is the
-  // deterministic default (seeded), so a client that knows the original
-  // source can recompute the golden result independently.
+  // The workload the executor drives: the decoded module defines the
+  // arrays and params, and the fill is the deterministic default
+  // (seeded) over that same shared module, so a client that knows the
+  // original source can recompute the golden result independently. The
+  // kernel has no Source: a fail-closed chain never reaches the tiers
+  // that read one.
   kernels::Kernel K;
   K.Name = W.Name.empty() ? Module->Name : W.Name;
   K.Suite = "server";
-  K.Source = *Module;
   K.IntParams = W.IntParams;
   K.FPParams = W.FPParams;
-  const uint64_t Seed = W.FillSeed;
-  K.Fill = [Seed](kernels::FillSink &Sink, const ir::Function &F) {
-    kernels::defaultFill(Sink, F, Seed);
+  K.Fill = [Module, Seed = W.FillSeed](kernels::FillSink &Sink,
+                                       const ir::Function &) {
+    kernels::defaultFill(Sink, *Module, Seed);
   };
 
   return Executor(K, O, Module, W.Bytecode.size(), Decoded->Id)

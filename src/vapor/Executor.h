@@ -27,17 +27,20 @@
 ///                   that can.
 ///
 /// Demotion edges (each carries the demoting Status into the outcome):
-///   native fail     -> Vectorized (any failure: unsupported host, page
-///                      allocation, runtime trap. The VM is the golden
-///                      execution of the exact same lowering, so this
-///                      edge is NOT a retry -- the vector code is not
-///                      suspect, only its native binding);
-///   decode fail     -> ScalarBytecode (-> Interpreter if decode fails
-///                      again: the fault is in the interchange layer);
-///   verify fail     -> ScalarJit (the gate rejected a vector lowering;
-///                      forced-scalar code is safe by construction);
-///   JIT lower fail  -> ScalarBytecode;
-///   VM runtime trap -> ScalarJit, counted as a Retry (deoptimization).
+///   native fail     -> Vectorized, on the module the native attempt
+///                      decoded (any failure: unsupported host, page
+///                      allocation, runtime trap; NOT a retry -- the
+///                      vector code is not suspect, only its binding);
+///   vectorized fail -> ScalarJit when a module was decoded (verify
+///                      gate, JIT lowering, VM trap -- a trap counts a
+///                      Retry), else ScalarBytecode (the decode failed);
+///   ScalarJit fail  -> ScalarBytecode in a trusted kernel flow, a
+///                      Terminal Status in a server flow;
+///   ScalarBytecode fail -> Interpreter.
+///
+/// Both flows walk this one chain; trust is read only after ScalarJit,
+/// as the tiers below re-encode the kernel source or run the interpreter
+/// (no deadline checkpoint), neither fit for tenant-supplied input.
 ///
 /// Every VM at this level runs in trap-recording mode, so a runtime
 /// fault comes back as a Vm-layer Status with structured TrapInfo rather
@@ -56,22 +59,21 @@ namespace vapor {
 
 class Executor {
 public:
-  Executor(const kernels::Kernel &K, const RunOptions &O) : K(K), O(O) {}
+  /// Kernel-mode executor: trusted kernel source, no module decoded yet.
+  Executor(const kernels::Kernel &K, const RunOptions &O)
+      : Executor(K, O, nullptr, 0, 0, /*FailClosed=*/false) {}
 
   /// Server-mode executor: \p PreDecoded is the already-decoded module
   /// the (untrusted) encoded bytes produced and \p EncodedBytes its wire
-  /// size. The chain FAIL-CLOSES after ScalarJit: with no trusted kernel
-  /// source behind the module, the ScalarBytecode re-encode is a no-op
-  /// and the interpreter tier -- which has no deadline checkpoint --
-  /// must never run tenant-supplied input. \p K still supplies the
-  /// workload (params, fill, name); its Source is the decoded module.
-  /// \p ModuleId is the code cache's id for it (jit::cache::findModule),
-  /// 0 when it is not cached: the verify and compile memos key on it.
+  /// size. The chain FAIL-CLOSES after ScalarJit. \p K supplies only the
+  /// workload (params, fill, name); its Source is not read. \p ModuleId
+  /// is the code cache's id for the module (jit::cache::findModule), 0
+  /// when it is not cached: the verify and compile memos key on it.
   Executor(const kernels::Kernel &K, const RunOptions &O,
            std::shared_ptr<const ir::Function> PreDecoded,
            size_t EncodedBytes, uint64_t ModuleId = 0)
-      : K(K), O(O), VecModule(std::move(PreDecoded)), VecModuleId(ModuleId),
-        PreDecodedBytes(EncodedBytes), FailClosed(true) {}
+      : Executor(K, O, std::move(PreDecoded), EncodedBytes, ModuleId,
+                 /*FailClosed=*/true) {}
 
   /// Walks the chain starting at \p Entry (Vectorized for the
   /// SplitVectorized flow, ScalarBytecode for SplitScalar) until a tier
@@ -92,6 +94,15 @@ public:
   uint64_t tieringKey();
 
 private:
+  /// One constructor for both flows: \p Module (null until decoded in a
+  /// kernel flow) plus the trust bit. The tiering background job builds
+  /// its executor through it.
+  Executor(const kernels::Kernel &K, const RunOptions &O,
+           std::shared_ptr<const ir::Function> Module, size_t ModuleBytes,
+           uint64_t ModuleId, bool FailClosed)
+      : K(K), O(O), VecModule(std::move(Module)), VecModuleId(ModuleId),
+        VecModuleBytes(ModuleBytes), FailClosed(FailClosed) {}
+
   /// Which engine runModule hands the compiled MachineIR to.
   enum class RunEngine : uint8_t {
     Vm,     ///< Cycle-model target VM (trap-recording).
@@ -109,11 +120,11 @@ private:
   /// CodeCache), and reports demotions back as pins.
   RunOutcome runTiered(ExecTier Eager);
 
-  /// The shared front of the Native and Vectorized tiers: offline
-  /// vectorize, encode/decode through the interchange format, verify
-  /// gate. On success VecModule/VecModuleId are set. Re-running it is
-  /// deterministic, so a Native -> Vectorized demotion simply prepares
-  /// again (warm-cache runs memoize every stage anyway).
+  /// The shared front of the Native and Vectorized tiers. Without a
+  /// module it runs the offline stage first (vectorize, encode, decode
+  /// through the interchange format) and sets VecModule/VecModuleId;
+  /// then, for both flows, the verify gate. A Native -> Vectorized
+  /// demotion therefore verifies the module the native attempt decoded.
   status::Status prepareVectorized(RunOutcome &Out);
 
   /// prepareVectorized + vector JIT + native x86-64 execution.
@@ -149,16 +160,14 @@ private:
   /// Decoded vectorized module, if any; possibly shared with the code
   /// cache (immutable either way).
   std::shared_ptr<const ir::Function> VecModule;
-  uint64_t VecModuleId = 0; ///< Code-cache id of VecModule (0 = uncached).
-  size_t PreDecodedBytes = 0; ///< Wire size of the server-mode module.
+  uint64_t VecModuleId = 0;  ///< Code-cache id of VecModule (0 = uncached).
+  size_t VecModuleBytes = 0; ///< Encoded size of VecModule.
   /// Server mode: stop (RunOutcome::Terminal) instead of demoting past
-  /// ScalarJit. Also skips the offline vectorize/encode in
-  /// prepareVectorized -- VecModule arrived pre-decoded.
+  /// ScalarJit.
   bool FailClosed = false;
   /// Safety certificate the last verifyCached call captured for the
-  /// module it verified (null when the verifier proved nothing or the
-  /// verify gate is off). Always describes the module runModule runs
-  /// next: each verify resets it.
+  /// module it verified (null when the verifier proved nothing). Always
+  /// describes the module runModule runs next: each verify resets it.
   std::shared_ptr<const analysis::SafetyCertificate> Cert;
 };
 

@@ -73,23 +73,9 @@ struct RunOptions {
   /// Runtime placement: misalignment (bytes mod 32) of external arrays;
   /// internal arrays are allocated by our runtime, which aligns them.
   uint32_t ExternalMisalign = 0;
-  uint64_t FillSeed = 7;
-  /// Statically verify the decoded bytecode for the run's target before
-  /// handing it to the JIT. A verification failure is not fatal: the
-  /// executor records a Verify-layer Status in RunOutcome::Demotions and
-  /// demotes the run to the forced-scalar JIT tier (scalar lowering emits
-  /// no checked vector accesses, so no alignment lie can trap it). Split
-  /// flows only (native flows bypass the interchange format).
-  bool VerifyBytecode = true;
-  /// Online-stage performance layer. FuseOps runs the VM's macro-op
-  /// fusion peephole (bit-identical results and modeled cycles, fewer
-  /// dispatches). UseCodeCache memoizes decode, verification, JIT
-  /// lowering, and VM pre-decode through the content-addressed cache
-  /// (jit/CodeCache.h); the cache stands down automatically while a
-  /// fault-injection controller is active, so instrumented runs always
-  /// execute every stage.
+  /// Runs the VM's macro-op fusion peephole (bit-identical results and
+  /// modeled cycles, fewer dispatches).
   bool FuseOps = true;
-  bool UseCodeCache = true;
   /// Native execution tier: compile the vector lowering to host x86-64
   /// (src/codegen) instead of running the cycle-model VM. Bit-exact
   /// against the VM by contract; any native failure (unsupported host,
@@ -105,11 +91,12 @@ struct RunOptions {
   /// and drop the granted align/bounds checks from the VM pre-decode and
   /// the native code. Audit: keep every check live but count instances
   /// where an elidable check's predicate would genuinely have fired
-  /// (the crashtest's soundness sweep). Off: consumer disabled. Elision
-  /// requires the verify gate (VerifyBytecode) -- without it there is no
-  /// certificate and every check stays. Fault-injected runs stand down
-  /// from On to Off automatically so an injected fault can never be
-  /// masked by an elided check.
+  /// (the crashtest's soundness sweep). Off: consumer disabled. The
+  /// certificate comes from the verify gate, which runs on every vector
+  /// tier; forced-scalar recompiles run code it does not describe and
+  /// never elide. Fault-injected runs stand down from On to Off
+  /// automatically so an injected fault can never be masked by an
+  /// elided check.
   target::ElisionMode Elide = target::ElisionMode::On;
   /// Per-run execution deadline as a dispatch budget: the VM counts op
   /// dispatches, the native tier counts shim calls (its only recurring
@@ -230,12 +217,12 @@ struct ModuleWorkload {
   uint64_t FillSeed = 7; ///< Seed for the deterministic default fill.
 };
 
-/// Server-mode entry point: decodes and runs \p W under the
-/// fault-tolerant executor with the chain FAIL-CLOSED at the JIT tiers
-/// ([Native ->] Vectorized -> ScalarJit -> stop). Unlike runKernel there
-/// is no trusted kernel source behind the bytes, so a run that cannot
-/// complete on a JIT tier reports a Terminal Status instead of falling
-/// back to ScalarBytecode/Interpreter -- the interpreter has no deadline
+/// Server-mode entry point: decodes and runs \p W on the fault-tolerant
+/// executor's one chain, FAIL-CLOSED after ScalarJit ([Native ->]
+/// Vectorized -> ScalarJit -> stop). Unlike runKernel there is no
+/// trusted kernel source behind the bytes, so a run that cannot complete
+/// on a JIT tier reports a Terminal Status instead of falling back to
+/// ScalarBytecode/Interpreter -- the interpreter has no deadline
 /// checkpoint, and an unbounded golden-model walk over tenant-supplied
 /// input is exactly the wedged-worker failure mode the service exists to
 /// prevent. Decode failures, verify failures after demotion, and

@@ -194,9 +194,11 @@ public:
     });
   }
 
-  /// A / K when K divides the constant and every coefficient of A.
+  /// A / K when K divides the constant and every coefficient of A. Not
+  /// for K = -1, whose quotient of INT64_MIN overflows (the program's
+  /// wraps to MIN; here even the remainder test traps).
   std::optional<AffId> divExact(AffId A, int64_t K) {
-    if (K == 0 || Forms[A].C % K != 0)
+    if (K == 0 || K == -1 || Forms[A].C % K != 0)
       return std::nullopt;
     for (const Term &X : terms(A))
       if (X.Coef % K != 0)

@@ -10,9 +10,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Bytecode.h"
 #include "support/FaultInject.h"
 #include "vapor/Executor.h"
 #include "vapor/Pipeline.h"
+#include "vectorizer/Vectorizer.h"
 
 #include <gtest/gtest.h>
 
@@ -84,13 +86,16 @@ TEST(ExecutorTest, VerifyFailureDemotesToScalarJit) {
   EXPECT_EQ(Out.Retries, 0u);  // A demotion, not a deopt retry.
 }
 
-TEST(ExecutorTest, JitFailureDemotesToScalarBytecode) {
+TEST(ExecutorTest, JitFailureDemotesToScalarJit) {
   ScopedFault F(SiteClass::JitLower);
   RunOutcome Out = runChecked(kernelByName("saxpy_fp"));
-  EXPECT_EQ(Out.Tier, ExecTier::ScalarBytecode);
+  // The module decoded, so the forced-scalar re-JIT of it runs next.
+  EXPECT_EQ(Out.Tier, ExecTier::ScalarJit);
   ASSERT_EQ(Out.Demotions.size(), 1u);
   EXPECT_EQ(Out.Demotions[0].layer(), status::Layer::Jit);
   EXPECT_EQ(Out.Demotions[0].code(), status::Code::UnsupportedIdiom);
+  EXPECT_TRUE(Out.Scalarized);
+  EXPECT_EQ(Out.Retries, 0u);
 }
 
 TEST(ExecutorTest, VmTrapDeoptimizesToScalarJitAndCountsRetry) {
@@ -130,7 +135,86 @@ TEST(ExecutorTest, StickyJitFailureFallsBackToInterpreter) {
   ScopedFault F(SiteClass::JitLower, 0, /*Sticky=*/true);
   RunOutcome Out = runChecked(kernelByName("saxpy_fp"));
   EXPECT_EQ(Out.Tier, ExecTier::Interpreter);
-  ASSERT_EQ(Out.Demotions.size(), 2u);
+  ASSERT_EQ(Out.Demotions.size(), 3u); // Vectorized, ScalarJit, scalar.
+  for (const status::Status &St : Out.Demotions)
+    EXPECT_EQ(St.layer(), status::Layer::Jit);
+}
+
+//===--- One chain for both flows -----------------------------------------===//
+
+std::vector<status::Layer> layersOf(const RunOutcome &Out) {
+  std::vector<status::Layer> L;
+  for (const status::Status &St : Out.Demotions)
+    L.push_back(St.layer());
+  return L;
+}
+
+// saxpy_fp through runKernel (trusted kernel flow) and through
+// runEncodedModule (fail-closed server flow) under the same fault. The
+// flows share every edge down to ScalarJit, so wherever the kernel flow
+// stops there the server flow reads the same tier, demotion layers and
+// retries. Only a fault that also breaks ScalarJit tells them apart:
+// the kernel flow goes on down the chain, the server flow stops with a
+// Terminal Status.
+TEST(ExecutorTest, KernelAndServerFlowsShareOneChain) {
+  const Kernel K = kernelByName("saxpy_fp");
+  ModuleWorkload W;
+  W.Name = K.Name;
+  W.Bytecode = bytecode::encode(vectorizer::vectorize(K.Source).Output);
+  W.IntParams = K.IntParams;
+  W.FPParams = K.FPParams;
+  Kernel Golden = K; // The server flow fills with the seeded default.
+  Golden.Fill = [Seed = W.FillSeed](FillSink &Sink, const ir::Function &F) {
+    defaultFill(Sink, F, Seed);
+  };
+
+  struct Row {
+    SiteClass Class;
+    bool Sticky;
+    ExecTier KernelTier;
+  };
+  const Row Rows[] = {
+      {SiteClass::Verify, false, ExecTier::ScalarJit},
+      {SiteClass::JitLower, false, ExecTier::ScalarJit},
+      {SiteClass::VmAlign, false, ExecTier::ScalarJit},
+      // The gate and the trap do not fire on forced-scalar code.
+      {SiteClass::Verify, true, ExecTier::ScalarJit},
+      {SiteClass::VmAlign, true, ExecTier::ScalarJit},
+      {SiteClass::JitLower, true, ExecTier::Interpreter},
+  };
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(std::string(faultinject::siteClassName(R.Class)) +
+                 (R.Sticky ? " sticky" : " one-shot"));
+    RunOutcome Kern, Serv;
+    {
+      ScopedFault F(R.Class, 0, R.Sticky);
+      Kern = runChecked(K);
+    }
+    {
+      ScopedFault F(R.Class, 0, R.Sticky);
+      Serv = runEncodedModule(W, RunOptions());
+    }
+    EXPECT_EQ(Kern.Tier, R.KernelTier);
+    EXPECT_TRUE(Kern.Terminal.ok()) << Kern.Terminal.str();
+    ASSERT_FALSE(Kern.Demotions.empty());
+    if (R.KernelTier == ExecTier::ScalarJit) {
+      ASSERT_TRUE(Serv.Terminal.ok()) << Serv.Terminal.str();
+      EXPECT_EQ(Serv.Tier, Kern.Tier);
+      EXPECT_EQ(layersOf(Serv), layersOf(Kern));
+      EXPECT_EQ(Serv.Retries, Kern.Retries);
+      std::string Err;
+      EXPECT_TRUE(checkAgainstGolden(Golden, Serv, Err)) << Err;
+    } else {
+      // The server flow fails closed at ScalarJit on the same failure
+      // that sent the kernel flow past it.
+      EXPECT_FALSE(Serv.Terminal.ok());
+      EXPECT_EQ(Serv.Tier, ExecTier::ScalarJit);
+      EXPECT_EQ(Serv.Terminal.layer(), Kern.Demotions[1].layer());
+      EXPECT_EQ(layersOf(Serv),
+                std::vector<status::Layer>{Kern.Demotions[0].layer()});
+      EXPECT_EQ(Serv.Retries, Kern.Retries);
+    }
+  }
 }
 
 //===--- Chain composition ------------------------------------------------===//

@@ -52,8 +52,10 @@ RunOutcome runSplit(const kernels::Kernel &K, const TargetDesc &T,
   O.FuseOps = Fuse;
   // Force every stage to execute: a cache hit would hand both runs the
   // same pre-decoded program and make the comparison vacuous.
-  O.UseCodeCache = false;
-  return runKernel(K, Flow::SplitVectorized, O);
+  const bool WasEnabled = jit::cache::setEnabled(false);
+  RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
+  jit::cache::setEnabled(WasEnabled);
+  return Out;
 }
 
 class FusionGoldenTest : public ::testing::TestWithParam<std::string> {};

@@ -17,6 +17,7 @@
 #include "ir/Builder.h"
 #include "ir/Interp.h"
 #include "ir/Verifier.h"
+#include "jit/CodeCache.h"
 #include "jit/Jit.h"
 #include "support/Support.h"
 #include "target/VM.h"
@@ -261,8 +262,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzzTest, ::testing::Range(0, 16));
 // is the single semantics source; this pins the VM handler table and the
 // native lane/packed encodings to it. The narrow kinds (I8/U8/I16/U16)
 // also carry the saturating ops; the wide kinds (I32/U32/I64/U64) pin
-// the 32- and 64-bit lanes. A second test drives the same operands
-// through the shapes the fuser turns into its ALU superops.
+// the 32- and 64-bit lanes. Division and remainder also match RISC-V's
+// golden values, zero divisors and MIN / -1 included. A second test
+// drives the same operands through the shapes the fuser turns into its
+// ALU superops.
 
 std::vector<int64_t> boundaryValues(ScalarKind K) {
   switch (K) {
@@ -296,7 +299,8 @@ std::vector<Opcode> boundaryOps(ScalarKind K) {
   std::vector<Opcode> Ops = {Opcode::Add, Opcode::Sub, Opcode::Mul,
                              Opcode::Min, Opcode::Max, Opcode::And,
                              Opcode::Or,  Opcode::Xor, Opcode::Shl,
-                             Opcode::ShrL, Opcode::ShrA};
+                             Opcode::ShrL, Opcode::ShrA, Opcode::Div,
+                             Opcode::Rem};
   if (scalarSize(K) > 2) // Saturating ops exist for I8/I16 lanes only.
     return Ops;
   if (isSignedKind(K)) {
@@ -356,6 +360,47 @@ kernels::Kernel boundaryKernel(ScalarKind K, Opcode Op) {
   return Kn;
 }
 
+/// RISC-V's integer division and remainder (M extension), written from
+/// the spec for lanes of kind \p K holding \p X and \p Y (decoded as
+/// MemoryImage::peekInt reads them): the golden values every executor
+/// must produce. A zero divisor gives all ones and the dividend; the one
+/// overflowing pair, MIN / -1, gives MIN and 0; unsigned kinds divide
+/// unsigned.
+int64_t riscvDivRem(ScalarKind K, Opcode Op, int64_t X, int64_t Y) {
+  const bool Rem = Op == Opcode::Rem;
+  const unsigned Bits = scalarSize(K) * 8;
+  if (isSignedKind(K)) {
+    const int64_t Min =
+        Bits == 64 ? INT64_MIN : -(static_cast<int64_t>(1) << (Bits - 1));
+    if (Y == 0)
+      return Rem ? X : -1;
+    if (X == Min && Y == -1)
+      return Rem ? 0 : Min;
+    return Rem ? X % Y : X / Y;
+  }
+  const uint64_t UX = static_cast<uint64_t>(X);
+  const uint64_t UY = static_cast<uint64_t>(Y);
+  const uint64_t Ones = Bits == 64 ? ~0ULL : (uint64_t(1) << Bits) - 1;
+  if (UY == 0)
+    return static_cast<int64_t>(Rem ? UX : Ones);
+  return static_cast<int64_t>(Rem ? UX % UY : UX / UY);
+}
+
+/// Agreement with the interpreter cannot show a wrong definition that
+/// every executor shares, so division also checks the spec's values.
+void expectDivRemGolden(ScalarKind K, Opcode Op, const RunOutcome &Out,
+                        const std::string &What) {
+  if (Op != Opcode::Div && Op != Opcode::Rem)
+    return;
+  const std::vector<int64_t> Vals = boundaryValues(K);
+  ASSERT_EQ(Out.Mem->info(2).Name, "o") << What;
+  uint64_t I = 0;
+  for (int64_t X : Vals)
+    for (int64_t Y : Vals)
+      EXPECT_EQ(Out.Mem->peekInt(2, I++), riscvDivRem(K, Op, X, Y))
+          << What << ": " << X << " " << opcodeMnemonic(Op) << " " << Y;
+}
+
 class NarrowIntBoundaryTest
     : public ::testing::TestWithParam<ScalarKind> {};
 
@@ -370,6 +415,7 @@ TEST_P(NarrowIntBoundaryTest, AllExecutorsAgreeOnBoundaryOperands) {
       std::string Err;
       EXPECT_TRUE(checkAgainstGolden(Kn, Vm, Err))
           << Kn.Name << " on " << T.Name << " (VM): " << Err;
+      expectDivRemGolden(K, Op, Vm, Kn.Name + " on " + T.Name + " (VM)");
 
       if (!codegen::supported())
         continue;
@@ -380,6 +426,8 @@ TEST_P(NarrowIntBoundaryTest, AllExecutorsAgreeOnBoundaryOperands) {
           << (Native.Demotions.empty() ? "?" : Native.Demotions[0].str());
       EXPECT_TRUE(checkAgainstGolden(Kn, Native, Err))
           << Kn.Name << " on " << T.Name << " (native): " << Err;
+      expectDivRemGolden(K, Op, Native,
+                         Kn.Name + " on " + T.Name + " (native)");
     }
   }
 }
@@ -507,11 +555,12 @@ TEST_P(NarrowIntBoundaryTest, SuperopShapesAgreeFusedAndUnfused) {
         RunOptions O;
         O.Target = T;
         // A cache hit would hand both runs one pre-decoded program.
-        O.UseCodeCache = false;
+        const bool WasEnabled = jit::cache::setEnabled(false);
         O.FuseOps = false;
         RunOutcome Unfused = runKernel(Kn, Flow::SplitVectorized, O);
         O.FuseOps = true;
         RunOutcome Fused = runKernel(Kn, Flow::SplitVectorized, O);
+        jit::cache::setEnabled(WasEnabled);
         std::string Err;
         EXPECT_TRUE(checkAgainstGolden(Kn, Unfused, Err))
             << Kn.Name << " on " << T.Name << " (unfused): " << Err;

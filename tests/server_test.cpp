@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Bytecode.h"
+#include "codegen/NativeJit.h"
 #include "ir/Builder.h"
 #include "jit/CodeCache.h"
 #include "kernels/Kernels.h"
@@ -52,9 +53,7 @@ server::RunRequest sampleRequest() {
   R.Tenant = "tenant-x";
   R.Name = "dissolve_s8";
   R.Target = "sse";
-  R.UseNative = false;
-  R.VerifyBytecode = true;
-  R.UseCodeCache = true;
+  R.UseNative = true;
   R.Elide = 1;
   R.DeadlineFuel = 12345;
   R.FillSeed = 9;
@@ -74,8 +73,7 @@ TEST(ProtocolTest, RunRequestRoundTrip) {
   EXPECT_EQ(Out.Tenant, R.Tenant);
   EXPECT_EQ(Out.Name, R.Name);
   EXPECT_EQ(Out.Target, R.Target);
-  EXPECT_EQ(Out.VerifyBytecode, R.VerifyBytecode);
-  EXPECT_EQ(Out.UseCodeCache, R.UseCodeCache);
+  EXPECT_EQ(Out.UseNative, R.UseNative);
   EXPECT_EQ(Out.Elide, R.Elide);
   EXPECT_EQ(Out.Inject, R.Inject);
   EXPECT_EQ(Out.DeadlineFuel, R.DeadlineFuel);
@@ -188,6 +186,22 @@ TEST(ProtocolTest, BadEnumFieldsAreMalformed) {
     server::RunRequest Out;
     EXPECT_FALSE(server::decodeRunRequest(P.data(), P.size(), Out).ok());
   }
+  // The flag byte follows the u64 id and three u32-length-prefixed
+  // strings. Only bit 0x1 (UseNative) exists: the verify gate and the
+  // code cache are not the client's to switch off.
+  server::RunRequest R = sampleRequest();
+  std::vector<uint8_t> P = server::encodeRunRequest(R);
+  const size_t FlagAt = 8 + (4 + R.Tenant.size()) + (4 + R.Name.size()) +
+                        (4 + R.Target.size());
+  ASSERT_EQ(P[FlagAt], 1u);
+  for (uint8_t Bit : {0x2, 0x4, 0x80}) {
+    std::vector<uint8_t> Bad = P;
+    Bad[FlagAt] |= Bit;
+    server::RunRequest Out;
+    Status St = server::decodeRunRequest(Bad.data(), Bad.size(), Out);
+    EXPECT_FALSE(St.ok()) << "flag bit " << int(Bit);
+    EXPECT_EQ(St.code(), status::Code::MalformedFrame);
+  }
 }
 
 TEST(ProtocolTest, DeterministicGarbageNeverCrashesDecoders) {
@@ -250,6 +264,41 @@ TEST(ProtocolTest, RequestKindPredicate) {
   EXPECT_FALSE(server::isRequestKind(0x81)) << "responses are not requests";
   EXPECT_FALSE(server::isRequestKind(0));
   EXPECT_FALSE(server::isRequestKind(99));
+}
+
+//===--- Integer division modules (total semantics, no trap) --------------===//
+
+/// o[i] = a[i] / p and r[i] = a[i] % p over 16 I32 lanes; a client binds
+/// p, and p = 0 used to abort the process.
+std::vector<uint8_t> divByParamI32() {
+  ir::Function F("div_param_i32");
+  uint32_t A = F.addArray("a", ir::ScalarKind::I32, 16, 4);
+  uint32_t O = F.addArray("o", ir::ScalarKind::I32, 16, 4);
+  uint32_t R = F.addArray("r", ir::ScalarKind::I32, 16, 4);
+  ir::ValueId P = F.addParam("p", ir::Type::scalar(ir::ScalarKind::I32));
+  ir::IrBuilder B(F);
+  auto L = B.beginLoop(B.constIdx(0), B.constIdx(16), B.constIdx(1));
+  ir::ValueId X = B.load(A, L.indVar());
+  B.store(O, L.indVar(), B.div(X, P));
+  B.store(R, L.indVar(), B.rem(X, P));
+  B.endLoop(L);
+  return bytecode::encode(vectorizer::vectorize(F, {}).Output);
+}
+
+/// o[0] = p / q and o[1] = p % q over I64 with p = INT64_MIN, q = -1:
+/// bound by the client as parameters, or the same values as constants
+/// (which the verifier folds). Either used to kill the process.
+std::vector<uint8_t> int64MinOverMinusOne(bool Constants) {
+  ir::Function F(Constants ? "min_div_const" : "min_div_param");
+  uint32_t O = F.addArray("o", ir::ScalarKind::I64, 2, 8);
+  const ir::Type I64 = ir::Type::scalar(ir::ScalarKind::I64);
+  ir::IrBuilder B(F);
+  ir::ValueId P = Constants ? B.constInt(I64.Elem, INT64_MIN)
+                            : F.addParam("p", I64);
+  ir::ValueId Q = Constants ? B.constInt(I64.Elem, -1) : F.addParam("q", I64);
+  B.store(O, B.constIdx(0), B.div(P, Q));
+  B.store(O, B.constIdx(1), B.rem(P, Q));
+  return bytecode::encode(vectorizer::vectorize(F, {}).Output);
 }
 
 //===--- Live server over AF_UNIX -----------------------------------------===//
@@ -409,6 +458,39 @@ TEST_F(ServerTest, NarrowElementOversizedResponseIsStructuredNotFatal) {
   bool CleanEof = false;
   ASSERT_TRUE(server::readFrame(Fd, Kind, Payload, CleanEof).ok());
   EXPECT_EQ(Kind, FrameKind::Pong);
+  ::close(Fd);
+}
+
+TEST_F(ServerTest, IntegerDivisionByZeroIsAnsweredAndServingGoesOn) {
+  int Fd = connectTo(Path);
+  ASSERT_GE(Fd, 0);
+  server::RunRequest Req;
+  Req.RequestId = 21;
+  Req.Tenant = "t0";
+  Req.Name = "div_param_i32";
+  Req.IntParams["p"] = 0;
+  Req.Bytecode = divByParamI32();
+  bool Ok = false;
+  server::RunResponse Resp = roundTrip(Fd, Req, Ok);
+  ASSERT_TRUE(Ok);
+  ASSERT_EQ(Resp.Code, 0u) << Resp.Message;
+  ASSERT_EQ(Resp.Arrays.size(), 3u);
+  ASSERT_EQ(Resp.Arrays[1].Name, "o");
+  for (uint64_t Lane : Resp.Arrays[1].Lanes)
+    EXPECT_EQ(Lane, ~0ULL); // x / 0 is all ones.
+  EXPECT_EQ(Resp.Arrays[2].Lanes, Resp.Arrays[0].Lanes); // x % 0 is x.
+
+  // The same connection goes on serving an ordinary request.
+  server::RunRequest Next;
+  Next.RequestId = 22;
+  Next.Tenant = "t0";
+  Next.Name = "dissolve_s8";
+  Next.Bytecode = realBytecode();
+  Resp = roundTrip(Fd, Next, Ok);
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(Resp.RequestId, 22u);
+  EXPECT_EQ(Resp.Code, 0u) << Resp.Message;
+  EXPECT_FALSE(Resp.Arrays.empty());
   ::close(Fd);
 }
 
@@ -679,6 +761,61 @@ TEST(RunEncodedModuleTest, GarbageBytecodeIsTerminalDecodeFailure) {
   RunOutcome Out = runEncodedModule(W, O);
   ASSERT_FALSE(Out.Terminal.ok());
   EXPECT_EQ(Out.Terminal.layer(), status::Layer::Bytecode);
+}
+
+TEST(RunEncodedModuleTest, IntegerDivisionByZeroParamIsTotal) {
+  ModuleWorkload W;
+  W.Name = "div_param_i32";
+  W.Bytecode = divByParamI32();
+  W.IntParams["p"] = 0;
+  for (bool Native : {false, true}) {
+    SCOPED_TRACE(Native ? "native entry" : "vm entry");
+    RunOptions O;
+    O.UseNative = Native;
+    RunOutcome Out = runEncodedModule(W, O);
+    ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
+    EXPECT_TRUE(Out.Demotions.empty());
+    if (!Native || codegen::supported()) {
+      EXPECT_EQ(Out.Tier, Native ? ExecTier::Native : ExecTier::Vectorized);
+    }
+    for (uint64_t I = 0; I < 16; ++I) {
+      EXPECT_EQ(Out.Mem->peekInt(1, I), -1) << I;
+      EXPECT_EQ(Out.Mem->peekInt(2, I), Out.Mem->peekInt(0, I)) << I;
+    }
+  }
+}
+
+/// Runs int64MinOverMinusOne on the VM and the native entry: the
+/// quotient is MIN and the remainder 0 on both.
+void expectMinOverMinusOneIsTotal(bool Constants) {
+  for (bool Native : {false, true}) {
+    SCOPED_TRACE(Native ? "native entry" : "vm entry");
+    ModuleWorkload W;
+    W.Name = "min_div";
+    W.Bytecode = int64MinOverMinusOne(Constants);
+    if (!Constants) {
+      W.IntParams["p"] = INT64_MIN;
+      W.IntParams["q"] = -1;
+    }
+    RunOptions O;
+    O.UseNative = Native;
+    RunOutcome Out = runEncodedModule(W, O);
+    ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
+    EXPECT_TRUE(Out.Demotions.empty());
+    if (!Native || codegen::supported()) {
+      EXPECT_EQ(Out.Tier, Native ? ExecTier::Native : ExecTier::Vectorized);
+    }
+    EXPECT_EQ(Out.Mem->peekInt(0, 0), INT64_MIN);
+    EXPECT_EQ(Out.Mem->peekInt(0, 1), 0);
+  }
+}
+
+TEST(RunEncodedModuleTest, Int64MinOverMinusOneParamIsTotal) {
+  expectMinOverMinusOneIsTotal(/*Constants=*/false);
+}
+
+TEST(RunEncodedModuleTest, Int64MinOverMinusOneConstantIsTotal) {
+  expectMinOverMinusOneIsTotal(/*Constants=*/true);
 }
 
 /// Two encodings of \p K's vectorized module that the code cache's byte

@@ -499,6 +499,7 @@ TEST(TieringServerModeTest, ColdEntersScalarJitAndPromotes) {
   // Fail-closed flows must NOT enter the unbounded interpreter cold; the
   // forced-scalar JIT is the cheapest admissible tier.
   EXPECT_EQ(Out.EntryTier, ExecTier::ScalarJit);
+  EXPECT_EQ(Out.BytecodeBytes, W.Bytecode.size()); // What the JIT consumed.
   bool Converged = false;
   for (int R = 0; R < 10 && !Converged; ++R) {
     Out = runEncodedModule(W, O);

@@ -15,14 +15,16 @@
 //
 // Drives the fault-tolerant executor (vapor::Executor) through the
 // split-vectorized flow for every kernel x target x injected fault and
-// asserts the degradation contract. With --native the chain is entered
-// at the Native tier instead (host x86-64 codegen above the VM); a
-// native failure demotes to Vectorized without counting as a retry, so
-// the oracle for every fault class shifts accordingly, and the
-// interpreter still terminates the chain. On hosts where the native
-// tier is unsupported (non-x86-64 or -DVAPOR_NATIVE=OFF) --native
-// prints a notice and sweeps the ordinary chain instead, so CI stays
-// green everywhere. The contract asserted:
+// asserts the degradation contract: a failed Vectorized tier lands on
+// the forced-scalar re-JIT when a module was decoded, else on the
+// scalar bytecode, and the interpreter ends the chain. With --native
+// the chain is entered at the Native tier instead (host x86-64 codegen
+// above the VM); a native failure demotes to Vectorized without
+// counting as a retry, so the oracle for every fault class shifts
+// accordingly, and the interpreter still terminates the chain. On
+// hosts where the native tier is unsupported (non-x86-64 or
+// -DVAPOR_NATIVE=OFF) --native prints a notice and sweeps the ordinary
+// chain instead, so CI stays green everywhere. The contract asserted:
 //
 //   - every run completes: no process abort, under any injected fault;
 //   - every run's results match the golden IR evaluator;
@@ -130,7 +132,9 @@ ExecTier expectedTier(SiteClass S, bool Sticky, bool Native) {
     // The gate rejected a vector lowering; forced-scalar JIT is safe.
     return ExecTier::ScalarJit;
   case SiteClass::JitLower:
-    return Sticky ? ExecTier::Interpreter : ExecTier::ScalarBytecode;
+    // One-shot: the forced-scalar re-JIT of the decoded module lowers
+    // fine. Sticky: every lowering fails, the scalar bytecode's too.
+    return Sticky ? ExecTier::Interpreter : ExecTier::ScalarJit;
   case SiteClass::VmAlign:
     // Runtime trap -> deoptimizing re-JIT. Scalar code has no checked
     // accesses, so even a sticky fault cannot re-fire.
