@@ -21,7 +21,8 @@
 // default): cpu_features, the headline cell (saxpy_fp x sse, the same
 // cell BENCH_vm.json gates on), every kernel x target cell, and the
 // geometric-mean speedups. scripts/perf_gate.py --native-floor holds the
-// headline's native ns/op at or below half the VM's fused ns/op;
+// headline's native ns/op at or below half the VM's fused ns/op, and the
+// geomean speedup over every cell at 2x or more;
 // --elision-floor holds the headline's elided ns/op at or below the
 // unelided measurement in the same report.
 //
@@ -86,12 +87,12 @@ struct Cell {
   double ElideSpeedup = 0; ///< Native unelided / native elided wall time.
   uint32_t ElidedChecks = 0;
   /// Lowering shape from NativeStats: how many machine ops were emitted
-  /// as inline host code, how many fell back to the interpreter-helper
-  /// shim, and how many inline vector ops used packed SSE encodings.
+  /// as inline host code, how many run on the VM's handlers, and how
+  /// many inline vector ops used packed SSE encodings.
   /// scripts/perf_gate.py --native-floor holds saturating-kernel cells
   /// (Saturating = kernel carries the "saturating" feature) to packed
   /// lowering on SIMD targets: the paddsb/psubusw family must stay
-  /// inline, not regress to an all-shim lowering.
+  /// inline, not regress to VM handler calls.
   uint64_t InlineOps = 0;
   uint64_t HelperOps = 0;
   uint64_t PackedOps = 0;
@@ -192,7 +193,7 @@ int main(int argc, char **argv) {
 
       // VM side: fused dispatch, exactly the strong tier's configuration.
       auto Prog =
-          target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, true);
+          target::DecodedProgram::build(Out.Compiled->Code, T, *Out.Mem, false, true);
       target::VM M(Prog, *Out.Mem);
       for (const auto &P : K.IntParams)
         M.setParamInt(P.first, P.second);
@@ -203,7 +204,7 @@ int main(int argc, char **argv) {
       double VmNsPerRun = timeRuns([&] { M.run(); }, Secs);
 
       // Native side: same MachineIR, same MemoryImage placement.
-      auto NU = codegen::compileNative(Out.Code, T, *Out.Mem,
+      auto NU = codegen::compileNative(Out.Compiled->Code, T, *Out.Mem,
                                        codegen::NativeOptions());
       if (!NU.ok())
         fatalError("compileNative failed for " + K.Name + " on " + TName +
@@ -231,7 +232,7 @@ int main(int argc, char **argv) {
       C.ElidedChecks = Plan.AlignElided + Plan.BoundsElided;
       codegen::NativeOptions NOE;
       NOE.Plan = PlanPtr;
-      auto NUE = codegen::compileNative(Out.Code, T, *Out.Mem, NOE);
+      auto NUE = codegen::compileNative(Out.Compiled->Code, T, *Out.Mem, NOE);
       if (!NUE.ok())
         fatalError("elided compileNative failed for " + K.Name + " on " +
                    TName + ": " + NUE.status().str());

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "target/Iaca.h"
 #include "vapor/Pipeline.h"
 #include "vapor/Sweep.h"
 
@@ -52,7 +53,11 @@ int main() {
     Split.FoldAddressing = false;     // Older GCC codegen profile.
     Split.PromoteAccumulators = false;
     RunOutcome SplitOut = runKernel(K, Flow::SplitVectorized, Split);
-    Rows[I] = {NativeOut.Iaca.Cycles, SplitOut.Iaca.Cycles};
+    Rows[I] = {
+        target::analyzeVectorLoop(NativeOut.Compiled->Code, Native.Target)
+            .Cycles,
+        target::analyzeVectorLoop(SplitOut.Compiled->Code, Split.Target)
+            .Cycles};
   });
 
   std::printf("%-14s %8s %8s   %14s\n", "kernel", "native", "split",

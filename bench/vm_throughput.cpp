@@ -108,7 +108,7 @@ std::pair<double, double> measureObsOverhead(const RunOutcome &Out,
                                              const kernels::Kernel &K,
                                              double Seconds = 0.6) {
   auto M = boundVM(
-      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, true), Out,
+      target::DecodedProgram::build(Out.Compiled->Code, T, *Out.Mem, false, true), Out,
       K);
   uint64_t OpsPerRun = warmUp(*M, K.Name + " on " + T.Name);
   double Total = 0;
@@ -147,9 +147,9 @@ struct Cell {
 void measureCell(const RunOutcome &Out, const target::TargetDesc &T,
                  const kernels::Kernel &K, Cell &C) {
   auto ProgU =
-      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, false);
+      target::DecodedProgram::build(Out.Compiled->Code, T, *Out.Mem, false, false);
   auto ProgF =
-      target::DecodedProgram::build(Out.Code, T, *Out.Mem, false, true);
+      target::DecodedProgram::build(Out.Compiled->Code, T, *Out.Mem, false, true);
   auto MU = boundVM(ProgU, Out, K);
   auto MF = boundVM(ProgF, Out, K);
   std::string What = K.Name + " on " + T.Name;

@@ -48,14 +48,18 @@ Three modes:
                        cell's native_ns_per_op must be at most
                        vm_ns_per_op * NATIVE_FLOOR_RATIO (0.5, i.e.
                        native must at least halve the VM's fused dispatch
-                       cost). It also holds the saturating-kernel
-                       lowering floor: every cell whose kernel carries the
-                       "saturating" feature (the striped-DP SSV/Viterbi
-                       family) must report packed_ops >= 1 on SIMD
-                       targets -- the narrow packed encodings
-                       (paddsb/paddsw/paddusb/psubusb/pmaxub/pmaxsw ...)
-                       must stay inline, never regress to the all-shim
-                       helper path. Reports written on hosts without
+                       cost), and over the full 36 kernel x 5 target
+                       matrix (a missing cell exits 2) the geomean of
+                       vm_ns_per_op / native_ns_per_op must be at least
+                       1 / NATIVE_FLOOR_RATIO; the minimum and the five
+                       slowest cells are printed. It also holds the
+                       saturating-kernel lowering floor: every cell whose
+                       kernel carries the "saturating" feature (the
+                       striped-DP SSV/Viterbi family) must report
+                       packed_ops >= 1 on SIMD targets -- the narrow
+                       packed encodings (paddsb/paddsw/paddusb/psubusb/
+                       pmaxub/pmaxsw ...) must stay inline, never regress
+                       to VM handler calls. Reports written on hosts without
                        the native tier carry "native_supported": false;
                        with --allow-missing those pass with a notice --
                        the executor demotes cleanly there, so there is
@@ -227,36 +231,45 @@ def native_gate_applies(report, path, allow_missing):
     return False
 
 
+def cell_matrix(report, path, what, value):
+    """{(kernel, target): value(cell)} over the full matrix.
+
+    Exits 2 unless *report*'s cells are exactly VM_MATRIX_KERNELS
+    kernels x VM_MATRIX_TARGETS, each once, with a positive value.
+    """
+    cells = report.get("cells")
+    matrix = {}
+    for c in cells if isinstance(cells, list) else []:
+        v = value(c) if isinstance(c, dict) else None
+        key = (c.get("kernel"), c.get("target")) if v else None
+        if not isinstance(v, (int, float)) or v <= 0 or key in matrix:
+            matrix = None
+            break
+        matrix[key] = v
+    kernels = {k for k, _ in matrix or {}}
+    if not matrix or len(kernels) != VM_MATRIX_KERNELS \
+            or len(matrix) != VM_MATRIX_KERNELS * len(VM_MATRIX_TARGETS) \
+            or {t for _, t in matrix} != set(VM_MATRIX_TARGETS):
+        print(f"perf_gate: {path} does not hold a {what} for each of the "
+              f"{VM_MATRIX_KERNELS} kernels x {list(VM_MATRIX_TARGETS)}; "
+              f"regenerate it with the current bench", file=sys.stderr)
+        sys.exit(2)
+    return matrix
+
+
+def geomean_of(matrix):
+    return math.exp(sum(math.log(v) for v in matrix.values()) / len(matrix))
+
+
 def fusion_gate(report, path):
     """Per-cell and geomean fusion floors over the full matrix.
 
-    Exits 2 when *report* is not exactly the registry kernels x
-    VM_MATRIX_TARGETS with a positive fused_speedup per cell; returns
+    Exits 2 when *report* is not the full matrix (cell_matrix); returns
     True when every floor holds.
     """
-    cells = report.get("cells")
-    speedup = {}
-    for c in cells if isinstance(cells, list) else []:
-        if not isinstance(c, dict):
-            speedup = None
-            break
-        key = (c.get("kernel"), c.get("target"))
-        v = c.get("fused_speedup")
-        if key in speedup or not isinstance(v, (int, float)) or v <= 0:
-            speedup = None
-            break
-        speedup[key] = v
-    kernels = {k for k, _ in speedup or {}}
-    if not speedup or len(kernels) != VM_MATRIX_KERNELS \
-            or len(speedup) != VM_MATRIX_KERNELS * len(VM_MATRIX_TARGETS) \
-            or {t for _, t in speedup} != set(VM_MATRIX_TARGETS):
-        print(f"perf_gate: {path} does not hold a fused_speedup for each "
-              f"of the {VM_MATRIX_KERNELS} kernels x "
-              f"{list(VM_MATRIX_TARGETS)}; regenerate it with the current "
-              "vm_throughput", file=sys.stderr)
-        sys.exit(2)
-    geomean = math.exp(sum(math.log(v) for v in speedup.values())
-                       / len(speedup))
+    speedup = cell_matrix(report, path, "fused_speedup",
+                          lambda c: c.get("fused_speedup"))
+    geomean = geomean_of(speedup)
     ranked = sorted(speedup.items(), key=lambda kv: kv[1])
     below = [kv for kv in ranked if kv[1] < FUSION_CELL_MIN]
     ok = not below and geomean >= FUSION_GEOMEAN_MIN
@@ -583,8 +596,32 @@ def main():
         if native > limit:
             print("perf_gate: the native tier no longer clears its payoff "
                   "floor against the VM; check the emitter for lost inline "
-                  "coverage (ops falling back to ScalarOps shims)",
+                  "coverage (ops falling back to VM handler calls)",
                   file=sys.stderr)
+            sys.exit(1)
+
+        # The same floor over every cell: the geomean native speedup of
+        # the full kernel x target matrix must clear 1 / the ratio.
+        def cell_speedup(c):
+            n, v = c.get("native_ns_per_op"), c.get("vm_ns_per_op")
+            if all(isinstance(x, (int, float)) and x > 0 for x in (n, v)):
+                return v / n
+            return None
+
+        speedup = cell_matrix(report, path, "native and VM ns/op",
+                              cell_speedup)
+        geomean = geomean_of(speedup)
+        ranked = sorted(speedup.items(), key=lambda kv: kv[1])
+        below = sum(1 for _, v in ranked if v < 1.0)
+        floor = 1.0 / NATIVE_FLOOR_RATIO
+        verdict = "PASS" if geomean >= floor else "FAIL"
+        print(f"perf_gate: {verdict}: native speedup over {len(speedup)} "
+              f"cells: geomean {geomean:.2f}x (floor {floor:.2f}x), min "
+              f"{ranked[0][1]:.2f}x, {below} cells below 1.0x; slowest: "
+              + ", ".join(f"{k}/{t} {v:.2f}x" for (k, t), v in ranked[:5]))
+        if geomean < floor:
+            print("perf_gate: the native tier no longer pays for itself "
+                  "across the matrix", file=sys.stderr)
             sys.exit(1)
         # Saturating-kernel lowering floor: every cell whose kernel
         # carries the "saturating" feature must keep packed SSE lowering
@@ -607,10 +644,10 @@ def main():
         if bad:
             names = ", ".join(f"{c.get('kernel')}x{c.get('target')}"
                               for c in bad)
-            print(f"perf_gate: FAIL: saturating-kernel cells regressed to "
-                  f"an all-shim lowering (packed_ops = 0): {names}; the "
-                  f"narrow packed encodings (paddsb/paddsw/paddusb/psubusb "
-                  f"...) must stay inline", file=sys.stderr)
+            print(f"perf_gate: FAIL: saturating-kernel cells lost their "
+                  f"packed lowering (packed_ops = 0): {names}; the narrow "
+                  f"packed encodings (paddsb/paddsw/paddusb/psubusb ...) "
+                  f"must stay inline", file=sys.stderr)
             sys.exit(1)
         print(f"perf_gate: PASS: {len(sat_simd)} saturating-kernel SIMD "
               f"cells keep packed inline lowering (min packed_ops "

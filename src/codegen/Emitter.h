@@ -89,6 +89,12 @@ public:
       Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
   }
 
+  /// Overwrites the 8 bytes at \p Pos (a movImm64's immediate) with \p V.
+  void patch64(size_t Pos, uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      Buf[Pos + I] = static_cast<uint8_t>(V >> (8 * I));
+  }
+
   /// Patches the 4 bytes at \p Pos with (Target - (Pos + 4)): rel32
   /// fields of jcc/jmp whose next-instruction boundary is Pos + 4.
   void patch32(size_t Pos, size_t Target) {

@@ -10,8 +10,8 @@
 // op *ordinal* that advances exactly when the decoder would emit a DOp,
 // so trap attribution (pre-fusion PC) matches the VM without a mapping
 // table. Each op is either lowered to x86-64 whose result provably
-// equals the ScalarOps semantics, or compiled to a call into a shim that
-// *runs* ScalarOps on the same lane file.
+// equals the ScalarOps semantics, or decoded by the VM decoder itself
+// and run by a call into the VM handler it picked, on the VM's lane file.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <csetjmp>
 #include <cstring>
 #include <string>
 
@@ -32,103 +31,6 @@ using namespace vapor;
 using namespace vapor::ir;
 using namespace vapor::target;
 using namespace vapor::codegen;
-
-//===----------------------------------------------------------------------===//
-// The deferred-op shim: replays the exact VM handler lane loops over
-// ScalarOps. Lane-file only -- never touches guest memory, never traps.
-//===----------------------------------------------------------------------===//
-
-namespace vapor {
-namespace codegen {
-extern "C" void vapor_codegen_shim(NativeContext *Ctx, const NOp *Op) {
-  // Deadline checkpoint: shim calls are the native tier's only recurring
-  // re-entries into C++, so the fuel budget is decremented here and an
-  // exhausted run is abandoned by longjmping out of the generated frame
-  // (no destructors are live below run()'s setjmp; the generated code
-  // holds no resources). One predictable branch when unfueled.
-  if (__builtin_expect(Ctx->FuelLeft != 0, 0) && --Ctx->FuelLeft == 0 &&
-      Ctx->DeadlineJmp)
-    std::longjmp(*static_cast<std::jmp_buf *>(Ctx->DeadlineJmp), 1);
-  uint64_t *R = Ctx->Lanes;
-  const NOp &O = *Op;
-  switch (O.F) {
-  case NOp::Fn::Bin:
-    for (uint32_t L = 0; L < O.Lanes; ++L)
-      R[O.A + L] = applyBinop(O.Sub, O.Kind, R[O.B + L], R[O.C + L]);
-    break;
-  case NOp::Fn::Un:
-    for (uint32_t L = 0; L < O.Lanes; ++L)
-      R[O.A + L] = applyUnop(O.Sub, O.Kind, R[O.B + L]);
-    break;
-  case NOp::Fn::Cmp:
-    for (uint32_t L = 0; L < O.Lanes; ++L)
-      R[O.A + L] = applyCompare(O.Sub, O.SrcKind, R[O.B + L], R[O.C + L]);
-    break;
-  case NOp::Fn::Sel:
-    for (uint32_t L = 0; L < O.Lanes; ++L)
-      R[O.A + L] = (R[O.B + L] & 1) ? R[O.C + L] : R[O.D + L];
-    break;
-  case NOp::Fn::Cvt:
-    for (uint32_t L = 0; L < O.Lanes; ++L)
-      R[O.A + L] = applyConvert(O.SrcKind, O.Kind, R[O.B + L]);
-    break;
-  case NOp::Fn::WMul: {
-    uint64_t Off = O.Imm;
-    for (uint32_t J = 0; J < O.Lanes; ++J)
-      R[O.A + J] =
-          applyBinop(Opcode::Mul, O.Kind,
-                     applyConvert(O.SrcKind, O.Kind, R[O.B + Off + J]),
-                     applyConvert(O.SrcKind, O.Kind, R[O.C + Off + J]));
-    break;
-  }
-  case NOp::Fn::Pack: {
-    uint32_t Half = O.Lanes / 2;
-    for (uint32_t L = 0; L < Half; ++L) {
-      R[O.A + L] = applyConvert(O.SrcKind, O.Kind, R[O.B + L]);
-      R[O.A + Half + L] = applyConvert(O.SrcKind, O.Kind, R[O.C + L]);
-    }
-    break;
-  }
-  case NOp::Fn::Unpack: {
-    uint64_t Off = O.Imm;
-    for (uint32_t J = 0; J < O.Lanes; ++J)
-      R[O.A + J] = applyConvert(O.SrcKind, O.Kind, R[O.B + Off + J]);
-    break;
-  }
-  case NOp::Fn::Dot:
-    for (uint32_t J = 0; J < O.Lanes; ++J) {
-      uint64_t P0 =
-          applyBinop(Opcode::Mul, O.Kind,
-                     applyConvert(O.SrcKind, O.Kind, R[O.B + 2 * J]),
-                     applyConvert(O.SrcKind, O.Kind, R[O.C + 2 * J]));
-      uint64_t P1 =
-          applyBinop(Opcode::Mul, O.Kind,
-                     applyConvert(O.SrcKind, O.Kind, R[O.B + 2 * J + 1]),
-                     applyConvert(O.SrcKind, O.Kind, R[O.C + 2 * J + 1]));
-      R[O.A + J] = applyBinop(Opcode::Add, O.Kind,
-                              applyBinop(Opcode::Add, O.Kind, R[O.D + J], P0),
-                              P1);
-    }
-    break;
-  case NOp::Fn::Affine: {
-    uint64_t Cur = R[O.B], Inc = R[O.C];
-    for (uint32_t L = 0; L < O.Lanes; ++L) {
-      R[O.A + L] = Cur;
-      Cur = applyBinop(Opcode::Add, O.Kind, Cur, Inc);
-    }
-    break;
-  }
-  case NOp::Fn::Reduce: {
-    uint64_t Acc = R[O.B];
-    for (uint32_t L = 1; L < O.Lanes; ++L)
-      Acc = applyBinop(O.Sub, O.Kind, Acc, R[O.B + L]);
-    R[O.A] = Acc;
-    break;
-  }
-  }
-}
-} // namespace codegen
-} // namespace vapor
 
 //===----------------------------------------------------------------------===//
 // The builder.
@@ -145,22 +47,40 @@ struct TrapFix {
   uint32_t Code = 0; ///< Entry return value: 1 align, 2 OOB.
 };
 
+/// Entry return value of a run whose op budget ran out at a back-edge.
+constexpr uint32_t DeadlineRc = 3;
+
+/// A movabs whose imm64 becomes the address of deferred op Op once the
+/// unit's op array stops growing.
+struct OpFix {
+  size_t Pos = 0; ///< Offset of the imm64 in the code.
+  uint32_t Op = 0;
+};
+
 class NativeBuilder {
 public:
-  NativeBuilder(const MFunction &Fn, const MemoryImage &Image,
-                const CpuFeatures &Features, const ElisionPlan *Elide,
-                NativeUnit &Unit)
-      : F(Fn), Mem(Image), FX(Features), Plan(Elide), U(Unit) {
+  NativeBuilder(const MFunction &Fn, const TargetDesc &Target,
+                const MemoryImage &Image, const CpuFeatures &Features,
+                const ElisionPlan *Elide, NativeUnit &Unit)
+      : F(Fn), T(Target), Mem(Image), FX(Features), Plan(Elide), U(Unit),
+        Lay(U.Deferred.layOut(F)), Off(Lay.Off), RegLanes(Lay.Lanes),
+        ScratchLane(U.Deferred.LaneCount++) {
     E.UseVEX = FX.AVX;
   }
 
   void build() {
-    layout();
     prologue();
     region(F.Body);
     E.aluRR(0x31, RAX, RAX, false); // xor eax, eax: clean completion.
     size_t LDone = E.here();
     epilogue();
+
+    if (!DeadlineFixes.empty()) {
+      for (size_t Pos : DeadlineFixes)
+        E.patch32(Pos, E.here());
+      E.movImm32(RAX, DeadlineRc);
+      E.jmpTo(LDone);
+    }
 
     // Trap stubs live after the ret; each jcc above lands on its own.
     for (const TrapFix &T : TrapFixes) {
@@ -173,58 +93,47 @@ public:
       E.jmpTo(LDone);
     }
 
-    U.OpCount = Ordinal;
+    // The op array is final: bake each deferred op's address.
+    for (const OpFix &X : OpFixes)
+      E.patch64(X.Pos, reinterpret_cast<uintptr_t>(&U.Deferred.Code[X.Op]));
+
+    U.Deferred.TargetName = T.Name;
     U.Stats.CodeBytes = E.code().size();
     U.Stats.FeaturesUsed = FX.str();
-    U.TargetName = F.Name; // Replaced by the target name in compileNative.
   }
 
   const std::vector<uint8_t> &code() const { return E.code(); }
 
 private:
+  using DOp = DecodedProgram::DOp;
+
   const MFunction &F;
+  const TargetDesc &T;
   const MemoryImage &Mem;
   const CpuFeatures &FX;
   const ElisionPlan *Plan; ///< Checked elision grants (may be null).
   NativeUnit &U;
   Emitter E;
 
-  std::vector<uint32_t> Off;      ///< Lane-file offset per register.
-  std::vector<uint32_t> RegLanes; ///< Lane count per register.
-  uint32_t Ordinal = 0;           ///< Pre-fusion PC, lockstep with the VM.
-  uint32_t ScratchLane = 0;       ///< Reduction accumulator lane.
+  /// The VM decoder's lane file, plus one scratch lane past its end.
+  const DecodedProgram::Layout Lay;
+  const std::vector<uint32_t> &Off;      ///< Lane-file offset per register.
+  const std::vector<uint16_t> &RegLanes; ///< Lane count per register.
+  const uint32_t ScratchLane;            ///< Reduction accumulator lane.
+  uint32_t Ordinal = 0; ///< Pre-fusion PC, lockstep with the VM.
   std::vector<TrapFix> TrapFixes;
+  std::vector<size_t> DeadlineFixes; ///< Back-edge jccs to the budget stub.
+  std::vector<OpFix> OpFixes;
 
   static int32_t d(uint32_t Lane) { return static_cast<int32_t>(Lane * 8); }
 
-  //===--- Layout and frame -----------------------------------------------===//
-
-  void layout() {
-    // Identical to VMDecoder::decode(): vector registers get VS/ES lanes.
-    Off.resize(F.Regs.size());
-    RegLanes.resize(F.Regs.size());
-    uint32_t Total = 0;
-    for (size_t R = 0; R < F.Regs.size(); ++R) {
-      unsigned Lanes = 1;
-      if (F.Regs[R].Vector && F.VSBytes)
-        Lanes = std::max(1u, F.VSBytes / scalarSize(F.Regs[R].Kind));
-      Off[R] = Total;
-      RegLanes[R] = Lanes;
-      Total += Lanes;
-    }
-    U.LaneCount = Total;
-    ScratchLane = Total; // One spare lane for inline reductions.
-    U.LaneTotal = Total + 2;
-    for (const MParam &P : F.Params) {
-      assert(P.Reg < F.Regs.size() && "bad param register");
-      U.Params.push_back({P.Name, Off[P.Reg], F.Regs[P.Reg].Kind});
-    }
-  }
+  //===--- Frame ----------------------------------------------------------===//
 
   void prologue() {
     // Entry: rdi = NativeContext*. Pin the hot state in callee-saved
     // registers: rbx = lane base, rbp = ctx, r12 = MemBias, r13 = MemLo,
-    // r14 = MemHi. Six pushes + 8 keeps rsp 16-aligned at call sites.
+    // r14 = MemHi, r15 = op budget. Six pushes + 8 keeps rsp 16-aligned
+    // at call sites.
     E.push(RBX);
     E.push(RBP);
     E.push(R12);
@@ -237,6 +146,7 @@ private:
     E.movRM64(R12, RDI, 8);
     E.movRM64(R13, RDI, 16);
     E.movRM64(R14, RDI, 24);
+    E.movRM64(R15, RDI, 80);
   }
 
   void epilogue() {
@@ -361,7 +271,7 @@ private:
     E.movRM64(RAX, RBX, d(Off[L.IndVar]));
     E.cmpRM64(RAX, RBX, d(Off[L.Upper]));
     size_t ExitFix = E.jcc(CC::GE);
-    ++Ordinal; // The head DOp.
+    const uint32_t HeadOrd = Ordinal++; // The head DOp.
 
     region(L.Body);
 
@@ -372,6 +282,10 @@ private:
     E.movRM64(RAX, RBX, d(Off[L.Step]));
     E.aluMR64(0x01, RBX, d(Off[L.IndVar]), RAX);
     ++Ordinal; // The latch DOp.
+    // Every iteration passes here, so charging the loop's ops (head to
+    // latch) bounds every loop nest: sub r15, ops; jb deadline.
+    E.subImm64(R15, static_cast<int32_t>(Ordinal - HeadOrd));
+    DeadlineFixes.push_back(E.jcc(CC::B));
     E.jmpTo(HeadPos);
     E.patch32(ExitFix, E.here());
   }
@@ -534,7 +448,7 @@ private:
 
   static bool inlinableBin(Opcode Op, ScalarKind K) {
     if (K == ScalarKind::None || K == ScalarKind::I1)
-      return false; // ScalarOps' kind dispatch is subtle there: shim.
+      return false; // ScalarOps' kind dispatch is subtle there: VM handler.
     if (isFloatKind(K)) {
       uint8_t Opc;
       return fpOpc(Op, Opc);
@@ -560,7 +474,7 @@ private:
       // then fit an imm and the 64-bit intermediate cannot overflow.
       return scalarSize(K) <= 2;
     default:
-      return false; // Div/Rem: the shim's total ir::divRemInt, no idiv.
+      return false; // Div/Rem: the VM's total ir::divRemInt, no idiv.
     }
   }
 
@@ -964,19 +878,38 @@ private:
     }
   }
 
-  //===--- Shim plumbing --------------------------------------------------===//
+  //===--- Deferred ops ---------------------------------------------------===//
 
-  void emitShim(MOp Op, const NOp &N) {
-    U.Shims.push_back(N);
-    const NOp *P = &U.Shims.back(); // deque: stable across growth.
+  /// Runs \p I on the VM: the VM decoder's own step decodes it into the
+  /// unit's op array, and the code calls the handler it picked, as
+  /// Fn(vm, op, pc), on the lane file both tiers share.
+  void defer(const MInstr &I) {
+    uint32_t Idx = U.Deferred.appendInstr(F, Lay, I, T, Mem);
+    const DOp &O = U.Deferred.Code[Idx];
+    assert(sameLanes(O, I) && "deferred op decoded to other lanes");
     if (E.UseVEX)
-      E.vzeroupper(); // Don't make the C++ shim pay SSE-transition costs.
-    E.movRR64(RDI, RBP);
-    E.movImm64(RSI, reinterpret_cast<uintptr_t>(P));
-    E.movImm64(RAX, reinterpret_cast<uintptr_t>(&vapor_codegen_shim));
+      E.vzeroupper(); // Don't make the handler pay SSE-transition costs.
+    E.movRM64(RDI, RBP, 72); // NativeContext::Vm
+    E.movImm64(RSI, 0);
+    OpFixes.push_back({E.here() - 8, Idx});
+    E.movImm64(RAX, reinterpret_cast<uintptr_t>(O.Fn));
     E.callR(RAX);
     ++U.Stats.HelperOps;
-    ++U.Stats.HelperByOp[static_cast<unsigned>(Op)];
+    ++U.Stats.HelperByOp[static_cast<unsigned>(I.Op)];
+  }
+
+  /// Whether the decoder resolved \p I's operands to the lanes the inline
+  /// code uses: the destination in A, sources in B, C, D, and the lane
+  /// count of the destination (of the source for compares and reductions).
+  bool sameLanes(const DOp &O, const MInstr &I) const {
+    const uint32_t Srcs[] = {O.B, O.C, O.D};
+    for (size_t K = 0; K < I.Srcs.size() && K < 3; ++K)
+      if (Srcs[K] != Off[I.Srcs[K]])
+        return false;
+    bool BySrc = I.Op == MOp::Reduce ||
+                 (I.Op == MOp::Alu && isCompare(I.SubOp));
+    return O.A == Off[I.Dst] &&
+           O.Lanes == RegLanes[BySrc ? I.Srcs[0] : I.Dst];
   }
 
   void countInline(MOp Op) {
@@ -995,23 +928,12 @@ private:
     return static_cast<unsigned>(__builtin_ctz(Bytes));
   }
 
-  void alu(const MInstr &I, uint32_t Ord) {
-    (void)Ord;
+  void alu(const MInstr &I) {
     if (isCompare(I.SubOp)) {
       ScalarKind SK = F.Regs[I.Srcs[0]].Kind;
+      if (SK == ScalarKind::None)
+        return defer(I);
       uint32_t Lanes = RegLanes[I.Srcs[0]];
-      if (SK == ScalarKind::None) {
-        NOp N;
-        N.F = NOp::Fn::Cmp;
-        N.Sub = I.SubOp;
-        N.SrcKind = SK;
-        N.A = Off[I.Dst];
-        N.B = Off[I.Srcs[0]];
-        N.C = Off[I.Srcs[1]];
-        N.Lanes = Lanes;
-        emitShim(MOp::Alu, N);
-        return;
-      }
       for (uint32_t L = 0; L < Lanes; ++L)
         cmpLane(I.SubOp, SK, Off[I.Dst] + L, Off[I.Srcs[0]] + L,
                 Off[I.Srcs[1]] + L);
@@ -1027,56 +949,26 @@ private:
       countInline(MOp::Alu);
       return;
     }
-    case Opcode::Convert: {
-      NOp N;
-      N.F = NOp::Fn::Cvt;
-      N.Kind = I.Kind;
-      N.SrcKind = F.Regs[I.Srcs[0]].Kind;
-      N.A = Off[I.Dst];
-      N.B = Off[I.Srcs[0]];
-      N.Lanes = RegLanes[I.Dst];
-      emitShim(MOp::Alu, N);
-      return;
-    }
+    case Opcode::Convert:
+      return defer(I);
     case Opcode::Neg:
     case Opcode::Abs:
     case Opcode::Sqrt: {
+      if (!inlinableUn(I.SubOp, I.Kind))
+        return defer(I);
       uint32_t Lanes = RegLanes[I.Dst];
-      if (!inlinableUn(I.SubOp, I.Kind)) {
-        NOp N;
-        N.F = NOp::Fn::Un;
-        N.Sub = I.SubOp;
-        N.Kind = I.Kind;
-        N.A = Off[I.Dst];
-        N.B = Off[I.Srcs[0]];
-        N.Lanes = Lanes;
-        emitShim(MOp::Alu, N);
-        return;
-      }
       for (uint32_t L = 0; L < Lanes; ++L)
         unLane(I.SubOp, I.Kind, Off[I.Dst] + L, Off[I.Srcs[0]] + L);
       countInline(MOp::Alu);
       return;
     }
-    default: {
-      uint32_t Lanes = RegLanes[I.Dst];
-      if (!inlinableBin(I.SubOp, I.Kind)) {
-        NOp N;
-        N.F = NOp::Fn::Bin;
-        N.Sub = I.SubOp;
-        N.Kind = I.Kind;
-        N.A = Off[I.Dst];
-        N.B = Off[I.Srcs[0]];
-        N.C = Off[I.Srcs[1]];
-        N.Lanes = Lanes;
-        emitShim(MOp::Alu, N);
-        return;
-      }
+    default:
+      if (!inlinableBin(I.SubOp, I.Kind))
+        return defer(I);
       vecBin(I.SubOp, I.Kind, Off[I.Dst], Off[I.Srcs[0]], Off[I.Srcs[1]],
-             Lanes);
+             RegLanes[I.Dst]);
       countInline(MOp::Alu);
       return;
-    }
     }
   }
 
@@ -1113,7 +1005,7 @@ private:
       countInline(I.Op);
       break;
     case MOp::Alu:
-      alu(I, Ord);
+      alu(I);
       break;
     case MOp::Load: {
       unsigned ES = scalarSize(I.Kind);
@@ -1182,17 +1074,16 @@ private:
       countInline(I.Op);
       break;
     }
-    case MOp::VAffine: {
-      NOp N;
-      N.F = NOp::Fn::Affine;
-      N.Kind = I.Kind;
-      N.A = Off[I.Dst];
-      N.B = Off[I.Srcs[0]];
-      N.C = Off[I.Srcs[1]];
-      N.Lanes = RegLanes[I.Dst];
-      emitShim(I.Op, N);
+    case MOp::VAffine:
+    case MOp::VWMulLo:
+    case MOp::VWMulHi:
+    case MOp::VPack:
+    case MOp::VUnpackLo:
+    case MOp::VUnpackHi:
+    case MOp::VDot:
+    case MOp::CallLib:
+      defer(I);
       break;
-    }
     case MOp::VSetLane0:
       // Scalar first: it may be overwritten by the copy (VM reads it
       // into a local before its memcpy).
@@ -1234,48 +1125,6 @@ private:
       countInline(I.Op);
       break;
     }
-    case MOp::VWMulLo:
-    case MOp::VWMulHi:
-      emitShim(I.Op, wmulOp(I, I.Op == MOp::VWMulHi));
-      break;
-    case MOp::VPack: {
-      NOp N;
-      N.F = NOp::Fn::Pack;
-      N.Kind = I.Kind;
-      N.SrcKind = F.Regs[I.Srcs[0]].Kind;
-      N.A = Off[I.Dst];
-      N.B = Off[I.Srcs[0]];
-      N.C = Off[I.Srcs[1]];
-      N.Lanes = RegLanes[I.Dst];
-      emitShim(I.Op, N);
-      break;
-    }
-    case MOp::VUnpackLo:
-    case MOp::VUnpackHi: {
-      NOp N;
-      N.F = NOp::Fn::Unpack;
-      N.Kind = I.Kind;
-      N.SrcKind = F.Regs[I.Srcs[0]].Kind;
-      N.A = Off[I.Dst];
-      N.B = Off[I.Srcs[0]];
-      N.Lanes = RegLanes[I.Dst];
-      N.Imm = I.Op == MOp::VUnpackHi ? N.Lanes : 0;
-      emitShim(I.Op, N);
-      break;
-    }
-    case MOp::VDot: {
-      NOp N;
-      N.F = NOp::Fn::Dot;
-      N.Kind = I.Kind;
-      N.SrcKind = F.Regs[I.Srcs[0]].Kind;
-      N.A = Off[I.Dst];
-      N.B = Off[I.Srcs[0]];
-      N.C = Off[I.Srcs[1]];
-      N.D = Off[I.Srcs[2]];
-      N.Lanes = RegLanes[I.Dst];
-      emitShim(I.Op, N);
-      break;
-    }
     case MOp::Reduce: {
       uint32_t Lanes = RegLanes[I.Srcs[0]];
       if (inlinableBin(I.SubOp, I.Kind)) {
@@ -1290,40 +1139,10 @@ private:
         E.movMR64(RBX, d(Off[I.Dst]), RAX);
         countInline(I.Op);
       } else {
-        NOp N;
-        N.F = NOp::Fn::Reduce;
-        N.Sub = I.SubOp;
-        N.Kind = I.Kind;
-        N.A = Off[I.Dst];
-        N.B = Off[I.Srcs[0]];
-        N.Lanes = Lanes;
-        emitShim(I.Op, N);
+        defer(I);
       }
       break;
     }
-    case MOp::CallLib:
-      switch (I.SubOp) {
-      case Opcode::WidenMultLo:
-        emitShim(I.Op, wmulOp(I, false));
-        break;
-      case Opcode::WidenMultHi:
-        emitShim(I.Op, wmulOp(I, true));
-        break;
-      case Opcode::Convert: {
-        NOp N;
-        N.F = NOp::Fn::Cvt;
-        N.Kind = I.Kind;
-        N.SrcKind = F.Regs[I.Srcs[0]].Kind;
-        N.A = Off[I.Dst];
-        N.B = Off[I.Srcs[0]];
-        N.Lanes = RegLanes[I.Dst];
-        emitShim(I.Op, N);
-        break;
-      }
-      default:
-        vapor_unreachable("unsupported library call");
-      }
-      break;
     case MOp::SpillLd:
     case MOp::SpillSt:
       // Cost-model traffic: no machine state, but one VM PC slot.
@@ -1332,19 +1151,6 @@ private:
     }
     ++Ordinal;
     ++U.Stats.MInstrs;
-  }
-
-  NOp wmulOp(const MInstr &I, bool Hi) const {
-    NOp N;
-    N.F = NOp::Fn::WMul;
-    N.Kind = I.Kind;
-    N.SrcKind = F.Regs[I.Srcs[0]].Kind;
-    N.A = Off[I.Dst];
-    N.B = Off[I.Srcs[0]];
-    N.C = Off[I.Srcs[1]];
-    N.Lanes = RegLanes[I.Dst];
-    N.Imm = Hi ? N.Lanes : 0;
-    return N;
   }
 };
 
@@ -1365,10 +1171,8 @@ vapor::codegen::compileNative(const MFunction &F, const TargetDesc &T,
                              Opts.Features.str() + "')");
 
   auto U = std::make_shared<NativeUnit>();
-  NativeBuilder B(F, Image, Opts.Features, Opts.Plan, *U);
+  NativeBuilder B(F, T, Image, Opts.Features, Opts.Plan, *U);
   B.build();
-  U->TargetName = T.Name;
-  U->Stats.FeaturesUsed = Opts.Features.str();
 
   const std::vector<uint8_t> &Code = B.code();
   if (!U->Code.allocate(Code.size()))
@@ -1383,33 +1187,9 @@ vapor::codegen::compileNative(const MFunction &F, const TargetDesc &T,
 
 NativeExec::NativeExec(std::shared_ptr<const NativeUnit> U,
                        MemoryImage &Image)
-    : Unit(std::move(U)), Mem(Image), RegStore(Unit->LaneTotal, 0) {
-  Trap.Target = Unit->TargetName;
-}
-
-void NativeExec::setParamInt(const std::string &Name, int64_t V) {
-  for (const DecodedProgram::ParamSlot &P : Unit->Params) {
-    if (P.Name != Name)
-      continue;
-    RegStore[P.Off] = isFloatKind(P.Kind)
-                          ? encodeFP(P.Kind, static_cast<double>(V))
-                          : encodeInt(P.Kind, V);
-    return;
-  }
-  fatalError("unknown integer parameter '" + Name + "'");
-}
-
-void NativeExec::setParamFP(const std::string &Name, double V) {
-  for (const DecodedProgram::ParamSlot &P : Unit->Params) {
-    if (P.Name != Name)
-      continue;
-    RegStore[P.Off] = isFloatKind(P.Kind)
-                          ? encodeFP(P.Kind, V)
-                          : encodeInt(P.Kind, static_cast<int64_t>(V));
-    return;
-  }
-  fatalError("unknown float parameter '" + Name + "'");
-}
+    : Unit(std::move(U)), Mem(Image),
+      Vm(std::shared_ptr<const DecodedProgram>(Unit, &Unit->Deferred),
+         Image) {}
 
 Status NativeExec::run() {
   using status::Code;
@@ -1429,30 +1209,28 @@ Status NativeExec::run() {
                          "injected fault: native deadline exceeded");
 
   NativeContext Ctx;
-  Ctx.Lanes = RegStore.data();
+  Ctx.Lanes = Vm.lanes();
   Ctx.MemBias = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Mem.data())) -
                 Mem.lowAddr();
   Ctx.MemLo = Mem.lowAddr();
   Ctx.MemHi = Mem.highAddr();
-  Ctx.FuelLeft = Fuel;
-  std::jmp_buf DeadlineJmp;
-  Ctx.DeadlineJmp = &DeadlineJmp;
-  // NOLINTNEXTLINE(cert-err52-cpp): longjmp is the only way to abandon a
-  // generated frame; nothing with a destructor is live across it.
-  if (setjmp(DeadlineJmp) != 0) {
-    static obs::Counter Deadlines("native.deadline_exceeded");
-    Deadlines.add(1);
-    return Status::error(
-        Code::DeadlineExceeded, Layer::Vm,
-        "deadline exceeded: native shim-call budget of " +
-            std::to_string(Fuel) + " exhausted on " + Unit->TargetName);
-  }
+  Ctx.Vm = &Vm;
+  Ctx.Fuel = Fuel != 0 ? Fuel : ~uint64_t(0); // 2^64 ops: unlimited.
 
   uint64_t Rc = Unit->entry()(&Ctx);
   AuditAlignFired += Ctx.AuditAlign;
   AuditBoundsFired += Ctx.AuditBounds;
   if (Rc == 0)
     return Status::okStatus();
+  const std::string &Target = Unit->Deferred.TargetName;
+  if (Rc == DeadlineRc) {
+    static obs::Counter Deadlines("native.deadline_exceeded");
+    Deadlines.add(1);
+    return Status::error(Code::DeadlineExceeded, Layer::Vm,
+                         "deadline exceeded: native op budget of " +
+                             std::to_string(Fuel) + " exhausted on " +
+                             Target);
+  }
 
   Trapped = true;
   Trap.TrapKind =
@@ -1461,7 +1239,7 @@ Status NativeExec::run() {
   Trap.Address = Ctx.TrapAddr;
   Trap.RequiredAlign = Ctx.TrapAlign;
   Trap.IsStore = Ctx.TrapIsStore != 0;
-  Trap.Target = Unit->TargetName;
+  Trap.Target = Target;
   return Status::error(Rc == 1 ? Code::AlignmentTrap : Code::OutOfBoundsAccess,
                        Layer::Vm, Trap.str());
 }

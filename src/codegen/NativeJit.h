@@ -18,9 +18,10 @@
 /// int/fp arithmetic, compares, selects, permute/realign moves,
 /// reductions) are emitted inline -- packed SSE2/VEX forms where the lane
 /// layout allows, scalar x86-64 otherwise. Everything else (divides,
-/// converts, widening multiplies, packs, dots, I1-kind ALU) calls a tiny
-/// C++ shim that reuses the exact ScalarOps helpers the VM runs, making
-/// bit-equality true by construction rather than by re-derivation.
+/// converts, widening multiplies, packs, dots, affine ramps, I1-kind ALU)
+/// is decoded by the VM decoder's own per-instruction step and the
+/// generated code calls that op's VM handler on the VM's lane file, so
+/// such an op has one implementation on both tiers, not two.
 ///
 /// The encoding set (legacy SSE2 vs VEX-128 vs VEX-256) is chosen at
 /// compile time from a CpuFeatures mask, normally the host CPUID probe.
@@ -32,8 +33,6 @@
 
 #include "codegen/CpuFeatures.h"
 #include "codegen/ExecMem.h"
-#include "ir/Opcode.h"
-#include "ir/Type.h"
 #include "support/Status.h"
 #include "target/Elision.h"
 #include "target/MachineIR.h"
@@ -44,20 +43,19 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace vapor {
 namespace codegen {
 
 /// The runtime state block the generated function receives (in rdi). The
-/// prologue pins Lanes/MemBias/MemLo/MemHi in callee-saved registers; the
-/// Trap* fields are written by the trap stubs before the early return.
-/// Field offsets are part of the generated-code ABI, hence the asserts.
+/// prologue pins Lanes/MemBias/MemLo/MemHi/Fuel in callee-saved
+/// registers; the Trap* fields are written by the trap stubs before the
+/// early return. Field offsets are part of the generated-code ABI, hence
+/// the asserts.
 struct NativeContext {
-  uint64_t *Lanes = nullptr; ///< Lane file base (same layout as the VM's).
+  uint64_t *Lanes = nullptr; ///< Lane file base (the VM's lane file).
   uint64_t MemBias = 0;      ///< host pointer == virtual addr + MemBias.
   uint64_t MemLo = 0;        ///< First valid virtual address.
   uint64_t MemHi = 0;        ///< One past the last valid virtual address.
@@ -70,15 +68,11 @@ struct NativeContext {
   /// inline by the generated code before the (still live) checks run.
   uint64_t AuditAlign = 0;
   uint64_t AuditBounds = 0;
-  /// Deadline checkpoint state, consumed by vapor_codegen_shim only (the
-  /// generated code never reads these, so they sit past the ABI-asserted
-  /// prefix). FuelLeft is the remaining shim-call budget; 0 disarms the
-  /// checkpoint. When the budget runs out the shim longjmps through
-  /// DeadlineJmp (a std::jmp_buf*) back into NativeExec::run, which
-  /// reports DeadlineExceeded -- the only way to stop a generated loop
-  /// whose body no longer touches C++ except at shim boundaries.
-  uint64_t FuelLeft = 0;
-  void *DeadlineJmp = nullptr;
+  /// The VM whose handlers run the deferred ops (first handler argument).
+  target::VM *Vm = nullptr;
+  /// Op budget, held in r15: every loop back-edge charges its loop's op
+  /// count, and a run that cannot pay returns the deadline code.
+  uint64_t Fuel = 0;
 };
 static_assert(offsetof(NativeContext, Lanes) == 0, "codegen ABI");
 static_assert(offsetof(NativeContext, MemBias) == 8, "codegen ABI");
@@ -90,35 +84,8 @@ static_assert(offsetof(NativeContext, TrapAlign) == 44, "codegen ABI");
 static_assert(offsetof(NativeContext, TrapIsStore) == 48, "codegen ABI");
 static_assert(offsetof(NativeContext, AuditAlign) == 56, "codegen ABI");
 static_assert(offsetof(NativeContext, AuditBounds) == 64, "codegen ABI");
-
-/// One deferred operation: the generated code calls vapor_codegen_shim
-/// with a pointer to its NOp, and the shim replays the VM handler's exact
-/// lane loop over ScalarOps. Shims only touch the lane file -- never
-/// memory -- so they cannot trap.
-struct NOp {
-  enum class Fn : uint8_t {
-    Bin,    ///< applyBinop lane loop (div/rem and I1/None kinds).
-    Un,     ///< applyUnop lane loop.
-    Cmp,    ///< applyCompare lane loop.
-    Sel,    ///< select lane loop.
-    Cvt,    ///< applyConvert lane loop.
-    WMul,   ///< widening-multiply half (VWMulLo/Hi, CallLib WidenMult).
-    Pack,   ///< VPack narrowing interleave.
-    Unpack, ///< VUnpackLo/Hi widening half.
-    Dot,    ///< VDot fused dot-product step.
-    Affine, ///< VAffine lane ramp.
-    Reduce, ///< Horizontal reduction.
-  };
-  Fn F = Fn::Bin;
-  ir::Opcode Sub = ir::Opcode::Add;
-  ir::ScalarKind Kind = ir::ScalarKind::None;
-  ir::ScalarKind SrcKind = ir::ScalarKind::None;
-  uint32_t A = 0, B = 0, C = 0, D = 0; ///< Lane-file offsets (lane units).
-  uint32_t Lanes = 1;
-  uint64_t Imm = 0;
-};
-
-extern "C" void vapor_codegen_shim(NativeContext *Ctx, const NOp *Op);
+static_assert(offsetof(NativeContext, Vm) == 72, "codegen ABI");
+static_assert(offsetof(NativeContext, Fuel) == 80, "codegen ABI");
 
 /// One slot per MOp value, for the per-op inline/helper breakdown.
 constexpr unsigned NumMOps = static_cast<unsigned>(target::MOp::SpillSt) + 1;
@@ -126,7 +93,7 @@ constexpr unsigned NumMOps = static_cast<unsigned>(target::MOp::SpillSt) + 1;
 struct NativeStats {
   uint64_t MInstrs = 0;   ///< MachineIR instructions walked.
   uint64_t InlineOps = 0; ///< Ops lowered to inline x86-64.
-  uint64_t HelperOps = 0; ///< Ops lowered to ScalarOps shim calls.
+  uint64_t HelperOps = 0; ///< Ops run on the VM's handlers.
   uint64_t PackedOps = 0; ///< SIMD-packed chunks emitted.
   uint64_t VexChunks = 0; ///< 256-bit VEX chunks among those.
   uint64_t CodeBytes = 0;
@@ -146,21 +113,18 @@ struct NativeOptions {
   const target::ElisionPlan *Plan = nullptr;
 };
 
-/// An immutable compiled unit: sealed executable pages plus the shim
-/// table the code points into and the parameter layout mirrored from the
-/// VM decoder. Placement-specific (LoadBase bakes array bases), so cache
-/// keys must include the memory-image placement hash.
+/// An immutable compiled unit: sealed executable pages plus the decoded
+/// ops the code calls into. Placement-specific (LoadBase bakes array
+/// bases), so cache keys must include the memory-image placement hash.
 class NativeUnit {
 public:
   using EntryFn = uint64_t (*)(NativeContext *);
 
   ExecMem Code;
-  std::deque<NOp> Shims; ///< deque: addresses are baked into the code.
-  std::vector<target::DecodedProgram::ParamSlot> Params;
-  uint32_t LaneCount = 0; ///< Register-file lanes (excl. scratch).
-  uint32_t LaneTotal = 0; ///< Allocation size incl. scratch lanes.
-  uint32_t OpCount = 0;   ///< Pre-fusion op ordinals emitted.
-  std::string TargetName;
+  /// The ops the code runs on VM handlers (their addresses are baked into
+  /// the code), the parameter slots, and the lane count, scratch lane
+  /// included. A NativeExec runs the code on a VM bound to it.
+  target::DecodedProgram Deferred;
   NativeStats Stats;
 
   EntryFn entry() const {
@@ -174,8 +138,12 @@ class NativeExec {
 public:
   NativeExec(std::shared_ptr<const NativeUnit> U, target::MemoryImage &Mem);
 
-  void setParamInt(const std::string &Name, int64_t V);
-  void setParamFP(const std::string &Name, double V);
+  void setParamInt(const std::string &Name, int64_t V) {
+    Vm.setParamInt(Name, V);
+  }
+  void setParamFP(const std::string &Name, double V) {
+    Vm.setParamFP(Name, V);
+  }
 
   /// Executes. On a trap, returns the same Status the VM would
   /// (AlignmentTrap/OutOfBoundsAccess at Layer::Vm) with trapInfo()
@@ -190,19 +158,19 @@ public:
   uint64_t auditAlignFired() const { return AuditAlignFired; }
   uint64_t auditBoundsFired() const { return AuditBoundsFired; }
 
-  /// Arms a per-run shim-call budget (mirrors VM::setFuel, but the unit
-  /// is deferred-op shim calls -- the native tier's only recurring C++
-  /// checkpoints). A run whose generated code makes more than \p
-  /// MaxShimCalls shim calls is abandoned mid-flight via longjmp and
-  /// reported as DeadlineExceeded. 0 (default) disarms; all-inline
-  /// kernels make no shim calls and can only be bounded by the VM tier.
-  void setFuel(uint64_t MaxShimCalls) { Fuel = MaxShimCalls; }
+  /// Arms a per-run op budget (the native side of VM::setFuel). Every
+  /// loop back-edge charges the pre-fusion op count of its loop, head to
+  /// latch, so a budget buys about the work it buys on the VM; a run that
+  /// cannot pay at a back-edge stops there with DeadlineExceeded. Code
+  /// outside loops runs each op once and is never charged. 0 (default)
+  /// is unlimited.
+  void setFuel(uint64_t MaxOps) { Fuel = MaxOps; }
 
 private:
   std::shared_ptr<const NativeUnit> Unit;
   target::MemoryImage &Mem;
-  std::vector<uint64_t> RegStore;
-  uint64_t Fuel = 0; ///< Per-run shim-call budget; 0 = unlimited.
+  target::VM Vm;     ///< Bound to Unit->Deferred; owns the lane file.
+  uint64_t Fuel = 0; ///< Per-run op budget; 0 = unlimited.
   target::TrapInfo Trap;
   bool Trapped = false;
   uint64_t AuditAlignFired = 0;

@@ -259,11 +259,13 @@ VAPOR_ALWAYS_INLINE uint64_t applyUnop(Opcode Op, ScalarKind K, uint64_t A) {
     }
   }
   int64_t X = decodeInt(K, A);
+  // Negated in uint64, so -INT64_MIN wraps to itself as the hardware's neg.
+  const int64_t NegX = static_cast<int64_t>(0 - static_cast<uint64_t>(X));
   switch (Op) {
   case Opcode::Neg:
-    return encodeInt(K, -X);
+    return encodeInt(K, NegX);
   case Opcode::Abs:
-    return encodeInt(K, X < 0 ? -X : X);
+    return encodeInt(K, X < 0 ? NegX : X);
   default:
     vapor_unreachable("bad int unop");
   }

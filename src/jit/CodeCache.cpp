@@ -161,7 +161,7 @@ size_t costProgram(const target::DecodedProgram &P) {
 
 size_t costNative(const codegen::NativeUnit &U) {
   return EntryOverhead + U.Stats.CodeBytes +
-         U.Shims.size() * sizeof(codegen::NOp);
+         U.Deferred.Code.size() * sizeof(target::DecodedProgram::DOp);
 }
 
 //===--- LRU plumbing (all called under Store::Mu) ------------------------===//

@@ -16,9 +16,9 @@
 ///
 /// Robustness contract (the reason this subsystem exists):
 ///
-///  - Deadlines: every run carries a deterministic dispatch budget
-///    (RunOptions::DeadlineFuel), checked in the VM dispatch loop and at
-///    the native tier's shim boundary. A runaway kernel costs one
+///  - Deadlines: every run carries a deterministic op budget
+///    (RunOptions::DeadlineFuel), charged per op in the VM dispatch loop
+///    and per loop back-edge in native code. A runaway kernel costs one
 ///    DeadlineExceeded response, never a wedged worker.
 ///  - Backpressure: the admission queue is bounded. Past the bound the
 ///    request is REJECTED immediately with Overloaded plus a retry-after

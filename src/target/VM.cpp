@@ -701,17 +701,19 @@ struct VMDecoder {
   const TargetDesc &T;
   const MemoryImage &Mem;
   bool Weak;
-  const ElisionPlan *Plan;        ///< Checked elision grants (may be null).
-  std::vector<uint32_t> Off;      ///< Lane-file offset per register.
-  std::vector<uint16_t> RegLanes; ///< Lane count per register.
+  const ElisionPlan *Plan; ///< Checked elision grants (may be null).
+  const std::vector<uint32_t> &Off;      ///< Lane-file offset per register.
+  const std::vector<uint16_t> &RegLanes; ///< Lane count per register.
 
   using DOp = DecodedProgram::DOp;
   using Handler = DecodedProgram::Handler;
 
-  VMDecoder(DecodedProgram &Prog, const MFunction &Fn, const TargetDesc &Target,
+  VMDecoder(DecodedProgram &Prog, const MFunction &Fn,
+            const DecodedProgram::Layout &L, const TargetDesc &Target,
             const MemoryImage &Image, bool WeakTier,
             const ElisionPlan *Elide = nullptr)
-      : P(Prog), F(Fn), T(Target), Mem(Image), Weak(WeakTier), Plan(Elide) {}
+      : P(Prog), F(Fn), T(Target), Mem(Image), Weak(WeakTier), Plan(Elide),
+        Off(L.Off), RegLanes(L.Lanes) {}
 
   /// Maps a memory instruction's elision grant to its decoded check
   /// state. \p Aligned = the op defaults to the alignment-trap check
@@ -739,29 +741,6 @@ struct VMDecoder {
                              // align trap subsumes nothing, keep both.
     }
     return B ? VMCheck::None : VMCheck::Bounds;
-  }
-
-  void decode() {
-    // Lay out the flat lane file: vector registers get VS/ES lanes.
-    Off.resize(F.Regs.size());
-    RegLanes.resize(F.Regs.size());
-    uint32_t Total = 0;
-    for (size_t R = 0; R < F.Regs.size(); ++R) {
-      unsigned Lanes = 1;
-      if (F.Regs[R].Vector && F.VSBytes)
-        Lanes = std::max(1u, F.VSBytes / scalarSize(F.Regs[R].Kind));
-      Off[R] = Total;
-      RegLanes[R] = static_cast<uint16_t>(Lanes);
-      Total += Lanes;
-    }
-    P.LaneCount = Total;
-
-    for (const MParam &Prm : F.Params) {
-      assert(Prm.Reg < F.Regs.size() && "bad param register");
-      P.Params.push_back({Prm.Name, Off[Prm.Reg], F.Regs[Prm.Reg].Kind});
-    }
-
-    region(F.Body);
   }
 
   uint32_t emit(const DOp &O) {
@@ -853,7 +832,7 @@ struct VMDecoder {
     return static_cast<unsigned>(__builtin_ctz(Bytes));
   }
 
-  void instr(const MInstr &I) {
+  uint32_t instr(const MInstr &I) {
     DOp O;
     O.Cost = instrCost(T, I, Weak);
     O.Counts = 1;
@@ -1035,7 +1014,7 @@ struct VMDecoder {
       O.Cls = OpCls::Nop;
       break;
     }
-    emit(O);
+    return emit(O);
   }
 
   void decodeWMul(const MInstr &I, DOp &O, bool Hi) {
@@ -1921,6 +1900,35 @@ struct VMFuser {
 
 //===--- DecodedProgram ---------------------------------------------------===//
 
+DecodedProgram::Layout DecodedProgram::layOut(const MFunction &F) {
+  // A flat lane file: vector registers get VS/ES lanes.
+  Layout L;
+  L.Off.resize(F.Regs.size());
+  L.Lanes.resize(F.Regs.size());
+  uint32_t Total = 0;
+  for (size_t R = 0; R < F.Regs.size(); ++R) {
+    unsigned Lanes = 1;
+    if (F.Regs[R].Vector && F.VSBytes)
+      Lanes = std::max(1u, F.VSBytes / scalarSize(F.Regs[R].Kind));
+    L.Off[R] = Total;
+    L.Lanes[R] = static_cast<uint16_t>(Lanes);
+    Total += Lanes;
+  }
+  LaneCount = Total;
+
+  for (const MParam &Prm : F.Params) {
+    assert(Prm.Reg < F.Regs.size() && "bad param register");
+    Params.push_back({Prm.Name, L.Off[Prm.Reg], F.Regs[Prm.Reg].Kind});
+  }
+  return L;
+}
+
+uint32_t DecodedProgram::appendInstr(const MFunction &F, const Layout &L,
+                                     const MInstr &I, const TargetDesc &T,
+                                     const MemoryImage &Image) {
+  return VMDecoder(*this, F, L, T, Image, /*Weak=*/false).instr(I);
+}
+
 std::shared_ptr<const DecodedProgram>
 DecodedProgram::build(const MFunction &F, const TargetDesc &T,
                       const MemoryImage &Image, bool Weak, bool Fuse,
@@ -1930,7 +1938,8 @@ DecodedProgram::build(const MFunction &F, const TargetDesc &T,
   S.arg("target", T.Name);
   auto P = std::make_shared<DecodedProgram>();
   P->TargetName = T.Name;
-  VMDecoder(*P, F, T, Image, Weak, Plan).decode();
+  const Layout L = P->layOut(F);
+  VMDecoder(*P, F, L, T, Image, Weak, Plan).region(F.Body);
   P->PreFusionOps = static_cast<uint32_t>(P->Code.size());
   if (Fuse)
     VMFuser::run(*P);

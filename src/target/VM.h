@@ -177,6 +177,28 @@ public:
         bool Weak = false, bool Fuse = true,
         const ElisionPlan *Plan = nullptr);
 
+  /// Where build() places each register of a function in the lane file:
+  /// its first lane and its lane count (vector registers get VS/ES lanes).
+  struct Layout {
+    std::vector<uint32_t> Off;
+    std::vector<uint16_t> Lanes;
+  };
+
+  /// The first step of build(): lays out \p F's register file, setting
+  /// LaneCount and Params, and \returns each register's place.
+  Layout layOut(const MFunction &F);
+
+  /// The decoder's per-instruction step: appends the op build() emits for
+  /// the straight-line instruction \p I of \p F (registers placed by \p L,
+  /// array bases resolved against \p Image) and \returns its index. The
+  /// native tier (codegen/NativeJit) collects the ops it does not lower
+  /// inline this way and calls their handlers on a VM bound to the
+  /// collection, so an op has one semantics on both tiers. Memory ops
+  /// need the image binding VM::run() sets up; the native tier lowers
+  /// every one of those inline.
+  uint32_t appendInstr(const MFunction &F, const Layout &L, const MInstr &I,
+                       const TargetDesc &T, const MemoryImage &Image);
+
   /// Maps a decoded-op PC back to the pre-fusion op index reported in
   /// TrapInfo::OpIndex: for a superop, the original index of its single
   /// trappable constituent. Identity when no fusion ran.
@@ -226,6 +248,11 @@ public:
   /// Binds scalar parameter \p Name (aborts on unknown names).
   void setParamInt(const std::string &Name, int64_t V);
   void setParamFP(const std::string &Name, double V);
+
+  /// The lane file: program().LaneCount lanes, 16-byte aligned. The
+  /// native tier runs its generated code on it, so the ops it hands to
+  /// this VM's handlers see the same registers.
+  uint64_t *lanes() { return R; }
 
   /// Executes the function once. May be called repeatedly; cycle and
   /// instruction counters accumulate across runs. In trap-recording mode

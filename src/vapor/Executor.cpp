@@ -479,9 +479,7 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
                            std::chrono::steady_clock::now() - T0)
                            .count();
   Out.Scalarized = R->Scalarized;
-  Out.Code = R->Code;
-  Out.Strategy = R->Strategy;
-  Out.Iaca = analyzeVectorLoop(Out.Code, O.Target);
+  Out.Compiled = R;
 
   // --- Proof-carrying check elision: replay the verifier's certificate
   // through the independent checker and evaluate its runtime
@@ -637,8 +635,7 @@ void Executor::runInterpreter(RunOutcome &Out) {
   Out.Cycles = E.dynamicOps();
   Out.Scalarized = true;
   Out.BytecodeBytes = 0;
-  Out.Code = MFunction();
-  Out.Iaca = IacaReport();
+  Out.Compiled = nullptr;
 }
 
 RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,

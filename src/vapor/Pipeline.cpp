@@ -107,14 +107,13 @@ static RunOutcome runNative(const kernels::Kernel &K, Flow F,
   Out.CompileMicros =
       std::chrono::duration<double, std::micro>(T1 - T0).count();
   Out.Scalarized = CR.Scalarized;
-  Out.Code = std::move(CR.Code);
-  Out.Iaca = analyzeVectorLoop(Out.Code, O.Target);
+  Out.Compiled = std::make_shared<const jit::CompileResult>(std::move(CR));
 
   // --- Workload and execution (a native trap is a hard abort) ---
   detail::MemFill Fill(*Out.Mem);
   K.fill(Fill);
 
-  VM Machine(Out.Code, O.Target, *Out.Mem, /*Weak=*/false);
+  VM Machine(Out.Compiled->Code, O.Target, *Out.Mem, /*Weak=*/false);
   detail::setParams(
       K, Compiled,
       [&](const std::string &N, int64_t V) { Machine.setParamInt(N, V); },

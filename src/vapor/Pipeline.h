@@ -28,7 +28,6 @@
 #include "jit/Jit.h"
 #include "kernels/Kernels.h"
 #include "support/Status.h"
-#include "target/Iaca.h"
 #include "target/MemoryImage.h"
 #include "target/Target.h"
 #include "vectorizer/Vectorizer.h"
@@ -98,9 +97,10 @@ struct RunOptions {
   /// automatically so an injected fault can never be masked by an
   /// elided check.
   target::ElisionMode Elide = target::ElisionMode::On;
-  /// Per-run execution deadline as a dispatch budget: the VM counts op
-  /// dispatches, the native tier counts shim calls (its only recurring
-  /// C++ checkpoints -- see codegen::NativeExec::setFuel). 0 = unlimited.
+  /// Per-run execution deadline as an op budget: the VM charges one per
+  /// dispatched op, the native tier charges each loop back-edge the
+  /// pre-fusion op count of its loop (codegen::NativeExec::setFuel), so
+  /// a budget buys about the same work on both. 0 = unlimited.
   /// A run that exhausts its budget stops mid-flight with a
   /// DeadlineExceeded Status, which is TERMINAL: the executor never
   /// demotes it (re-running heavier work on a slower tier cannot meet a
@@ -138,12 +138,11 @@ struct RunOutcome {
   double CompileMicros = 0;   ///< Lowering wall time, summed over retries.
   size_t BytecodeBytes = 0;   ///< Encoded size of what the JIT consumed
                               ///< at the executed tier (0 for Interpreter).
-  target::MFunction Code;
+  /// The compile the executed tier ran: its machine code and per-target
+  /// strategy decisions (vapor-explain's online-stage record). Shared
+  /// with the code cache, never copied; null for the Interpreter tier.
+  std::shared_ptr<const jit::CompileResult> Compiled;
   std::unique_ptr<target::MemoryImage> Mem;
-  target::IacaReport Iaca;    ///< Static throughput of the vector loop.
-  /// Per-target strategy decisions of the compile that produced Code
-  /// (vapor-explain's online-stage record).
-  jit::StrategyStats Strategy;
   /// The offline vectorizer's per-loop decision records for the bytecode
   /// the executed tier consumed. Split flows only; empty for Interpreter.
   std::vector<vectorizer::LoopReport> LoopDecisions;

@@ -143,7 +143,9 @@ constexpr AffId NoAff = ~0u;
 /// target pass builds. A form's terms are sorted by symbol and stored back
 /// to back in one arena, so building a form allocates nothing once the
 /// arena has grown. Forms are immutable: an id names the same form for
-/// the rest of the pass.
+/// the rest of the pass. Coefficients are the module's own constants, so
+/// arithmetic on forms is checked: a form whose constant or coefficient
+/// leaves int64 is not built (nullopt), and the caller claims nothing.
 class AffPool {
 public:
   struct Term {
@@ -164,7 +166,7 @@ public:
   }
 
   /// A + K * B; terms that cancel are dropped.
-  AffId add(AffId A, AffId B, int64_t K = 1) {
+  std::optional<AffId> add(AffId A, AffId B, int64_t K = 1) {
     const Form FA = Forms[A], FB = Forms[B];
     const size_t Begin = Terms.size();
     uint32_t IA = FA.Begin, IB = FB.Begin;
@@ -176,19 +178,32 @@ public:
         continue;
       }
       const uint32_t S = Terms[IB].Sym;
-      int64_t N = Terms[IB++].Coef * K;
+      int64_t N;
+      bool Over = __builtin_mul_overflow(Terms[IB++].Coef, K, &N);
       if (IA != EA && Terms[IA].Sym == S)
-        N += Terms[IA++].Coef;
+        Over |= __builtin_add_overflow(N, Terms[IA++].Coef, &N);
+      if (Over)
+        return drop(Begin);
       if (N)
         Terms.push_back({S, N});
     }
-    return finish(FA.C + FB.C * K, Begin);
+    int64_t C;
+    if (__builtin_mul_overflow(FB.C, K, &C) ||
+        __builtin_add_overflow(FA.C, C, &C))
+      return drop(Begin);
+    return finish(C, Begin);
   }
 
-  AffId mulC(AffId A, int64_t K) {
+  std::optional<AffId> mulC(AffId A, int64_t K) {
     if (K == 0)
       return constant(0);
-    return rewrite(A, Forms[A].C * K, [K](Term &X) {
+    int64_t C, Coef;
+    if (__builtin_mul_overflow(Forms[A].C, K, &C))
+      return std::nullopt;
+    for (const Term &X : terms(A))
+      if (__builtin_mul_overflow(X.Coef, K, &Coef))
+        return std::nullopt;
+    return rewrite(A, C, [K](Term &X) {
       X.Coef *= K;
       return true;
     });
@@ -221,14 +236,17 @@ public:
     return {Terms.data() + Forms[A].Begin, Forms[A].Size};
   }
 
-  /// A == K * B.
+  /// A == K * B. A product past int64 equals no form.
   bool equal(AffId A, AffId B, int64_t K = 1) const {
     const Form FA = Forms[A], FB = Forms[B];
-    if (FA.C != FB.C * K || FA.Size != FB.Size)
+    int64_t P;
+    if (__builtin_mul_overflow(FB.C, K, &P) || FA.C != P ||
+        FA.Size != FB.Size)
       return false;
     for (uint32_t I = 0; I < FA.Size; ++I) {
       const Term X = Terms[FA.Begin + I], Y = Terms[FB.Begin + I];
-      if (X.Sym != Y.Sym || X.Coef != Y.Coef * K)
+      if (X.Sym != Y.Sym || __builtin_mul_overflow(Y.Coef, K, &P) ||
+          X.Coef != P)
         return false;
     }
     return true;
@@ -251,6 +269,12 @@ private:
         Terms.push_back(X);
     }
     return finish(C, Begin);
+  }
+
+  /// Discards the terms of a form under construction.
+  std::nullopt_t drop(size_t Begin) {
+    Terms.resize(Begin);
+    return std::nullopt;
   }
 
   AffId finish(int64_t C, size_t Begin) {
@@ -895,6 +919,11 @@ private:
 
   AffId newSymAff() { return Affs.sym(newSym()); }
 
+  /// \p Form, or a fresh opaque symbol when it left int64.
+  AffId orFresh(std::optional<AffId> Form) {
+    return Form ? *Form : newSymAff();
+  }
+
   /// The form bound to \p V, binding a fresh opaque symbol on first use.
   AffId affOf(WalkState &S, ValueId V) {
     AffId &Id = S.Env[V];
@@ -981,11 +1010,17 @@ private:
         return std::nullopt;
       }
       // Coef*Sym = Coef*Rhs + Coef*M*t; the t part must vanish mod W.
-      if (M <= 0 || floorMod(Coef * M, W) != 0)
+      int64_t CM;
+      if (M <= 0 || __builtin_mul_overflow(Coef, M, &CM) ||
+          floorMod(CM, W) != 0)
         return std::nullopt;
       A = Affs.without(A, Sid);
-      if (Rhs != NoAff)
-        A = Affs.add(A, Rhs, Coef);
+      if (Rhs != NoAff) {
+        std::optional<AffId> Sum = Affs.add(A, Rhs, Coef);
+        if (!Sum)
+          return std::nullopt;
+        A = *Sum;
+      }
     }
     return std::nullopt;
   }
@@ -1073,14 +1108,15 @@ private:
     AffId Lo = affOf(S, L.Lower);
     AffId Up = affOf(S, L.Upper);
     AffId St = affOf(S, L.Step);
-    AffId Span = Affs.add(Up, Lo, -1);
-    bool KnownEmpty = Affs.isConst(Span) && Affs.constOf(Span) <= 0;
+    std::optional<AffId> Span = Affs.add(Up, Lo, -1);
+    bool KnownEmpty =
+        Span && Affs.isConst(*Span) && Affs.constOf(*Span) <= 0;
     if (!KnownEmpty && !regionScalar(L.Body)) {
       WalkState B = S;
       B.Path = addPath(S.Path, PathStep::Kind::Loop, LoopIdx);
       // iv = Lower + Step * k for an opaque iteration count k.
       if (Affs.isConst(St) && Affs.constOf(St) != 0)
-        B.Env[L.IndVar] = Affs.add(Lo, newSymAff(), Affs.constOf(St));
+        B.Env[L.IndVar] = orFresh(Affs.add(Lo, newSymAff(), Affs.constOf(St)));
       else
         B.Env[L.IndVar] = newSymAff();
       for (const LoopStmt::CarriedVar &CV : L.Carried)
@@ -1153,23 +1189,23 @@ private:
       return;
     case Opcode::Add: {
       AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
-      S.Env[I.Result] = Affs.add(A, B);
+      S.Env[I.Result] = orFresh(Affs.add(A, B));
       return;
     }
     case Opcode::Sub: {
       AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
-      S.Env[I.Result] = Affs.add(A, B, -1);
+      S.Env[I.Result] = orFresh(Affs.add(A, B, -1));
       return;
     }
     case Opcode::Neg:
-      S.Env[I.Result] = Affs.mulC(affOf(S, I.Ops[0]), -1);
+      S.Env[I.Result] = orFresh(Affs.mulC(affOf(S, I.Ops[0]), -1));
       return;
     case Opcode::Mul: {
       AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
       if (Affs.isConst(A))
-        S.Env[I.Result] = Affs.mulC(B, Affs.constOf(A));
+        S.Env[I.Result] = orFresh(Affs.mulC(B, Affs.constOf(A)));
       else if (Affs.isConst(B))
-        S.Env[I.Result] = Affs.mulC(A, Affs.constOf(B));
+        S.Env[I.Result] = orFresh(Affs.mulC(A, Affs.constOf(B)));
       else
         S.Env[I.Result] = newSymAff();
       return;
@@ -1178,7 +1214,7 @@ private:
       AffId A = affOf(S, I.Ops[0]), B = affOf(S, I.Ops[1]);
       const int64_t Sh = Affs.constOf(B);
       if (Affs.isConst(B) && Sh >= 0 && Sh < 62)
-        S.Env[I.Result] = Affs.mulC(A, (int64_t)1 << Sh);
+        S.Env[I.Result] = orFresh(Affs.mulC(A, (int64_t)1 << Sh));
       else
         S.Env[I.Result] = newSymAff();
       return;
@@ -1225,8 +1261,9 @@ private:
         // (base/ES + off) mod AL: congruent to BaseElems + off.
         uint32_t Sy = newSym(SymInfo::Kind::Congruent);
         Syms[Sy].Mod = AL;
+        // base + imm: coefficient 1 and constant imm, never out of range.
         Syms[Sy].Rhs =
-            Affs.add(Affs.sym(BaseSym[I.Array]), Affs.constant(I.IntImm));
+            *Affs.add(Affs.sym(BaseSym[I.Array]), Affs.constant(I.IntImm));
         S.Env[I.Result] = Affs.sym(Sy);
       }
       return;
@@ -1250,7 +1287,12 @@ private:
     }
     AffId A = affOf(S, I.Ops[0]);
     AffId B = affOf(S, I.Ops[1]);
-    AffId D = Affs.add(A, B, -1);
+    std::optional<AffId> Diff = Affs.add(A, B, -1);
+    if (!Diff) {
+      S.Env[I.Result] = newSymAff();
+      return;
+    }
+    const AffId D = *Diff;
     bool IsMax = I.Op == Opcode::Max;
     int Sign = 0;
     if (Affs.isConst(D)) {
@@ -1332,7 +1374,9 @@ private:
     int64_t W = ES > 0 ? (int64_t)T->VSBytes / ES : 0;
     uint32_t Bump = I.Hint.known() && I.Hint.IfJitAligns ? I.Array : NoArray;
     AffId Index = affOf(S, memIndex(I));
-    AffId Addr = Affs.add(Affs.sym(BaseSym[I.Array]), Index);
+    // Forms in Env carry no array-base symbol, so this sum never leaves
+    // int64: its one new term is the base's, and its constant Index's.
+    AffId Addr = *Affs.add(Affs.sym(BaseSym[I.Array]), Index);
     std::vector<analysis::BaseAlignReq> Reqs;
     std::optional<int64_t> R = residueMod(S, Addr, W, Bump, &Reqs);
     if (R && *R == 0) {
@@ -1363,7 +1407,7 @@ private:
       return;
     uint32_t Bump = H.IfJitAligns ? I.Array : NoArray;
     AffId Index = affOf(S, memIndex(I));
-    AffId Addr = Affs.add(Affs.sym(BaseSym[I.Array]), Index);
+    AffId Addr = *Affs.add(Affs.sym(BaseSym[I.Array]), Index); // As above.
     std::optional<int64_t> R = residueMod(S, Addr, W, Bump);
     int64_t Claim = floorMod(H.Mis / ES, W);
     if (R && *R == Claim)

@@ -371,6 +371,280 @@ TEST(NativeExecMemTest, LifecycleIsStrictAndDoubleFreeSafe) {
   EXPECT_FALSE(M.sealed());
 }
 
+//===--- Deferred ops: every family the builder hands to the VM ------------===//
+//
+// No registry kernel reaches widen-mult or affine, so the all-kernel sweep
+// cannot vouch for them. Each case below hand-builds machine code that
+// loads vectors from "in", runs ops of one family the native builder
+// does not lower inline, and stores every result to "out"; the native
+// image must equal the VM's byte for byte, and the op must have run on a
+// VM handler (HelperByOp).
+
+/// Appends straight-line machine code to an MFunction over two arrays:
+/// "in" (random I64s) and "out" (zeroed bytes).
+class MirBuilder {
+public:
+  static constexpr uint64_t InBytes = 256, OutBytes = 2048;
+
+  explicit MirBuilder(unsigned VSBytes) {
+    F.Name = "deferred_probe";
+    F.VSBytes = VSBytes;
+    F.Arrays.push_back({"in", ir::ScalarKind::I64, InBytes / 8, 32});
+    F.Arrays.push_back({"out", ir::ScalarKind::U8, OutBytes, 32});
+    In = base(0);
+    Out = base(1);
+  }
+
+  MReg imm(ir::ScalarKind K, int64_t V) {
+    MInstr I;
+    I.Op = MOp::LdImm;
+    I.Kind = K;
+    I.Imm = V;
+    return add(I, F.makeReg(K, false));
+  }
+
+  /// A vector of kind \p K loaded from "in" at byte \p At.
+  MReg vload(ir::ScalarKind K, int64_t At) {
+    MInstr I;
+    I.Op = MOp::VLoadU;
+    I.Kind = K;
+    I.Vector = true;
+    I.Srcs = {addr(In, At)};
+    return add(I, F.makeReg(K, true));
+  }
+
+  /// One op of \p Op / \p Sub producing a \p K register.
+  MReg op(MOp Op, ir::Opcode Sub, ir::ScalarKind K, bool Vector,
+          std::vector<MReg> Srcs) {
+    MInstr I;
+    I.Op = Op;
+    I.SubOp = Sub;
+    I.Kind = K;
+    I.Vector = Vector;
+    I.Srcs = std::move(Srcs);
+    return add(I, F.makeReg(K, Vector));
+  }
+
+  /// Stores all of \p R (every lane of a vector) to the next free bytes
+  /// of "out".
+  void keep(MReg R) {
+    const MRegInfo &RI = F.Regs[R];
+    unsigned ES = std::max(1u, ir::scalarSize(RI.Kind));
+    uint64_t Lanes = RI.Vector ? F.VSBytes / ES : 1;
+    MInstr I;
+    I.Op = RI.Vector ? MOp::VStoreU : MOp::Store;
+    I.Kind = ES == ir::scalarSize(RI.Kind) ? RI.Kind : ir::ScalarKind::U8;
+    I.Vector = RI.Vector;
+    I.Srcs = {addr(Out, static_cast<int64_t>(Used)), R};
+    add(I, NoReg);
+    Used += Lanes * ES;
+    assert(Used <= OutBytes && "probe output overflows its array");
+  }
+
+  MFunction F;
+
+private:
+  MReg In = NoReg, Out = NoReg;
+  uint64_t Used = 0;
+
+  MReg add(MInstr I, MReg Dst) {
+    I.Dst = Dst;
+    F.Body.Nodes.push_back(
+        {MNodeKind::Instr, static_cast<uint32_t>(F.Instrs.size())});
+    F.Instrs.push_back(std::move(I));
+    return Dst;
+  }
+  MReg base(uint32_t Array) {
+    MInstr I;
+    I.Op = MOp::LoadBase;
+    I.Array = Array;
+    return add(I, F.makeReg(ir::ScalarKind::I64, false));
+  }
+  MReg addr(MReg Base, int64_t At) {
+    MInstr I;
+    I.Op = MOp::Addr;
+    I.Srcs = {Base, imm(ir::ScalarKind::I64, At)};
+    return add(I, F.makeReg(ir::ScalarKind::I64, false));
+  }
+};
+
+using SK = ir::ScalarKind;
+using ir::Opcode;
+
+void divRemCase(MirBuilder &B) {
+  for (SK K : {SK::I8, SK::U16, SK::I32, SK::U64}) {
+    MReg X = B.vload(K, 0), Y = B.vload(K, 64);
+    B.keep(B.op(MOp::Alu, Opcode::Div, K, true, {X, Y}));
+    B.keep(B.op(MOp::Alu, Opcode::Rem, K, true, {X, Y}));
+  }
+  // Scalar lanes too, with a zero divisor (total: all ones, x).
+  MReg X = B.imm(SK::I32, -7), Z = B.imm(SK::I32, 0);
+  B.keep(B.op(MOp::Alu, Opcode::Div, SK::I32, false, {X, Z}));
+  B.keep(B.op(MOp::Alu, Opcode::Rem, SK::I32, false, {X, Z}));
+  // Wide saturating adds have no inline form either.
+  MReg P = B.vload(SK::I32, 0), Q = B.vload(SK::I32, 96);
+  B.keep(B.op(MOp::Alu, Opcode::AddSatS, SK::I32, true, {P, Q}));
+}
+
+void convertCase(MirBuilder &B) {
+  MReg I = B.vload(SK::I32, 0);
+  MReg F = B.op(MOp::Alu, Opcode::Convert, SK::F32, true, {I});
+  B.keep(F);
+  B.keep(B.op(MOp::Alu, Opcode::Convert, SK::I32, true, {F}));
+  MReg H = B.vload(SK::I16, 32);
+  B.keep(B.op(MOp::CallLib, Opcode::Convert, SK::U16, true, {H}));
+  MReg S = B.imm(SK::I8, -100);
+  B.keep(B.op(MOp::Alu, Opcode::Convert, SK::F64, false, {S}));
+  B.keep(B.op(MOp::Alu, Opcode::Convert, SK::U64, false, {S}));
+}
+
+void i1AluCase(MirBuilder &B) {
+  MReg X = B.vload(SK::I32, 0), Y = B.vload(SK::I32, 48);
+  MReg Lt = B.op(MOp::Alu, Opcode::CmpLT, SK::I1, true, {X, Y});
+  MReg Ne = B.op(MOp::Alu, Opcode::CmpNE, SK::I1, true, {X, Y});
+  for (Opcode Sub : {Opcode::And, Opcode::Xor, Opcode::Or})
+    B.keep(B.op(MOp::Alu, Sub, SK::I1, true, {Lt, Ne}));
+  B.keep(B.op(MOp::Alu, Opcode::Neg, SK::I1, true, {Lt}));
+  MReg T = B.imm(SK::I1, 1), U = B.imm(SK::I1, 0);
+  B.keep(B.op(MOp::Alu, Opcode::Add, SK::I1, false, {T, T}));
+  B.keep(B.op(MOp::Alu, Opcode::Sub, SK::I1, false, {U, T}));
+  // Operands of kind None: the builder defers the compare itself.
+  MReg N0 = B.imm(SK::None, 3), N1 = B.imm(SK::None, 5);
+  B.keep(B.op(MOp::Alu, Opcode::CmpLT, SK::I1, false, {N0, N1}));
+  B.keep(B.op(MOp::Alu, Opcode::CmpEQ, SK::I1, false, {N0, N1}));
+}
+
+void widenMultCase(MirBuilder &B) {
+  for (SK NK : {SK::I8, SK::U16, SK::I32}) {
+    SK WK = ir::widenKind(NK);
+    MReg X = B.vload(NK, 0), Y = B.vload(NK, 40);
+    B.keep(B.op(MOp::VWMulLo, Opcode::Mul, WK, true, {X, Y}));
+    B.keep(B.op(MOp::VWMulHi, Opcode::Mul, WK, true, {X, Y}));
+    B.keep(B.op(MOp::CallLib, Opcode::WidenMultLo, WK, true, {X, Y}));
+    B.keep(B.op(MOp::CallLib, Opcode::WidenMultHi, WK, true, {X, Y}));
+  }
+}
+
+void packUnpackCase(MirBuilder &B) {
+  for (SK NK : {SK::U8, SK::I16, SK::F32}) {
+    SK WK = ir::widenKind(NK);
+    MReg N = B.vload(NK, 16);
+    MReg Lo = B.op(MOp::VUnpackLo, Opcode::Convert, WK, true, {N});
+    MReg Hi = B.op(MOp::VUnpackHi, Opcode::Convert, WK, true, {N});
+    B.keep(Lo);
+    B.keep(Hi);
+    B.keep(B.op(MOp::VPack, Opcode::Convert, NK, true, {Lo, Hi}));
+    // Narrowing wide lanes that do not fit the narrow kind.
+    MReg W0 = B.vload(WK, 0), W1 = B.vload(WK, 72);
+    B.keep(B.op(MOp::VPack, Opcode::Convert, NK, true, {W0, W1}));
+  }
+}
+
+void dotCase(MirBuilder &B) {
+  for (SK NK : {SK::I8, SK::I16, SK::U16}) {
+    SK WK = ir::widenKind(NK);
+    MReg X = B.vload(NK, 8), Y = B.vload(NK, 56), Acc = B.vload(WK, 120);
+    B.keep(B.op(MOp::VDot, Opcode::Add, WK, true, {X, Y, Acc}));
+  }
+}
+
+void affineCase(MirBuilder &B) {
+  for (SK K : {SK::I32, SK::U8, SK::I64})
+    B.keep(B.op(MOp::VAffine, Opcode::Add, K, true,
+                {B.imm(K, 250), B.imm(K, 3)}));
+  MReg Base = B.op(MOp::Alu, Opcode::Convert, SK::F32, false,
+                   {B.imm(SK::I32, -3)});
+  MReg Inc = B.op(MOp::Alu, Opcode::Convert, SK::F32, false,
+                  {B.imm(SK::I32, 7)});
+  B.keep(B.op(MOp::VAffine, Opcode::Add, SK::F32, true, {Base, Inc}));
+}
+
+void reduceCase(MirBuilder &B) {
+  // Inline reductions need a 64-bit ALU kind; I1 has none. Compare
+  // results make the vector.
+  MReg X = B.vload(SK::I32, 0), Y = B.vload(SK::I32, 48);
+  MReg Lt = B.op(MOp::Alu, Opcode::CmpLT, SK::I1, true, {X, Y});
+  for (Opcode Sub : {Opcode::Add, Opcode::Max, Opcode::Min})
+    B.keep(B.op(MOp::Reduce, Sub, SK::I1, false, {Lt}));
+}
+
+struct DeferredCase {
+  const char *Name;
+  void (*Body)(MirBuilder &);
+  std::vector<MOp> Deferred; ///< Ops that must run on VM handlers.
+};
+
+const DeferredCase DeferredCases[] = {
+    {"div_rem", divRemCase, {MOp::Alu}},
+    {"convert", convertCase, {MOp::Alu, MOp::CallLib}},
+    {"i1_alu_and_untyped_compare", i1AluCase, {MOp::Alu}},
+    {"widen_mult", widenMultCase, {MOp::VWMulLo, MOp::VWMulHi, MOp::CallLib}},
+    {"pack_unpack", packUnpackCase,
+     {MOp::VPack, MOp::VUnpackLo, MOp::VUnpackHi}},
+    {"dot", dotCase, {MOp::VDot}},
+    {"affine", affineCase, {MOp::VAffine}},
+    {"reduce_i1", reduceCase, {MOp::Reduce}},
+};
+
+/// Runs \p C's code on the VM (unfused and fused) and natively over one
+/// image layout, and checks that all three leave the same bytes.
+void expectDeferredParity(const DeferredCase &C, const TargetDesc &T) {
+  MirBuilder B(T.VSBytes);
+  C.Body(B);
+  const MFunction &F = B.F;
+  auto image = [&] {
+    auto Mem = std::make_unique<MemoryImage>();
+    Mem->addArray(F.Arrays[0], 0);
+    Mem->addArray(F.Arrays[1], 0);
+    uint64_t X = 0x9e3779b97f4a7c15ull;
+    for (uint64_t I = 0; I < F.Arrays[0].NumElems; ++I) {
+      X ^= X << 13;
+      X ^= X >> 7;
+      X ^= X << 17;
+      // Keep F32/F64 lanes finite: no float-to-int cast of NaN or inf.
+      Mem->pokeInt(0, I, static_cast<int64_t>(X & 0x3fff3fff3fff3fffull));
+    }
+    return Mem;
+  };
+  std::string What = std::string(C.Name) + " on " + T.Name;
+
+  std::vector<std::vector<uint8_t>> Images;
+  for (bool Fuse : {false, true}) {
+    auto Mem = image();
+    auto Prog = DecodedProgram::build(F, T, *Mem, /*Weak=*/false, Fuse);
+    VM Machine(Prog, *Mem);
+    ASSERT_TRUE(Machine.run().ok()) << What;
+    const uint8_t *P = Mem->data();
+    Images.emplace_back(P, P + (Mem->highAddr() - Mem->lowAddr()));
+  }
+  EXPECT_EQ(Images[0], Images[1]) << What << ": fusion changed the result";
+
+  auto Mem = image();
+  auto NU = codegen::compileNative(F, T, *Mem, codegen::NativeOptions{});
+  ASSERT_TRUE(NU.ok()) << What << ": " << NU.status().str();
+  std::shared_ptr<const codegen::NativeUnit> Unit = NU.take();
+  for (MOp Op : C.Deferred)
+    EXPECT_GT(Unit->Stats.HelperByOp[static_cast<unsigned>(Op)], 0u)
+        << What << ": MOp " << static_cast<unsigned>(Op)
+        << " did not run on a VM handler";
+  codegen::NativeExec Exec(Unit, *Mem);
+  ASSERT_TRUE(Exec.run().ok()) << What;
+  const uint8_t *P = Mem->data();
+  std::vector<uint8_t> Native(P, P + (Mem->highAddr() - Mem->lowAddr()));
+  ASSERT_EQ(Native.size(), Images[0].size()) << What;
+  for (size_t I = 0; I < Native.size(); ++I)
+    ASSERT_EQ(Native[I], Images[0][I])
+        << What << ": native and VM differ at image byte " << I;
+}
+
+TEST(NativeDeferredOpTest, EveryFamilyMatchesTheVmBitForBit) {
+  if (!codegen::supported())
+    GTEST_SKIP() << "native tier unsupported on this host";
+  for (const DeferredCase &C : DeferredCases)
+    for (const TargetDesc &T : {target::sseTarget(), target::avxTarget()})
+      expectDeferredParity(C, T);
+}
+
 //===--- Code-shape reporting ----------------------------------------------===//
 
 TEST(NativeStatsTest, ReportsInlineAndHelperBreakdown) {

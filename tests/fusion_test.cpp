@@ -138,10 +138,10 @@ TEST(FusionSweep, CacheStatsSerialAndParallelTallyEqually) {
 TEST(FusionProgram, SuperopsFormAndAccountingIsInvariant) {
   kernels::Kernel K = kernels::kernelByName("saxpy_fp");
   RunOutcome Out = runSplit(K, target::sseTarget(), /*Fuse=*/true);
-  auto Unfused = DecodedProgram::build(Out.Code, target::sseTarget(),
+  auto Unfused = DecodedProgram::build(Out.Compiled->Code, target::sseTarget(),
                                        *Out.Mem, /*Weak=*/false,
                                        /*Fuse=*/false);
-  auto Fused = DecodedProgram::build(Out.Code, target::sseTarget(),
+  auto Fused = DecodedProgram::build(Out.Compiled->Code, target::sseTarget(),
                                      *Out.Mem, /*Weak=*/false,
                                      /*Fuse=*/true);
 

@@ -570,9 +570,10 @@ TEST_P(NarrowIntBoundaryTest, SuperopShapesAgreeFusedAndUnfused) {
                                                 << T.Name;
         // The superop must have formed, or the fused run only repeats
         // the unfused one.
-        auto ProgU = DecodedProgram::build(Fused.Code, T, *Fused.Mem,
+        const MFunction &Code = Fused.Compiled->Code;
+        auto ProgU = DecodedProgram::build(Code, T, *Fused.Mem,
                                            /*Weak=*/false, /*Fuse=*/false);
-        auto ProgF = DecodedProgram::build(Fused.Code, T, *Fused.Mem,
+        auto ProgF = DecodedProgram::build(Code, T, *Fused.Mem,
                                            /*Weak=*/false, /*Fuse=*/true);
         EXPECT_GT(ProgF->FusedOps, 0u) << Kn.Name << " on " << T.Name;
         EXPECT_TRUE(superopFormed(*ProgU, *ProgF, Shape))

@@ -27,6 +27,7 @@
 #include "server/Server.h"
 #include "vapor/Pipeline.h"
 #include "vectorizer/Vectorizer.h"
+#include "verify/Verify.h"
 
 #include <gtest/gtest.h>
 
@@ -301,6 +302,61 @@ std::vector<uint8_t> int64MinOverMinusOne(bool Constants) {
   return bytecode::encode(vectorizer::vectorize(F, {}).Output);
 }
 
+/// for i < t: for j < 16: a[j] += b[j] over I32, with t bound by the
+/// client. Every op of it lowers inline on the native tier, so its loops
+/// never leave the generated code: only a budget the code charges itself
+/// can stop a large t.
+std::vector<uint8_t> nestedAddI32() {
+  ir::Function F("nested_add_i32");
+  uint32_t A = F.addArray("a", ir::ScalarKind::I32, 16, 16);
+  uint32_t Bv = F.addArray("b", ir::ScalarKind::I32, 16, 16);
+  ir::ValueId T = F.addParam("t", ir::Type::scalar(ir::ScalarKind::I64));
+  ir::IrBuilder B(F);
+  auto Outer = B.beginLoop(B.constIdx(0), T, B.constIdx(1));
+  auto Inner = B.beginLoop(B.constIdx(0), B.constIdx(16), B.constIdx(1));
+  ir::ValueId J = Inner.indVar();
+  B.store(A, J, B.add(B.load(A, J), B.load(Bv, J)));
+  B.endLoop(Inner);
+  B.endLoop(Outer);
+  return bytecode::encode(vectorizer::vectorize(F, {}).Output);
+}
+
+/// How overflowingFold folds its two client constants.
+enum class Fold { SumPastMax, NegatedMin, Product };
+
+/// o[i] = a[i] + 1 over 16 I64 lanes (a vector loop, so the verifier
+/// walks the module), then r[0] = a fold of two constants that leaves
+/// int64. \p Wraps receives the two's-complement value every tier stores.
+ir::Function overflowingFold(Fold How, int64_t &Wraps) {
+  ir::Function F("overflowing_fold");
+  const ir::ScalarKind I64 = ir::ScalarKind::I64;
+  uint32_t A = F.addArray("a", I64, 16, 16);
+  uint32_t O = F.addArray("o", I64, 16, 16);
+  uint32_t R = F.addArray("r", I64, 1, 8);
+  ir::IrBuilder B(F);
+  auto L = B.beginLoop(B.constIdx(0), B.constIdx(16), B.constIdx(1));
+  B.store(O, L.indVar(),
+          B.add(B.load(A, L.indVar()), B.constInt(I64, 1)));
+  B.endLoop(L);
+  ir::ValueId X = ir::NoValue;
+  switch (How) {
+  case Fold::SumPastMax:
+    X = B.add(B.constInt(I64, INT64_MAX), B.constInt(I64, 1));
+    Wraps = INT64_MIN;
+    break;
+  case Fold::NegatedMin:
+    X = B.neg(B.constInt(I64, INT64_MIN));
+    Wraps = INT64_MIN;
+    break;
+  case Fold::Product:
+    X = B.mul(B.constInt(I64, INT64_MAX), B.constInt(I64, 3));
+    Wraps = static_cast<int64_t>(static_cast<uint64_t>(INT64_MAX) * 3);
+    break;
+  }
+  B.store(R, B.constIdx(0), X);
+  return vectorizer::vectorize(F, {}).Output;
+}
+
 //===--- Live server over AF_UNIX -----------------------------------------===//
 
 int connectTo(const std::string &Path) {
@@ -489,6 +545,41 @@ TEST_F(ServerTest, IntegerDivisionByZeroIsAnsweredAndServingGoesOn) {
   Resp = roundTrip(Fd, Next, Ok);
   ASSERT_TRUE(Ok);
   EXPECT_EQ(Resp.RequestId, 22u);
+  EXPECT_EQ(Resp.Code, 0u) << Resp.Message;
+  EXPECT_FALSE(Resp.Arrays.empty());
+  ::close(Fd);
+}
+
+TEST_F(ServerTest, NativeRunPastItsDeadlineIsAnsweredAndServingGoesOn) {
+  if (!codegen::supported())
+    GTEST_SKIP() << "native tier unsupported on this host";
+  int Fd = connectTo(Path);
+  ASSERT_GE(Fd, 0);
+  server::RunRequest Req;
+  Req.RequestId = 31;
+  Req.Tenant = "t0";
+  Req.Name = "nested_add_i32";
+  Req.UseNative = true;
+  Req.DeadlineFuel = 100000;
+  Req.IntParams["t"] = 1 << 16;
+  Req.Bytecode = nestedAddI32();
+  bool Ok = false;
+  server::RunResponse Resp = roundTrip(Fd, Req, Ok);
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(Resp.Code, static_cast<uint8_t>(status::Code::DeadlineExceeded))
+      << Resp.Message;
+  EXPECT_TRUE(Resp.Arrays.empty());
+
+  // The same connection goes on serving an ordinary request.
+  server::RunRequest Next;
+  Next.RequestId = 32;
+  Next.Tenant = "t0";
+  Next.Name = "dissolve_s8";
+  Next.UseNative = true;
+  Next.Bytecode = realBytecode();
+  Resp = roundTrip(Fd, Next, Ok);
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(Resp.RequestId, 32u);
   EXPECT_EQ(Resp.Code, 0u) << Resp.Message;
   EXPECT_FALSE(Resp.Arrays.empty());
   ::close(Fd);
@@ -753,6 +844,92 @@ TEST(RunEncodedModuleTest, AmpleFuelCompletes) {
   EXPECT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
 }
 
+/// Checks where a run entered at the VM (\p Native false) or at the
+/// native tier ended up: on its entry tier with no demotion, except that
+/// without the native tier (-DVAPOR_NATIVE=OFF) the native entry demotes
+/// once, with UnsupportedIdiom, to the VM (DESIGN.md §10).
+void expectEntryTierHeld(const RunOutcome &Out, bool Native) {
+  if (Native && !codegen::supported()) {
+    ASSERT_EQ(Out.Demotions.size(), 1u);
+    EXPECT_EQ(Out.Demotions[0].code(), status::Code::UnsupportedIdiom);
+    EXPECT_EQ(Out.Tier, ExecTier::Vectorized);
+    return;
+  }
+  EXPECT_TRUE(Out.Demotions.empty());
+  EXPECT_EQ(Out.Tier, Native ? ExecTier::Native : ExecTier::Vectorized);
+}
+
+// The native tier charges its budget at loop back-edges, so a loop nest
+// with no call out of the generated code still ends at its deadline.
+TEST(RunEncodedModuleTest, DeadlineBoundsAllInlineNativeLoops) {
+  ModuleWorkload W;
+  W.Name = "nested_add_i32";
+  W.Bytecode = nestedAddI32();
+  W.IntParams["t"] = 1 << 16;
+  std::vector<int64_t> VmResult;
+  for (bool Native : {false, true}) {
+    SCOPED_TRACE(Native ? "native entry" : "vm entry");
+    RunOptions O;
+    O.UseNative = Native;
+    O.DeadlineFuel = 100000;
+    RunOutcome Out = runEncodedModule(W, O);
+    ASSERT_FALSE(Out.Terminal.ok());
+    EXPECT_EQ(Out.Terminal.code(), status::Code::DeadlineExceeded)
+        << Out.Terminal.str();
+    expectEntryTierHeld(Out, Native);
+
+    O.DeadlineFuel = 1000000000;
+    Out = runEncodedModule(W, O);
+    ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
+    expectEntryTierHeld(Out, Native);
+    // The vector trip count's divide runs once, before the loops; the
+    // loop nest itself never leaves the generated code.
+    EXPECT_LE(Out.NativeCode.HelperOps, 1u);
+    std::vector<int64_t> A;
+    for (uint64_t I = 0; I < 16; ++I)
+      A.push_back(Out.Mem->peekInt(0, I));
+    if (Native)
+      EXPECT_EQ(A, VmResult);
+    else
+      VmResult = A;
+  }
+}
+
+// Tenant constants whose fold leaves int64 are no claim the verifier
+// makes (a fresh symbol), not undefined behaviour in the daemon; every
+// tier stores the two's-complement wrap.
+void expectFoldVerifiedAndRun(Fold How) {
+  int64_t Wraps = 0;
+  ir::Function F = overflowingFold(How, Wraps);
+  verify::Report Rep = verify::verifyModule(F);
+  EXPECT_TRUE(Rep.ok()) << Rep.str();
+
+  ModuleWorkload W;
+  W.Name = "overflowing_fold";
+  W.Bytecode = bytecode::encode(F);
+  for (bool Native : {false, true}) {
+    SCOPED_TRACE(Native ? "native entry" : "vm entry");
+    RunOptions O;
+    O.UseNative = Native;
+    RunOutcome Out = runEncodedModule(W, O);
+    ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
+    expectEntryTierHeld(Out, Native);
+    EXPECT_EQ(Out.Mem->peekInt(2, 0), Wraps);
+  }
+}
+
+TEST(RunEncodedModuleTest, ConstantSumPastInt64MaxIsVerifiedAndRun) {
+  expectFoldVerifiedAndRun(Fold::SumPastMax);
+}
+
+TEST(RunEncodedModuleTest, NegatedInt64MinIsVerifiedAndRun) {
+  expectFoldVerifiedAndRun(Fold::NegatedMin);
+}
+
+TEST(RunEncodedModuleTest, ConstantProductPastInt64IsVerifiedAndRun) {
+  expectFoldVerifiedAndRun(Fold::Product);
+}
+
 TEST(RunEncodedModuleTest, GarbageBytecodeIsTerminalDecodeFailure) {
   ModuleWorkload W;
   W.Name = "garbage";
@@ -774,10 +951,7 @@ TEST(RunEncodedModuleTest, IntegerDivisionByZeroParamIsTotal) {
     O.UseNative = Native;
     RunOutcome Out = runEncodedModule(W, O);
     ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
-    EXPECT_TRUE(Out.Demotions.empty());
-    if (!Native || codegen::supported()) {
-      EXPECT_EQ(Out.Tier, Native ? ExecTier::Native : ExecTier::Vectorized);
-    }
+    expectEntryTierHeld(Out, Native);
     for (uint64_t I = 0; I < 16; ++I) {
       EXPECT_EQ(Out.Mem->peekInt(1, I), -1) << I;
       EXPECT_EQ(Out.Mem->peekInt(2, I), Out.Mem->peekInt(0, I)) << I;
@@ -801,10 +975,7 @@ void expectMinOverMinusOneIsTotal(bool Constants) {
     O.UseNative = Native;
     RunOutcome Out = runEncodedModule(W, O);
     ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
-    EXPECT_TRUE(Out.Demotions.empty());
-    if (!Native || codegen::supported()) {
-      EXPECT_EQ(Out.Tier, Native ? ExecTier::Native : ExecTier::Vectorized);
-    }
+    expectEntryTierHeld(Out, Native);
     EXPECT_EQ(Out.Mem->peekInt(0, 0), INT64_MIN);
     EXPECT_EQ(Out.Mem->peekInt(0, 1), 0);
   }

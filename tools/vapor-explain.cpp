@@ -15,8 +15,8 @@
 // the fault-tolerant chain, and the modeled cycle cost. With --native the
 // chain enters at the Native tier and the report adds the host CPU
 // feature probe, the encoding set the emitter actually used, and the
-// per-MachineIR-op split between inline x86-64 and ScalarOps shim calls
-// (from RunOutcome::NativeCode). Everything comes
+// per-MachineIR-op split between inline x86-64 and calls into the VM's
+// handlers (from RunOutcome::NativeCode). Everything comes
 // from the same structured records the pipeline itself acts on
 // (vectorizer::LoopReport, verify::Report, jit::StrategyStats,
 // RunOutcome), not from parsing logs, so the report cannot drift from the
@@ -32,6 +32,7 @@
 #include "jit/Tiering.h"
 #include "kernels/Kernels.h"
 #include "obs/Obs.h"
+#include "target/Iaca.h"
 #include "target/Target.h"
 #include "vapor/Executor.h"
 #include "vapor/Pipeline.h"
@@ -154,7 +155,7 @@ void printElisionReport(const RunOutcome &Out) {
 }
 
 /// The --native addendum: which encodings the emitter picked and how much
-/// of the MachineIR stayed inline vs fell back to the ScalarOps shims.
+/// of the MachineIR stayed inline vs runs on the VM's handlers.
 void printNativeReport(const RunOutcome &Out) {
   if (Out.Tier != ExecTier::Native) {
     std::printf("  native code: none (tier demoted before native ran)\n");
@@ -166,7 +167,7 @@ void printNativeReport(const RunOutcome &Out) {
               static_cast<unsigned long long>(N.CodeBytes),
               static_cast<unsigned long long>(N.MInstrs),
               N.FeaturesUsed.c_str());
-  std::printf("  lowering split: %llu inline x86-64, %llu ScalarOps shim "
+  std::printf("  lowering split: %llu inline x86-64, %llu VM handler "
               "calls, %llu packed SIMD chunks (%llu 256-bit VEX)\n",
               static_cast<unsigned long long>(N.InlineOps),
               static_cast<unsigned long long>(N.HelperOps),
@@ -176,7 +177,7 @@ void printNativeReport(const RunOutcome &Out) {
     uint32_t Inl = N.InlineByOp[I], Hlp = N.HelperByOp[I];
     if (!Inl && !Hlp)
       continue;
-    std::printf("    %-10s %5u inline, %5u shim\n",
+    std::printf("    %-10s %5u inline, %5u VM handler\n",
                 target::mopMnemonic(static_cast<target::MOp>(I)), Inl, Hlp);
   }
 }
@@ -234,7 +235,8 @@ void explainOnTarget(const kernels::Kernel &K, const target::TargetDesc &T,
   RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
   jit::cache::Stats After = jit::cache::stats();
 
-  const jit::StrategyStats &S = Out.Strategy;
+  const jit::StrategyStats S =
+      Out.Compiled ? Out.Compiled->Strategy : jit::StrategyStats{};
   std::printf("  JIT strategy: %u aligned, %u unaligned, %u permute, "
               "%u scalar memory accesses\n",
               S.MemAligned, S.MemUnaligned, S.MemPerm, S.MemScalar);
@@ -273,11 +275,14 @@ void explainOnTarget(const kernels::Kernel &K, const target::TargetDesc &T,
     printNativeReport(Out);
   std::printf("  modeled cycles: %llu\n",
               static_cast<unsigned long long>(Out.Cycles));
-  if (Out.Iaca.Found)
+  target::IacaReport Iaca;
+  if (Out.Compiled)
+    Iaca = target::analyzeVectorLoop(Out.Compiled->Code, T);
+  if (Iaca.Found)
     std::printf("  vector loop (IACA-style): %llu cycles/iter, %u loads, "
                 "%u stores, %u ALU ops\n",
-                static_cast<unsigned long long>(Out.Iaca.Cycles),
-                Out.Iaca.Loads, Out.Iaca.Stores, Out.Iaca.AluOps);
+                static_cast<unsigned long long>(Iaca.Cycles), Iaca.Loads,
+                Iaca.Stores, Iaca.AluOps);
 
   std::string Err;
   std::printf("  golden check: %s\n",
