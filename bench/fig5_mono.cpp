@@ -88,6 +88,11 @@ int main(int argc, char **argv) {
   if (argc > 1 && argv[1][0] != '-') { // Flags (e.g. benchmark's) ignored.
     DoSse = std::strcmp(argv[1], "sse") == 0;
     DoAltivec = std::strcmp(argv[1], "altivec") == 0;
+    if (!DoSse && !DoAltivec) {
+      std::fprintf(stderr, "fig5_mono: unknown target '%s' (expected sse "
+                           "or altivec)\n", argv[1]);
+      return 2;
+    }
   }
   unsigned Jobs = sweep::defaultJobs();
   if (DoSse)

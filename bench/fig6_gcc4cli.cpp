@@ -59,10 +59,17 @@ void figure6(const target::TargetDesc &T, const char *Caption,
 
 int main(int argc, char **argv) {
   auto Sink = traceSinkFromEnv();
+  // A bare target name picks one panel; flags (e.g. benchmark's) are
+  // ignored.
   bool All = argc <= 1 || argv[1][0] == '-';
   auto Want = [&](const char *Name) {
     return All || std::strcmp(argv[1], Name) == 0;
   };
+  if (!Want("sse") && !Want("altivec") && !Want("neon")) {
+    std::fprintf(stderr, "fig6_gcc4cli: unknown target '%s' (expected sse, "
+                         "altivec or neon)\n", argv[1]);
+    return 2;
+  }
   unsigned Jobs = sweep::defaultJobs();
   if (Want("sse"))
     figure6(target::sseTarget(), "(a) SSE (128-bit)", Jobs);

@@ -170,7 +170,6 @@ void printCacheSummary() {
   std::printf("%-14s %10s %10s %10s\n", "kernel", "cold-us", "warm-us",
               "speedup");
 
-  const bool WasEnabled = jit::cache::setEnabled(true);
   for (const char *Name : SampleKernels) {
     kernels::Kernel K = kernels::kernelByName(Name);
     RunOptions O;
@@ -190,7 +189,6 @@ void printCacheSummary() {
     std::printf("%-14s %10.2f %10.3f %9.0fx\n", Name, ColdUs, WarmUs,
                 ColdUs / WarmUs);
   }
-  jit::cache::setEnabled(WasEnabled);
   jit::cache::clear();
 }
 

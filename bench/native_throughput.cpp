@@ -106,10 +106,9 @@ target::ElisionPlan elisionPlanFor(const kernels::Kernel &K,
                                    const target::MemoryImage &Mem) {
   auto VR = vectorizer::vectorize(K.Source, {});
   std::vector<uint8_t> Enc = bytecode::encode(VR.Output);
-  std::string Err;
-  auto Dec = bytecode::decode(Enc, Err);
+  auto Dec = bytecode::decode(Enc);
   if (!Dec)
-    fatalError("decode failed for " + K.Name + ": " + Err);
+    fatalError("decode failed for " + K.Name + ": " + Dec.status().str());
   verify::VerifyOptions VO;
   VO.Targets = {T};
   verify::Report Rep = verify::verifyModule(*Dec, VO);

@@ -186,7 +186,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  const bool WasEnabled = jit::cache::setEnabled(true);
   jit::tiering::engine().reset();
   // Small thresholds keep the convergence loop (and CI) short without
   // changing what is measured: cold TTFR has no compiles either way,
@@ -223,7 +222,6 @@ int main(int argc, char **argv) {
   }
   jit::tiering::engine().reset();
   jit::tiering::engine().setConfig(jit::tiering::Config{});
-  jit::cache::setEnabled(WasEnabled);
   jit::cache::clear();
 
   std::vector<double> Cold, Steady;

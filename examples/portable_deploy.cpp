@@ -67,10 +67,9 @@ int main() {
               "realignment handling", "result");
   for (const TargetDesc &T : allTargets()) {
     // Each device decodes the same bytes...
-    std::string Err;
-    auto Decoded = bytecode::decode(Shipped, Err);
+    auto Decoded = bytecode::decode(Shipped);
     if (!Decoded) {
-      std::printf("decode failed: %s\n", Err.c_str());
+      std::printf("decode failed: %s\n", Decoded.status().str().c_str());
       return 1;
     }
     // ...lays out its own memory, and JIT-compiles.

@@ -374,13 +374,3 @@ Expected<Function> bytecode::decode(const std::vector<uint8_t> &Bytes) {
                 "verifier rejected decoded function: " + Diags.front());
   return F;
 }
-
-std::optional<Function> bytecode::decode(const std::vector<uint8_t> &Bytes,
-                                         std::string &Err) {
-  Expected<Function> R = decode(Bytes);
-  if (!R.ok()) {
-    Err = R.status().str();
-    return std::nullopt;
-  }
-  return R.take();
-}

@@ -23,7 +23,6 @@
 #include "support/Status.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,11 +40,6 @@ size_t encodedSize(const ir::Function &F);
 /// garbage, trailing bytes, and IR-verifier rejection of a structurally
 /// valid module. A successfully decoded function has passed the IR verifier.
 Expected<ir::Function> decode(const std::vector<uint8_t> &Bytes);
-
-/// Back-compat shim over the Status-returning decode: \returns std::nullopt
-/// and fills \p Err with Status::str() on failure.
-std::optional<ir::Function> decode(const std::vector<uint8_t> &Bytes,
-                                   std::string &Err);
 
 } // namespace bytecode
 } // namespace vapor

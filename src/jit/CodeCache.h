@@ -6,22 +6,37 @@
 ///
 /// \file
 /// A process-wide content-addressed cache for every deterministic product
-/// of the online stage. The bench sweeps and the parallel crashtest
-/// driver run the same (kernel, target, placement) cell over and over;
-/// each cell's decode, verify, JIT lowering, and VM pre-decode+fusion are
-/// pure functions of their inputs, so the cache memoizes all four:
+/// of the online stage. The bench sweeps, the parallel crashtest driver
+/// and the server run the same (kernel, target, placement) cell over and
+/// over; each cell's decode, verify, JIT lowering, VM pre-decode+fusion
+/// and native compile are pure functions of their inputs, so the cache
+/// memoizes all five:
 ///
 ///   module   key = the encoded bytecode bytes
 ///            -> the decoded ir::Function and its module id;
 ///   verify   key = (module id, target hash)
-///            -> the verifier's verdict and rendered report;
+///            -> the verifier's verdict, rendered report and certificate;
 ///   compile  key = (module id, target hash, jit::Options hash,
 ///                   RuntimeInfo hash)
 ///            -> the CompileResult (machine code + scalarization info);
 ///   program  key = (module id, compile key, placement hash, weak-tier,
 ///                   fuse, elision plan)
 ///            -> the VM's immutable DecodedProgram, shared by every VM
-///               that runs that code against that placement.
+///               that runs that code against that placement;
+///   native   key = (module id, compile key, placement hash, encoding
+///                   set, elision plan)
+///            -> the sealed x86-64 NativeUnit.
+///
+/// Every kind goes through one get-or-build memo behind a typed entry
+/// point (moduleFor, verifyFor, compileFor, programFor, nativeFor): look
+/// the key up under the lock; on a miss, build outside it, then insert
+/// first-writer-wins (a racing builder of the same key is handed the
+/// winner's artifact), charge the entry to the recency list and the
+/// calling tenant, and evict down to the capacity. A build that fails
+/// (decode, lowering or native compile) returns its Status and is never
+/// memoized. The cache runs the builders it links itself; vapor_jit links
+/// neither the decoder nor the verifier (which links vapor_jit), so their
+/// callers pass them in.
 ///
 /// No hit rests on a hash of tenant input. A module entry answers only
 /// the exact bytes it was decoded from (a hit compares them), and hands
@@ -33,14 +48,16 @@
 /// Keys read values only -- no pointers -- so results are identical
 /// whether the sweep runs serial or across the thread pool.
 ///
-/// The cache stands down (enabled() == false) whenever this thread's
-/// fault-injection controller is active: instrumented runs must actually
-/// execute every stage so site counters stay deterministic, and a result
-/// produced under an injected fault must never be memoized. This keeps
-/// the crashtest's fault counts bit-identical with the cache compiled in.
+/// The memo stands down -- it builds, inserts nothing and counts nothing
+/// -- whenever this thread's fault-injection controller is active:
+/// instrumented runs must actually execute every stage so site counters
+/// stay deterministic, and a result produced under an injected fault must
+/// never be memoized. This keeps the crashtest's fault counts
+/// bit-identical with the cache compiled in. It also stands down for
+/// module id 0, the id of bytes whose hash slot another module holds.
 ///
 /// All entries are immutable once inserted and handed out as
-/// shared_ptr-to-const; a mutex guards the maps, so sweep workers share
+/// shared_ptr-to-const; one mutex guards the memo, so sweep workers share
 /// one cache safely.
 ///
 //===----------------------------------------------------------------------===//
@@ -54,8 +71,8 @@
 #include "support/Support.h"
 #include "target/VM.h"
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,15 +80,7 @@ namespace vapor {
 namespace jit {
 namespace cache {
 
-/// Whether lookups/insertions are live: the global switch (on by
-/// default) AND no active fault-injection controller on this thread.
-bool enabled();
-
-/// Flips the global switch. \returns the previous value. Benches use
-/// this to measure cold compiles; tests use it to force both paths.
-bool setEnabled(bool On);
-
-/// Drops every entry (all five maps), the LRU list, and the live-byte
+/// Drops every entry (all five kinds), the LRU list, and the live-byte
 /// charges (global and per-tenant). Entries already handed out stay
 /// alive through their shared_ptrs. Eviction/insertion counters keep
 /// their totals (clear() is not an eviction).
@@ -97,6 +106,15 @@ struct Stats {
   uint64_t Evictions = 0;
   uint64_t BytesLive = 0;
   uint64_t CapacityBytes = 0; ///< 0 = unbounded.
+
+  /// Lookups over every kind, for callers that report one hit count.
+  uint64_t hits() const {
+    return ModuleHits + VerifyHits + CompileHits + ProgramHits + NativeHits;
+  }
+  uint64_t misses() const {
+    return ModuleMisses + VerifyMisses + CompileMisses + ProgramMisses +
+           NativeMisses;
+  }
 };
 Stats stats();
 void resetStats();
@@ -106,8 +124,8 @@ void resetStats();
 // Every entry carries an approximate byte cost (machine-code bytes,
 // decoded-op array sizes, report lengths -- see the cost functions in
 // CodeCache.cpp). With a nonzero capacity the cache maintains one
-// recency list across all five maps and evicts from the cold end,
-// cheapest-to-keep last: a find refreshes recency, an insert charges its
+// recency list across all five kinds and evicts from the cold end,
+// cheapest-to-keep last: a hit refreshes recency, an insert charges its
 // cost and then evicts least-recently-used entries (of any kind) until
 // the total is back under the bound. Capacity 0 (the default) disables
 // eviction entirely and is byte-identical to the unbounded cache.
@@ -126,7 +144,7 @@ size_t capacity();
 //
 // The execution service attributes cache residency to the tenant whose
 // request inserted each entry. Attribution is ambient (a thread-local
-// tenant name) so the five insert paths need no signature change; the
+// tenant name) so no entry point takes a tenant argument; the
 // empty name is the anonymous/default tenant every non-server caller
 // charges to.
 
@@ -164,7 +182,7 @@ private:
 };
 
 //===--- Key ingredients --------------------------------------------------===//
-// Combine with a module id (findModule/putModule). Every hash covers all
+// Combine with a module id (moduleFor). Every hash covers all
 // semantically relevant fields of its input; none reads a pointer.
 
 /// Raw bytes and single words fold in through the shared word-at-a-time
@@ -176,14 +194,6 @@ using vapor::hashCombine;
 /// Hash of everything the JIT and VM read from a TargetDesc (name,
 /// widths, feature flags, register counts, legality masks, cost table).
 uint64_t hashTarget(const target::TargetDesc &T);
-
-/// Hash of the jit::Options knobs (tier, codegen profile, forced
-/// scalarization).
-uint64_t hashOptions(const Options &O);
-
-/// Hash of what the JIT knows about the runtime (per-array known-base
-/// flag and base address).
-uint64_t hashRuntime(const RuntimeInfo &RT);
 
 /// Hash of \p Image's placement: per-array element kind, length, and
 /// resolved base address, plus the image bounds. Two images with equal
@@ -197,21 +207,22 @@ uint64_t hashPlacement(const target::MemoryImage &Image);
 /// takes a fresh id and none is ever reused (clear() included), so an id
 /// names one byte string for the life of the process.
 struct CachedModule {
-  std::shared_ptr<const ir::Function> Fn; ///< Null on a miss.
-  uint64_t Id = 0;                        ///< 0 = not cached.
+  std::shared_ptr<const ir::Function> Fn;
+  uint64_t Id = 0; ///< 0 = not cached.
 };
 
-/// Looks up the module decoded from exactly \p Bytes. A hit compares the
-/// stored bytes, so two byte strings that hash alike never share it.
-CachedModule findModule(const std::vector<uint8_t> &Bytes);
-/// Inserts \p Module, decoded from \p Bytes (first writer wins), and
-/// \returns the cached module. When another byte string with the same
-/// hash holds the slot, \p Module comes back uncached (id 0). \p Cost
-/// is the entry's approximate byte cost for the capacity bound: the
-/// decoded module plus the bytes it keeps. 0 asks the cache to estimate
-/// from the function's shape.
-CachedModule putModule(const std::vector<uint8_t> &Bytes,
-                       ir::Function Module, size_t Cost = 0);
+/// What the module memo runs on a miss: bytecode::decode in production
+/// (vapor_jit does not link the bytecode library).
+using Decoder = Expected<ir::Function> (*)(const std::vector<uint8_t> &);
+
+/// The module decoded from exactly \p Bytes. A hit compares the stored
+/// bytes, so two byte strings that hash alike never share one. A miss
+/// runs \p Decode and charges twice the encoded size: the decode, plus
+/// the bytes the entry keeps to confirm hits. The id is 0 when the memo
+/// stood down, or when another byte string with the same hash holds the
+/// slot; that module is served uncached.
+Expected<CachedModule> moduleFor(const std::vector<uint8_t> &Bytes,
+                                 Decoder Decode);
 
 //===--- Verify memo ------------------------------------------------------===//
 
@@ -223,9 +234,12 @@ struct VerifyResult {
   /// can be rebuilt per placement without re-running the verifier.
   std::shared_ptr<const analysis::SafetyCertificate> Cert;
 };
-std::optional<VerifyResult> findVerify(uint64_t ModuleId,
-                                       uint64_t TargetHash);
-void putVerify(uint64_t ModuleId, uint64_t TargetHash, VerifyResult R);
+
+/// The verdict on module \p ModuleId for target \p T. A miss runs
+/// \p Verify (the verifier links vapor_jit, not the other way round).
+std::shared_ptr<const VerifyResult>
+verifyFor(uint64_t ModuleId, const target::TargetDesc &T,
+          const std::function<VerifyResult()> &Verify);
 
 //===--- Compile memo -----------------------------------------------------===//
 
@@ -234,20 +248,21 @@ void putVerify(uint64_t ModuleId, uint64_t TargetHash, VerifyResult R);
 uint64_t compileKey(uint64_t ModuleId, const target::TargetDesc &T,
                     const Options &O, const RuntimeInfo &RT);
 
-/// The compile memo, keyed by (\p ModuleId, \p Key): a hit must match
-/// the module id exactly.
-std::shared_ptr<const CompileResult> findCompile(uint64_t ModuleId,
-                                                 uint64_t Key);
-std::shared_ptr<const CompileResult>
-putCompile(uint64_t ModuleId, uint64_t Key, CompileResult R);
+/// The lowering of \p Module (id \p ModuleId) under \p CompKey, the
+/// compileKey of the remaining arguments. A miss runs
+/// jit::compileChecked; a lowering error is returned uncached.
+Expected<std::shared_ptr<const CompileResult>>
+compileFor(uint64_t ModuleId, uint64_t CompKey, const ir::Function &Module,
+           const target::TargetDesc &T, const RuntimeInfo &RT,
+           const Options &O);
 
 //===--- Decoded-program memo ---------------------------------------------===//
 
-/// Looks up the pre-decoded (and fused) program for module \p ModuleId's
-/// \p CompKey machine code at \p Image's placement; on miss builds it
-/// with target::DecodedProgram::build and memoizes. Never returns null.
-/// The elision plan (mode + grant hash) joins the key: decoded check
-/// states are baked into the program.
+/// The pre-decoded (and fused) program for module \p ModuleId's
+/// \p CompKey machine code at \p Image's placement. A miss runs
+/// target::DecodedProgram::build. Never returns null. The elision plan
+/// (mode + grant hash) joins the key: decoded check states are baked
+/// into the program.
 std::shared_ptr<const target::DecodedProgram>
 programFor(uint64_t ModuleId, uint64_t CompKey, const target::MFunction &Code,
            const target::TargetDesc &T, const target::MemoryImage &Image,
@@ -255,13 +270,11 @@ programFor(uint64_t ModuleId, uint64_t CompKey, const target::MFunction &Code,
 
 //===--- Native-unit memo -------------------------------------------------===//
 
-/// Looks up the native compilation of module \p ModuleId's \p CompKey
-/// machine code for \p Image's placement under \p NO's encoding set; on
-/// miss runs
-/// codegen::compileNative and memoizes the unit. Only successful compiles
-/// are cached -- a failing Status is returned uncached so the executor's
-/// demotion path re-evaluates it every attempt (the failure may be
-/// environmental, e.g. page allocation).
+/// The native compilation of module \p ModuleId's \p CompKey machine
+/// code for \p Image's placement under \p NO's encoding set and plan. A
+/// miss runs codegen::compileNative. A failing Status is returned
+/// uncached, so the executor's demotion path re-evaluates it every
+/// attempt (the failure may be environmental, e.g. page allocation).
 Expected<std::shared_ptr<const codegen::NativeUnit>>
 nativeFor(uint64_t ModuleId, uint64_t CompKey, const target::MFunction &Code,
           const target::TargetDesc &T, const target::MemoryImage &Image,

@@ -180,10 +180,8 @@ struct Server::Impl {
     S.CacheBytesLive = CS.BytesLive;
     S.CacheCapacity = CS.CapacityBytes;
     S.CacheEvictions = CS.Evictions;
-    S.CacheHits = CS.ModuleHits + CS.VerifyHits + CS.CompileHits +
-                  CS.ProgramHits + CS.NativeHits;
-    S.CacheMisses = CS.ModuleMisses + CS.VerifyMisses + CS.CompileMisses +
-                    CS.ProgramMisses + CS.NativeMisses;
+    S.CacheHits = CS.hits();
+    S.CacheMisses = CS.misses();
     S.RssBytes = processRssBytes();
     if (Opts.Tiered) {
       jit::tiering::EngineStats TS = jit::tiering::engine().stats();

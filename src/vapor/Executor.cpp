@@ -44,26 +44,6 @@ void recordDemotion(const kernels::Kernel &K, const RunOptions &O,
               {"status", obs::argStr(St.str())}});
 }
 
-/// The decode layer, through the code cache when it is enabled: a decoded
-/// module is a pure function of its encoded bytes, so decoding the same
-/// bytes again is a lookup. The module id is 0 when it is not cached.
-status::Expected<jit::cache::CachedModule>
-decodeCached(const std::vector<uint8_t> &Bytes) {
-  const bool Cached = jit::cache::enabled();
-  if (Cached)
-    if (jit::cache::CachedModule Hit = jit::cache::findModule(Bytes); Hit.Fn)
-      return Hit;
-  auto Decoded = bytecode::decode(Bytes);
-  if (!Decoded)
-    return Decoded.status();
-  if (Cached)
-    // Charged at twice the encoded size: the decode, plus the bytes the
-    // entry keeps to confirm hits.
-    return jit::cache::putModule(Bytes, Decoded.take(), 2 * Bytes.size());
-  return jit::cache::CachedModule{
-      std::make_shared<const ir::Function>(Decoded.take()), 0};
-}
-
 } // namespace
 
 RunOutcome Executor::run(ExecTier Entry) {
@@ -326,7 +306,7 @@ Status Executor::prepareVectorized(RunOutcome &Out) {
                  {{"kernel", obs::argStr(K.Name)},
                   {"bytes", obs::argStr(static_cast<uint64_t>(
                                 Encoded.size()))}});
-    auto Module = decodeCached(Encoded);
+    auto Module = jit::cache::moduleFor(Encoded, bytecode::decode);
     if (!Module)
       return Module.status();
     VecModule = Module->Fn;
@@ -372,7 +352,7 @@ Status Executor::attemptScalarJit(RunOutcome &Out) {
 Status Executor::attemptScalarBytecode(RunOutcome &Out) {
   std::vector<uint8_t> Encoded = bytecode::encode(K.Source);
   Out.BytecodeBytes = Encoded.size();
-  auto Module = decodeCached(Encoded);
+  auto Module = jit::cache::moduleFor(Encoded, bytecode::decode);
   if (!Module)
     return Module.status();
   const ir::Function &Fn = *Module->Fn;
@@ -388,12 +368,7 @@ Status Executor::attemptScalarBytecode(RunOutcome &Out) {
 Status Executor::verifyCached(const ir::Function &Module, uint64_t ModuleId,
                               const char *FailPrefix) {
   Cert.reset(); // Never let a previous module's certificate leak forward.
-  const bool Cached = ModuleId != 0 && jit::cache::enabled();
-  uint64_t TargetHash = Cached ? jit::cache::hashTarget(O.Target) : 0;
-  std::optional<jit::cache::VerifyResult> VRes;
-  if (Cached)
-    VRes = jit::cache::findVerify(ModuleId, TargetHash);
-  if (!VRes) {
+  auto VRes = jit::cache::verifyFor(ModuleId, O.Target, [&] {
     obs::Span S("verify", "verifyModule");
     S.arg("kernel", K.Name);
     S.arg("target", O.Target.Name);
@@ -410,14 +385,13 @@ Status Executor::verifyCached(const ir::Function &Module, uint64_t ModuleId,
     S.arg("obligations_failed",
           static_cast<uint64_t>(Rep.ObligationsFailed));
     S.arg("scenario_forks", static_cast<uint64_t>(Rep.ScenarioForks));
-    VRes = jit::cache::VerifyResult{Rep.ok(), Rep.ok() ? "" : Rep.str(), {}};
+    jit::cache::VerifyResult R{Rep.ok(), Rep.ok() ? "" : Rep.str(), {}};
     // One target verified => at most one certificate.
     if (!Rep.Certificates.empty())
-      VRes->Cert = std::make_shared<const analysis::SafetyCertificate>(
+      R.Cert = std::make_shared<const analysis::SafetyCertificate>(
           std::move(Rep.Certificates.front()));
-    if (Cached)
-      jit::cache::putVerify(ModuleId, TargetHash, *VRes);
-  }
+    return R;
+  });
   Cert = VRes->Cert;
   if (!VRes->Ok)
     return Status::error(Code::VerificationFailed, Layer::Verify,
@@ -456,28 +430,16 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
   JO.FoldAddressing = O.FoldAddressing;
   JO.PromoteAccumulators = O.PromoteAccumulators;
   JO.ForceScalarize = ForceScalarize;
-  const bool Cached = ModuleId != 0 && jit::cache::enabled();
-  uint64_t CompKey = 0;
-  std::shared_ptr<const jit::CompileResult> R;
   auto T0 = std::chrono::steady_clock::now();
-  if (Cached) {
-    CompKey = jit::cache::compileKey(ModuleId, O.Target, JO, RT);
-    R = jit::cache::findCompile(ModuleId, CompKey);
-  }
-  if (!R) {
-    auto CR = jit::compileChecked(Module, O.Target, RT, JO);
-    if (!CR) {
-      Out.CompileMicros += std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - T0)
-                               .count();
-      return CR.status();
-    }
-    R = Cached ? jit::cache::putCompile(ModuleId, CompKey, CR.take())
-               : std::make_shared<const jit::CompileResult>(CR.take());
-  }
+  const uint64_t CompKey = jit::cache::compileKey(ModuleId, O.Target, JO, RT);
+  auto CR =
+      jit::cache::compileFor(ModuleId, CompKey, Module, O.Target, RT, JO);
   Out.CompileMicros += std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - T0)
                            .count();
+  if (!CR)
+    return CR.status();
+  std::shared_ptr<const jit::CompileResult> R = CR.take();
   Out.Scalarized = R->Scalarized;
   Out.Compiled = R;
 
@@ -545,10 +507,8 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
     codegen::NativeOptions NO = O.Native;
     NO.Plan = PlanPtr;
     auto N0 = std::chrono::steady_clock::now();
-    auto NU = Cached ? jit::cache::nativeFor(ModuleId, CompKey, R->Code,
-                                             O.Target, *Out.Mem, NO)
-                     : codegen::compileNative(R->Code, O.Target, *Out.Mem,
-                                              NO);
+    auto NU = jit::cache::nativeFor(ModuleId, CompKey, R->Code, O.Target,
+                                    *Out.Mem, NO);
     Out.CompileMicros += std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - N0)
                              .count();
@@ -580,10 +540,8 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
   // layout shares one program.
   const bool Weak = JO.CompilerTier == jit::Tier::Weak;
   std::shared_ptr<const DecodedProgram> Prog =
-      Cached ? jit::cache::programFor(ModuleId, CompKey, R->Code, O.Target,
-                                      *Out.Mem, Weak, O.FuseOps, PlanPtr)
-             : DecodedProgram::build(R->Code, O.Target, *Out.Mem, Weak,
-                                     O.FuseOps, PlanPtr);
+      jit::cache::programFor(ModuleId, CompKey, R->Code, O.Target, *Out.Mem,
+                             Weak, O.FuseOps, PlanPtr);
   VM Machine(Prog, *Out.Mem);
   Machine.setTrapRecording(true);
   if (O.DeadlineFuel)
@@ -644,10 +602,10 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
   S.arg("name", W.Name);
   S.arg("bytes", static_cast<uint64_t>(W.Bytecode.size()));
 
-  // Decode first (through the cache when enabled): the bytes are the
-  // only definition of the work, so a decode failure is terminal -- no
-  // lower tier can synthesize a module the wire format rejected.
-  auto Decoded = decodeCached(W.Bytecode);
+  // Decode first (through the module memo): the bytes are the only
+  // definition of the work, so a decode failure is terminal -- no lower
+  // tier can synthesize a module the wire format rejected.
+  auto Decoded = jit::cache::moduleFor(W.Bytecode, bytecode::decode);
   if (!Decoded) {
     RunOutcome Out;
     Out.Terminal = Decoded.status();

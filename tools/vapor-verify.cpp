@@ -37,14 +37,13 @@ bool shipKernel(const kernels::Kernel &K, ir::Function &Out,
   auto VR = vectorizer::vectorize(K.Source, {});
   std::vector<uint8_t> Encoded = bytecode::encode(VR.Output);
   Bytes = Encoded.size();
-  std::string Err;
-  auto Decoded = bytecode::decode(Encoded, Err);
+  auto Decoded = bytecode::decode(Encoded);
   if (!Decoded) {
     std::printf("%-16s round-trip FAILED: %s\n", K.Name.c_str(),
-                Err.c_str());
+                Decoded.status().str().c_str());
     return false;
   }
-  Out = std::move(*Decoded);
+  Out = Decoded.take();
   return true;
 }
 
