@@ -15,24 +15,14 @@
 #ifndef VAPOR_BENCH_BENCHUTIL_H
 #define VAPOR_BENCH_BENCHUTIL_H
 
-#include "obs/Obs.h"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace vapor {
 namespace bench {
-
-/// Installs a trace sink when VAPOR_TRACE=<path> is set: every bench can
-/// emit the Chrome-trace timeline of its sweep with zero flags. Hold the
-/// returned pointer in main — the destructor writes the file.
-inline std::unique_ptr<obs::TraceSink> traceSinkFromEnv() {
-  return std::unique_ptr<obs::TraceSink>(obs::TraceSink::fromEnv("VAPOR_TRACE"));
-}
 
 inline void printHeader(const std::string &Title) {
   std::printf("\n== %s ==\n", Title.c_str());

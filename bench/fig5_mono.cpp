@@ -15,6 +15,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "obs/Obs.h"
+#include "support/ThreadPool.h"
 #include "vapor/Pipeline.h"
 #include "vapor/Sweep.h"
 
@@ -50,7 +52,7 @@ void figure5(const target::TargetDesc &T, const char *Caption,
     double Split = 0, Native = 0;
   };
   std::vector<Impact> T2(Table2.size()), P(Poly.size());
-  sweep::forEachCell(Jobs, Table2.size() + Poly.size(), [&](size_t I) {
+  support::parallelFor(Jobs, Table2.size() + Poly.size(), [&](size_t I) {
     const kernels::Kernel &K =
         I < Table2.size() ? Table2[I] : Poly[I - Table2.size()];
     Impact &R = I < Table2.size() ? T2[I] : P[I - Table2.size()];
@@ -83,7 +85,7 @@ void figure5(const target::TargetDesc &T, const char *Caption,
 } // namespace
 
 int main(int argc, char **argv) {
-  auto Sink = traceSinkFromEnv();
+  auto Sink = obs::TraceSink::fromEnv("VAPOR_TRACE");
   bool DoSse = true, DoAltivec = true;
   if (argc > 1 && argv[1][0] != '-') { // Flags (e.g. benchmark's) ignored.
     DoSse = std::strcmp(argv[1], "sse") == 0;

@@ -16,6 +16,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "obs/Obs.h"
+#include "support/ThreadPool.h"
 #include "vapor/Pipeline.h"
 #include "vapor/Sweep.h"
 
@@ -35,7 +37,7 @@ void figure6(const target::TargetDesc &T, const char *Caption,
 
   std::vector<kernels::Kernel> All = kernels::allKernels();
   std::vector<sweep::SplitNativeCell> Cells(All.size());
-  sweep::forEachCell(Jobs, All.size(), [&](size_t I) {
+  support::parallelFor(Jobs, All.size(), [&](size_t I) {
     Cells[I] = sweep::splitOverNativeCell(All[I], T);
   });
 
@@ -58,7 +60,7 @@ void figure6(const target::TargetDesc &T, const char *Caption,
 } // namespace
 
 int main(int argc, char **argv) {
-  auto Sink = traceSinkFromEnv();
+  auto Sink = obs::TraceSink::fromEnv("VAPOR_TRACE");
   // A bare target name picks one panel; flags (e.g. benchmark's) are
   // ignored.
   bool All = argc <= 1 || argv[1][0] == '-';

@@ -36,6 +36,7 @@
 #include "bytecode/Bytecode.h"
 #include "codegen/NativeJit.h"
 #include "jit/Elision.h"
+#include "obs/Obs.h"
 #include "support/Support.h"
 #include "target/VM.h"
 #include "vapor/FillAdapters.h"
@@ -163,7 +164,7 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  auto Sink = traceSinkFromEnv();
+  auto Sink = obs::TraceSink::fromEnv("VAPOR_TRACE");
   const std::pair<const char *, target::TargetDesc> Targets[] = {
       {"sse", target::sseTarget()},
       {"altivec", target::altivecTarget()},

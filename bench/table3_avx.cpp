@@ -12,6 +12,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "obs/Obs.h"
+#include "support/ThreadPool.h"
 #include "target/Iaca.h"
 #include "vapor/Pipeline.h"
 #include "vapor/Sweep.h"
@@ -23,7 +25,7 @@ using namespace vapor;
 using namespace vapor::bench;
 
 int main() {
-  auto Sink = traceSinkFromEnv();
+  auto Sink = obs::TraceSink::fromEnv("VAPOR_TRACE");
   printHeader("Table 3: IACA-style static throughput for AVX "
               "(cycles per vectorized-loop iteration)");
 
@@ -43,7 +45,7 @@ int main() {
     uint64_t Native = 0, Split = 0;
   };
   Row Rows[NumRows];
-  sweep::forEachCell(sweep::defaultJobs(), NumRows, [&](size_t I) {
+  support::parallelFor(sweep::defaultJobs(), NumRows, [&](size_t I) {
     kernels::Kernel K = kernels::kernelByName(Order[I]);
     RunOptions Native;
     Native.Target = target::avxTarget();

@@ -37,6 +37,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "obs/Obs.h"
+#include "support/ThreadPool.h"
 #include "target/VM.h"
 #include "vapor/Pipeline.h"
 #include "vapor/Sweep.h"
@@ -184,7 +186,7 @@ double figure6HarmonicMean(const target::TargetDesc &T,
                            const std::vector<kernels::Kernel> &All,
                            unsigned Jobs) {
   std::vector<sweep::SplitNativeCell> Cells(All.size());
-  sweep::forEachCell(Jobs, All.size(), [&](size_t I) {
+  support::parallelFor(Jobs, All.size(), [&](size_t I) {
     Cells[I] = sweep::splitOverNativeCell(All[I], T);
   });
   std::vector<double> Ratios;
@@ -199,7 +201,7 @@ int main(int argc, char **argv) {
   bool Json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
   const char *JsonPath = argc > 2 ? argv[2] : "BENCH_vm.json";
 
-  auto Sink = traceSinkFromEnv();
+  auto Sink = obs::TraceSink::fromEnv("VAPOR_TRACE");
   std::vector<kernels::Kernel> All = kernels::allKernels();
   const target::TargetDesc Targets[] = {
       target::sseTarget(), target::altivecTarget(), target::neonTarget(),

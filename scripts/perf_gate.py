@@ -666,8 +666,8 @@ def main():
         for name, v in (("ns_per_op_obs_idle", idle),
                         ("ns_per_op_obs_off", off)):
             if not isinstance(v, (int, float)) or v <= 0:
-                print(f"perf_gate: {path} has no usable {name} "
-                      f"(built with -DVAPOR_OBS=OFF?)", file=sys.stderr)
+                print(f"perf_gate: {path} has no usable {name}",
+                      file=sys.stderr)
                 sys.exit(2)
         limit = off * (1.0 + MAX_OBS_OVERHEAD)
         delta = (idle - off) / off

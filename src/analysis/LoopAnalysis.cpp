@@ -40,10 +40,7 @@ void LoopNestInfo::walk(const Region &R, int ParentLoop) {
       uint32_t L = N.Index;
       const LoopStmt &Loop = F.Loops[L];
       Parents[L] = ParentLoop;
-      if (ParentLoop == -1) {
-        TopLevel.push_back(L);
-        Depths[L] = 0;
-      } else {
+      if (ParentLoop != -1) {
         Children[ParentLoop].push_back(L);
         Depths[L] = Depths[ParentLoop] + 1;
       }

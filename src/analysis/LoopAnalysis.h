@@ -43,9 +43,6 @@ public:
     return Children[L];
   }
 
-  /// Loops at the top level of the function body.
-  const std::vector<uint32_t> &topLevelLoops() const { return TopLevel; }
-
   bool isInnermost(uint32_t L) const { return Children[L].empty(); }
 
   /// Nesting depth (top level = 0).
@@ -66,7 +63,6 @@ private:
   std::vector<int> Parents;
   std::vector<unsigned> Depths;
   std::vector<std::vector<uint32_t>> Children;
-  std::vector<uint32_t> TopLevel;
   std::vector<std::set<ir::ValueId>> DefinedIn;
 };
 

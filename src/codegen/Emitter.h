@@ -169,24 +169,6 @@ public:
     u8(0x89);
     memDisp(Src, Base, Disp);
   }
-  /// mov Dst32, [Base + Disp] (zero-extends into the full register).
-  void movRM32(unsigned Dst, unsigned Base, int32_t Disp) {
-    rex(false, Dst, 0, Base);
-    u8(0x8B);
-    memDisp(Dst, Base, Disp);
-  }
-  void movMR32(unsigned Base, int32_t Disp, unsigned Src) {
-    rex(false, Src, 0, Base);
-    u8(0x89);
-    memDisp(Src, Base, Disp);
-  }
-  /// movzx Dst32, byte/word [Base + Disp] (Size = 1 or 2).
-  void movzxRM(unsigned Dst, unsigned Base, int32_t Disp, unsigned Size) {
-    rex(false, Dst, 0, Base);
-    u8(0x0F);
-    u8(Size == 1 ? 0xB6 : 0xB7);
-    memDisp(Dst, Base, Disp);
-  }
   /// movsx Dst64, 1/2/4-byte [Base + Disp].
   void movsxRM(unsigned Dst, unsigned Base, int32_t Disp, unsigned Size) {
     rex(true, Dst, 0, Base);
@@ -197,14 +179,6 @@ public:
       u8(Size == 1 ? 0xBE : 0xBF);
     }
     memDisp(Dst, Base, Disp);
-  }
-  /// mov byte/word [Base + Disp], Src (low 8/16 bits).
-  void movMRSmall(unsigned Base, int32_t Disp, unsigned Src, unsigned Size) {
-    if (Size == 2)
-      u8(0x66);
-    rex(false, Src, 0, Base, /*Force8=*/Size == 1 && Src >= RSP);
-    u8(Size == 1 ? 0x88 : 0x89);
-    memDisp(Src, Base, Disp);
   }
 
   /// SIB-addressed loads/stores for host memory: [Base + Index + Disp].
@@ -269,23 +243,9 @@ public:
   void addRR64(unsigned D, unsigned S) { aluRR(0x01, D, S, true); }
   void subRR64(unsigned D, unsigned S) { aluRR(0x29, D, S, true); }
   void andRR64(unsigned D, unsigned S) { aluRR(0x21, D, S, true); }
-  void orRR64(unsigned D, unsigned S) { aluRR(0x09, D, S, true); }
   void xorRR64(unsigned D, unsigned S) { aluRR(0x31, D, S, true); }
   void cmpRR64(unsigned D, unsigned S) { aluRR(0x39, D, S, true); }
   void testRR64(unsigned D, unsigned S) { aluRR(0x85, D, S, true); }
-  void addRR32(unsigned D, unsigned S) { aluRR(0x01, D, S, false); }
-  void subRR32(unsigned D, unsigned S) { aluRR(0x29, D, S, false); }
-  void andRR32(unsigned D, unsigned S) { aluRR(0x21, D, S, false); }
-  void orRR32(unsigned D, unsigned S) { aluRR(0x09, D, S, false); }
-  void xorRR32(unsigned D, unsigned S) { aluRR(0x31, D, S, false); }
-
-  /// imul Dst, Src (0F AF).
-  void imulRR(unsigned Dst, unsigned Src, bool W) {
-    rex(W, Dst, 0, Src);
-    u8(0x0F);
-    u8(0xAF);
-    modrm(3, Dst, Src);
-  }
 
   /// Reg <- Reg OP [Base + Disp], 0x03-style opcode (add=0x03 or=0x0B
   /// and=0x23 sub=0x2B xor=0x33 cmp=0x3B).
@@ -452,7 +412,6 @@ public:
   }
   /// jmp rel32 to a known earlier target.
   void jmpTo(size_t Target) { patch32(jmp(), Target); }
-  void jccTo(CC C, size_t Target) { patch32(jcc(C), Target); }
 
   /// test byte [Base+Disp], imm8 (F6 /0).
   void testM8(unsigned Base, int32_t Disp, uint8_t Imm) {
@@ -567,18 +526,7 @@ public:
     modrm(3, Dst, Src);
   }
 
-  /// movd Xmm, r32 / movd r32, Xmm.
-  void movdToXmm(unsigned Xmm, unsigned R32) {
-    if (UseVEX) {
-      vex(Xmm, 0, R32, 0, false, 1);
-    } else {
-      u8(0x66);
-      rex(false, Xmm, 0, R32);
-      u8(0x0F);
-    }
-    u8(0x6E);
-    modrm(3, Xmm, R32);
-  }
+  /// movd r32, Xmm.
   void movdFromXmm(unsigned R32, unsigned Xmm) {
     if (UseVEX) {
       vex(Xmm, 0, R32, 0, false, 1);

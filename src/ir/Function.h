@@ -208,11 +208,6 @@ public:
     return Instrs[Values[V].A];
   }
 
-  /// Total node count (instructions + loops + ifs); a proxy for code size.
-  size_t nodeCount() const {
-    return Instrs.size() + Loops.size() + Ifs.size();
-  }
-
   std::string str() const;
 };
 

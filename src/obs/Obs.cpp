@@ -18,7 +18,7 @@
 using namespace vapor;
 using namespace vapor::obs;
 
-//===--- JSON helpers (shared by both build configurations) ----------------===//
+//===--- JSON helpers ------------------------------------------------------===//
 
 static std::string jsonEscape(const std::string &S) {
   std::string Out;
@@ -65,8 +65,6 @@ std::string obs::argStr(double V) {
   return Buf;
 }
 std::string obs::argStr(bool V) { return V ? "true" : "false"; }
-
-#if VAPOR_OBS_ENABLED
 
 namespace {
 
@@ -305,11 +303,11 @@ bool TraceSink::write() {
   return true;
 }
 
-TraceSink *TraceSink::fromEnv(const char *EnvVar) {
+std::unique_ptr<TraceSink> TraceSink::fromEnv(const char *EnvVar) {
   const char *Path = std::getenv(EnvVar);
   if (!Path || !*Path)
     return nullptr;
-  return new TraceSink(Path);
+  return std::make_unique<TraceSink>(Path);
 }
 
 //===--- Span / instant events ---------------------------------------------===//
@@ -347,28 +345,3 @@ void obs::event(const char *Cat, std::string Name,
   E.Args = std::move(Args);
   pushEvent(std::move(E));
 }
-
-#else // !VAPOR_OBS_ENABLED
-
-bool TraceSink::write() {
-  if (Path.empty() || Written)
-    return true;
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "{\n\"traceEvents\": [],\n\"displayTimeUnit\": \"ms\",\n"
-                  "\"otherData\": {\"tool\": \"vapor-obs\", \"obs\": "
-                  "\"compiled-out\", \"dropped\": 0}\n}\n");
-  std::fclose(F);
-  Written = true;
-  return true;
-}
-
-TraceSink *TraceSink::fromEnv(const char *EnvVar) {
-  const char *Path = std::getenv(EnvVar);
-  if (!Path || !*Path)
-    return nullptr;
-  return new TraceSink(Path);
-}
-
-#endif // VAPOR_OBS_ENABLED

@@ -14,10 +14,10 @@
 ///  - RAII Span / Counter primitives. A Span brackets one stage (offline
 ///    vectorize, encode/decode, verify, JIT lowering, VM run, executor
 ///    tier attempt) and carries string/number args; a Counter is a named
-///    process-wide atomic. Both compile to nothing when the CMake option
-///    VAPOR_OBS is OFF, and when ON-but-idle (no sink installed) a Span
-///    costs one relaxed atomic load — scripts/perf_gate.py gates the
-///    idle overhead on the VM dispatch headline at <= 2%.
+///    process-wide atomic. Both are always compiled in; idle (no sink
+///    installed) a Span costs one relaxed atomic load, and the runtime
+///    master switch (setEnabled) darkens both. scripts/perf_gate.py gates
+///    the idle overhead on the VM dispatch headline at <= 2% over dark.
 ///  - A Chrome-trace-format JSON exporter (TraceSink): one file per run,
 ///    loadable in chrome://tracing / Perfetto. Thread ids come from
 ///    support::currentWorkerId(), so parallel sweep cells trace onto
@@ -40,13 +40,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
-
-#ifndef VAPOR_OBS_ENABLED
-#define VAPOR_OBS_ENABLED 1
-#endif
 
 namespace vapor {
 namespace obs {
@@ -75,8 +72,6 @@ std::string argStr(uint64_t V);
 std::string argStr(int64_t V);
 std::string argStr(double V);
 std::string argStr(bool V);
-
-#if VAPOR_OBS_ENABLED
 
 /// Runtime master switch (default on). When off, Spans, Counters, and
 /// events are suppressed even if a sink is installed — the benches use
@@ -174,8 +169,9 @@ public:
 
   /// If the environment variable \p EnvVar is set and non-empty,
   /// \returns a sink writing to its value, else null. The benches use
-  /// this (VAPOR_TRACE=trace.json ./bench/...).
-  static TraceSink *fromEnv(const char *EnvVar);
+  /// this (VAPOR_TRACE=trace.json ./bench/...); hold the sink in main,
+  /// its destructor writes the file.
+  static std::unique_ptr<TraceSink> fromEnv(const char *EnvVar);
 
   /// Internal state; Impl objects live for the process lifetime so a
   /// recorder racing uninstallation never touches freed memory.
@@ -184,62 +180,6 @@ public:
 private:
   Impl *I;
 };
-
-#else // !VAPOR_OBS_ENABLED — every primitive compiles to nothing.
-
-inline bool enabled() { return false; }
-inline bool setEnabled(bool) { return false; }
-inline bool tracingActive() { return false; }
-
-class Counter {
-public:
-  explicit Counter(const char *N) : Name(N) {}
-  void add(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-  const char *name() const { return Name; }
-
-private:
-  const char *Name;
-};
-
-inline std::vector<std::pair<std::string, uint64_t>> counterSnapshot() {
-  return {};
-}
-inline uint64_t counterValue(const std::string &) { return 0; }
-inline void resetCounters() {}
-
-class Span {
-public:
-  Span(const char *, std::string) {}
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-  bool live() const { return false; }
-  template <typename T> void arg(const char *, const T &) {}
-};
-
-inline void event(const char *, std::string,
-                  std::vector<std::pair<std::string, std::string>> = {}) {}
-
-/// OFF-build sink: records nothing but still writes a valid (empty)
-/// trace so tools behave uniformly under -DVAPOR_OBS=OFF.
-class TraceSink {
-public:
-  explicit TraceSink(std::string Path, size_t = 0) : Path(std::move(Path)) {}
-  ~TraceSink() { write(); }
-  TraceSink(const TraceSink &) = delete;
-  TraceSink &operator=(const TraceSink &) = delete;
-  bool write();
-  size_t eventCount() const { return 0; }
-  uint64_t droppedCount() const { return 0; }
-  std::vector<Event> events() const { return {}; }
-  static TraceSink *fromEnv(const char *EnvVar);
-
-private:
-  std::string Path;
-  bool Written = false;
-};
-
-#endif // VAPOR_OBS_ENABLED
 
 } // namespace obs
 } // namespace vapor

@@ -9,8 +9,8 @@
 /// vapor::server -- a long-running multi-tenant execution service over a
 /// local AF_UNIX stream socket. Clients submit (bytecode module, target,
 /// options, parameters); the server validates, admission-controls, and
-/// schedules each accepted request onto the shared work-stealing
-/// ThreadPool, then answers with the RunOutcome essentials: executed
+/// schedules each accepted request onto the shared ThreadPool (oldest
+/// request first), then answers with the RunOutcome essentials: executed
 /// tier, structured Status, modeled cycles, a trace id, and the full
 /// output arrays for client-side golden checking.
 ///

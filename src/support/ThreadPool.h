@@ -1,4 +1,4 @@
-//===- support/ThreadPool.h - Work-stealing task pool ----------*- C++ -*-===//
+//===- support/ThreadPool.h - FIFO task pool -------------------*- C++ -*-===//
 //
 // Part of the Vapor SIMD reproduction. See src/support/README.md for the
 // sweep-engine design notes.
@@ -6,19 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the parallel sweep engine: the
-/// crashtest and the fig5/fig6/table3 benches run kernel x target cells
-/// concurrently, each cell on its own MemoryImage (and, via the
-/// thread-local fault-injection controller, its own site counters).
+/// A small fixed-size thread pool. Three users share it: the parallel
+/// sweep engine (parallelFor; the crashtest and the fig5/fig6/table3
+/// benches run kernel x target cells concurrently, each cell on its own
+/// MemoryImage and, via the thread-local fault-injection controller,
+/// its own site counters), the execution server (one job per admitted
+/// request), and the tiering engine (off-thread compiles).
 ///
 /// Design:
-///  - each worker owns a deque; submit() distributes jobs round-robin;
-///  - a worker pops from the *back* of its own deque (LIFO, cache-warm)
-///    and steals from the *front* of a victim's deque (FIFO, the oldest
-///    job, which minimizes contention with the victim's own popping);
+///  - one FIFO foreground queue and one FIFO background lane, both
+///    behind the pool's one mutex; a worker takes the oldest foreground
+///    job, and a background job only when the foreground queue is empty.
+///    So jobs start in the order they were submitted, and the server's
+///    admitted requests are served oldest first;
 ///  - sleeping workers are woken through one shared condition variable;
 ///  - wait() blocks until every submitted job has finished (queued and
-///    running), so pools are reusable across submission waves.
+///    running, both lanes), so pools are reusable across submission
+///    waves.
 ///
 /// Jobs must not throw (the repo builds without exceptions in mind);
 /// determinism of results is the *caller's* job: sweep cells write to
@@ -29,7 +33,6 @@
 #ifndef VAPOR_SUPPORT_THREADPOOL_H
 #define VAPOR_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -59,7 +62,6 @@ public:
   explicit ThreadPool(unsigned Workers) {
     if (Workers == 0)
       Workers = 1;
-    Queues.resize(Workers);
     Threads.reserve(Workers);
     for (unsigned W = 0; W < Workers; ++W)
       Threads.emplace_back([this, W] { workerLoop(W); });
@@ -89,30 +91,16 @@ public:
     return N == 0 ? 1 : N;
   }
 
-  /// Enqueues \p Job on the next worker's deque (round-robin).
-  void submit(std::function<void()> Job) {
-    unsigned Q = NextQueue.fetch_add(1, std::memory_order_relaxed) %
-                 Queues.size();
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++Pending;
-      Queues[Q].push_back(std::move(Job));
-    }
-    WorkCV.notify_one();
-  }
+  /// Enqueues \p Job at the back of the foreground queue.
+  void submit(std::function<void()> Job) { push(Foreground, std::move(Job)); }
 
   /// Enqueues \p Job at BACKGROUND priority: a worker only picks it up
-  /// once every normal deque (its own and every steal victim's) is
-  /// empty, so background work -- the tiering engine's off-thread
-  /// compiles -- can never starve foreground jobs of a worker. Within
-  /// the background lane jobs run FIFO. wait() covers these too.
+  /// once the foreground queue is empty, so background work -- the
+  /// tiering engine's off-thread compiles -- can never starve foreground
+  /// jobs of a worker. Within the background lane jobs run FIFO. wait()
+  /// covers these too.
   void submitBackground(std::function<void()> Job) {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++Pending;
-      Background.push_back(std::move(Job));
-    }
-    WorkCV.notify_one();
+    push(Background, std::move(Job));
   }
 
   /// Blocks until every job submitted so far has *finished* running.
@@ -122,29 +110,26 @@ public:
   }
 
 private:
-  /// Pops a job: own deque's back first, then steal the oldest job from
-  /// another worker's deque front. Caller holds Mu.
-  bool dequeue(unsigned Self, std::function<void()> &Out) {
-    if (!Queues[Self].empty()) {
-      Out = std::move(Queues[Self].back());
-      Queues[Self].pop_back();
-      return true;
+  void push(std::deque<std::function<void()>> &Lane,
+            std::function<void()> Job) {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      ++Pending;
+      Lane.push_back(std::move(Job));
     }
-    for (size_t I = 1; I < Queues.size(); ++I) {
-      size_t Victim = (Self + I) % Queues.size();
-      if (!Queues[Victim].empty()) {
-        Out = std::move(Queues[Victim].front());
-        Queues[Victim].pop_front();
-        return true;
-      }
-    }
-    // Background lane last: only an otherwise-idle worker compiles.
-    if (!Background.empty()) {
-      Out = std::move(Background.front());
-      Background.pop_front();
-      return true;
-    }
-    return false;
+    WorkCV.notify_one();
+  }
+
+  /// Pops the oldest foreground job, else the oldest background job.
+  /// Caller holds Mu.
+  bool dequeue(std::function<void()> &Out) {
+    std::deque<std::function<void()>> &Lane =
+        Foreground.empty() ? Background : Foreground;
+    if (Lane.empty())
+      return false;
+    Out = std::move(Lane.front());
+    Lane.pop_front();
+    return true;
   }
 
   void workerLoop(unsigned Self) {
@@ -152,7 +137,7 @@ private:
     std::unique_lock<std::mutex> Lock(Mu);
     while (true) {
       std::function<void()> Job;
-      if (dequeue(Self, Job)) {
+      if (dequeue(Job)) {
         Lock.unlock();
         Job();
         Lock.lock();
@@ -166,14 +151,13 @@ private:
     }
   }
 
-  std::vector<std::deque<std::function<void()>>> Queues;
-  std::deque<std::function<void()>> Background; ///< Low-priority FIFO lane.
+  std::deque<std::function<void()>> Foreground;
+  std::deque<std::function<void()>> Background; ///< Runs when idle.
   std::vector<std::thread> Threads;
   std::mutex Mu;
   std::condition_variable WorkCV; ///< Signals new work or shutdown.
   std::condition_variable IdleCV; ///< Signals Pending reaching zero.
   uint64_t Pending = 0;           ///< Jobs queued or running.
-  std::atomic<unsigned> NextQueue{0};
   bool Stop = false;
 };
 

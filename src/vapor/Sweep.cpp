@@ -75,8 +75,3 @@ sweep::splitOverNativeCell(const kernels::Kernel &K,
   C.Scalarized = Split.Scalarized;
   return C;
 }
-
-void sweep::forEachCell(unsigned Jobs, size_t N,
-                        const std::function<void(size_t)> &Fn) {
-  support::parallelFor(Jobs, N, Fn);
-}

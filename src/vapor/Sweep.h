@@ -7,9 +7,9 @@
 /// \file
 /// The helpers shared by every driver that walks the kernel x target
 /// matrix (the fig5/fig6/table3/vm_throughput benches and the crashtest
-/// tool): registry lookups, the Fig. 6 split-over-native cell, and the
-/// parallel cell map on top of the work-stealing pool
-/// (support/ThreadPool.h).
+/// tool): the job-count policy, registry lookups, and the Fig. 6
+/// split-over-native cell. The drivers fan cells out with
+/// support::parallelFor (support/ThreadPool.h).
 ///
 /// Cells are independent by construction -- each evaluation builds its
 /// own MemoryImage, the fault-injection controller is thread-local, and
@@ -26,7 +26,6 @@
 #include "kernels/Kernels.h"
 #include "target/Target.h"
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,12 +72,6 @@ struct SplitNativeCell {
 /// run concurrently across cells).
 SplitNativeCell splitOverNativeCell(const kernels::Kernel &K,
                                     const target::TargetDesc &T);
-
-/// Runs \p Fn(0..N-1) across \p Jobs pool workers and returns when all
-/// calls finished. Jobs <= 1 runs inline, byte-identical to the serial
-/// drivers.
-void forEachCell(unsigned Jobs, size_t N,
-                 const std::function<void(size_t)> &Fn);
 
 } // namespace sweep
 } // namespace vapor

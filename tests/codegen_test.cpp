@@ -80,30 +80,8 @@ TEST_P(NativeKernelTest, BitExactAgainstVmOnAllTargets) {
   }
 }
 
-// Misaligned external buffers push the JIT down its unaligned/versioned
-// lowering paths (realignment tokens, vperm, peeling) -- the native
-// encodings for all of those must still match the VM bit for bit.
-TEST_P(NativeKernelTest, BitExactUnderMisalignedExternals) {
-  if (!codegen::supported())
-    GTEST_SKIP() << "native tier unsupported on this host";
-  Kernel K = kernelByName(GetParam());
-  if (K.ExternalArrays.empty())
-    GTEST_SKIP() << "kernel has no external buffers";
-  for (uint32_t Mis : {4u, 8u}) {
-    RunOptions O;
-    O.Target = target::sseTarget();
-    O.ExternalMisalign = Mis;
-    O.UseNative = true;
-    RunOutcome Native = runKernel(K, Flow::SplitVectorized, O);
-    O.UseNative = false;
-    RunOutcome Vm = runKernel(K, Flow::SplitVectorized, O);
-    ASSERT_EQ(Native.Tier, ExecTier::Native)
-        << K.Name << " mis=" << Mis << " demoted: "
-        << (Native.Demotions.empty() ? "?" : Native.Demotions[0].str());
-    expectImagesBitExact(Native, Vm,
-                         K.Name + " mis=" + std::to_string(Mis));
-  }
-}
+// BitExactUnderMisalignedExternals runs in external_buffers_test.cpp,
+// over the kernels that have external arrays.
 
 // Forcing the legacy-SSE2 encoding set must still be bit-exact (same
 // semantics, narrower instructions) and must keep every VEX encoding out

@@ -23,6 +23,7 @@
 #include "jit/CodeCache.h"
 #include "jit/Jit.h"
 #include "support/FaultInject.h"
+#include "support/ThreadPool.h"
 #include "vapor/Sweep.h"
 #include "target/MemoryImage.h"
 #include "target/VM.h"
@@ -98,7 +99,7 @@ TEST(FusionSweep, CacheStatsSerialAndParallelTallyEqually) {
   std::vector<kernels::Kernel> All = kernels::allKernels();
   const TargetDesc T = target::sseTarget();
   auto SweepOnce = [&](unsigned Jobs) {
-    sweep::forEachCell(Jobs, All.size(), [&](size_t I) {
+    support::parallelFor(Jobs, All.size(), [&](size_t I) {
       (void)sweep::splitOverNativeCell(All[I], T);
     });
   };

@@ -63,17 +63,8 @@ TEST_P(KernelSuiteTest, SplitScalarAndNativeFlowsCorrect) {
   }
 }
 
-TEST_P(KernelSuiteTest, MisalignedExternalBuffersStayCorrect) {
-  Kernel K = kernelByName(GetParam());
-  if (K.ExternalArrays.empty())
-    GTEST_SKIP() << "kernel has no external buffers";
-  RunOptions O;
-  O.Target = target::sseTarget();
-  O.ExternalMisalign = 8;
-  RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
-  std::string Err;
-  EXPECT_TRUE(checkAgainstGolden(K, Out, Err)) << Err;
-}
+// MisalignedExternalBuffersStayCorrect runs in external_buffers_test.cpp,
+// over the kernels that have external arrays.
 
 TEST_P(KernelSuiteTest, AblationRunStaysCorrect) {
   Kernel K = kernelByName(GetParam());

@@ -15,11 +15,10 @@
 //     bound by counting drops, and only one sink records at a time;
 //   * the runtime master switch really darkens every primitive;
 //   * sweep::parseJobs rejects garbage --jobs/VAPOR_JOBS values and
-//     never yields a zero-worker pool (the bugfix this PR ships).
-//
-// Every event-recording assertion is compiled only when VAPOR_OBS is ON;
-// under -DVAPOR_OBS=OFF the no-op stubs still have to compile and the
-// parseJobs/off-sink tests still run — that build is a CI job.
+//     never yields a zero-worker pool;
+//   * support::ThreadPool starts jobs in submission order, runs the
+//     background lane only when the foreground queue is empty, and
+//     wait() covers both lanes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -82,13 +84,104 @@ TEST(ParseJobs, DefaultJobsIsNeverZero) {
   EXPECT_GE(sweep::defaultJobs(), 1u);
 }
 
-//===--- OFF-parity pieces (run under both VAPOR_OBS settings) ------------===//
+//===--- ThreadPool ordering and wait() -----------------------------------===//
+
+/// A job that holds its worker until open() is called, so the test can
+/// queue more jobs behind it before any of them may start.
+class Gate {
+public:
+  void block() {
+    std::unique_lock<std::mutex> Lock(Mu);
+    CV.wait(Lock, [this] { return Open; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Open = true;
+    }
+    CV.notify_all();
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable CV;
+  bool Open = false;
+};
+
+/// The order in which pool jobs ran, appended under a lock.
+class RunLog {
+public:
+  void note(char C) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Order += C;
+  }
+  std::string order() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Order;
+  }
+
+private:
+  std::mutex Mu;
+  std::string Order;
+};
+
+TEST(ThreadPool, OneWorkerStartsJobsInSubmissionOrder) {
+  Gate G;
+  RunLog Log;
+  support::ThreadPool Pool(1);
+  Pool.submit([&] {
+    G.block();
+    Log.note('A');
+  });
+  for (char C : {'B', 'C', 'D'})
+    Pool.submit([&Log, C] { Log.note(C); });
+  G.open();
+  Pool.wait();
+  EXPECT_EQ(Log.order(), "ABCD");
+}
+
+TEST(ThreadPool, BackgroundJobRunsAfterLaterForegroundJob) {
+  Gate G;
+  RunLog Log;
+  support::ThreadPool Pool(1);
+  Pool.submit([&] {
+    G.block();
+    Log.note('G');
+  });
+  Pool.submitBackground([&Log] { Log.note('b'); });
+  Pool.submit([&Log] { Log.note('F'); });
+  G.open();
+  Pool.wait();
+  EXPECT_EQ(Log.order(), "GFb");
+}
+
+TEST(ThreadPool, WaitReturnsOnlyAfterBothLanesDrain) {
+  constexpr int PerLane = 8;
+  Gate G;
+  RunLog Log;
+  support::ThreadPool Pool(2);
+  Pool.submit([&] {
+    G.block();
+    Log.note('G');
+  });
+  for (int I = 0; I < PerLane; ++I) {
+    Pool.submitBackground([&Log] { Log.note('b'); });
+    Pool.submit([&Log] { Log.note('F'); });
+  }
+  G.open();
+  Pool.wait();
+  std::string Order = Log.order();
+  EXPECT_EQ(std::count(Order.begin(), Order.end(), 'G'), 1);
+  EXPECT_EQ(std::count(Order.begin(), Order.end(), 'F'), PerLane);
+  EXPECT_EQ(std::count(Order.begin(), Order.end(), 'b'), PerLane);
+}
+
+//===--- TraceSink without events -----------------------------------------===//
 
 TEST(ObsSink, WritesValidEmptyTraceWithoutEvents) {
   std::string Path = ::testing::TempDir() + "obs_empty_trace.json";
   {
-    obs::TraceSink Sink(Path);
-    // No events recorded (and under -DVAPOR_OBS=OFF none can be).
+    obs::TraceSink Sink(Path); // No events recorded.
   }
   std::ifstream In(Path);
   ASSERT_TRUE(In.good()) << "sink destructor must write " << Path;
@@ -103,8 +196,6 @@ TEST(ObsSink, WritesValidEmptyTraceWithoutEvents) {
 TEST(ObsSink, FromEnvReturnsNullWhenUnset) {
   EXPECT_EQ(obs::TraceSink::fromEnv("VAPOR_OBS_TEST_UNSET_ENVVAR"), nullptr);
 }
-
-#if VAPOR_OBS_ENABLED
 
 //===--- Counters ---------------------------------------------------------===//
 
@@ -292,7 +383,5 @@ TEST(ObsSink, SecondSinkStaysInertWhileFirstInstalled) {
   EXPECT_EQ(First.eventCount(), 1u);
   EXPECT_EQ(Second.eventCount(), 0u);
 }
-
-#endif // VAPOR_OBS_ENABLED
 
 } // namespace

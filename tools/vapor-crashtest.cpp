@@ -41,7 +41,7 @@
 // Exit status is the number of failed cases (0 = contract holds).
 // --json <path> writes a machine-readable summary of the sweep.
 //
-// The kernel x target cells run across the work-stealing sweep pool
+// The kernel x target cells run across the sweep pool
 // (--jobs N, default VAPOR_JOBS or the hardware concurrency; 1 forces
 // the serial driver). The fault-injection controller is thread-local,
 // so each worker arms and counts sites on its own runs only, and every
@@ -55,6 +55,7 @@
 #include "kernels/Kernels.h"
 #include "obs/Obs.h"
 #include "support/FaultInject.h"
+#include "support/ThreadPool.h"
 #include "target/Target.h"
 #include "vapor/Pipeline.h"
 #include "vapor/Sweep.h"
@@ -447,11 +448,9 @@ int main(int argc, char **argv) {
 
   // --trace wins over the VAPOR_TRACE environment variable; the sink's
   // destructor writes the Chrome-trace JSON when main returns.
-  std::unique_ptr<obs::TraceSink> Sink;
-  if (TracePath)
-    Sink = std::make_unique<obs::TraceSink>(TracePath);
-  else
-    Sink.reset(obs::TraceSink::fromEnv("VAPOR_TRACE"));
+  std::unique_ptr<obs::TraceSink> Sink =
+      TracePath ? std::make_unique<obs::TraceSink>(TracePath)
+                : obs::TraceSink::fromEnv("VAPOR_TRACE");
 
   std::vector<kernels::Kernel> Ks = kernels::allKernels();
   std::vector<target::TargetDesc> Ts = target::allTargets();
@@ -478,7 +477,7 @@ int main(int argc, char **argv) {
   Stats S;
   std::mutex MergeMu;
   size_t NumCells = Ks.size() * Ts.size();
-  sweep::forEachCell(Jobs, NumCells, [&](size_t Cell) {
+  support::parallelFor(Jobs, NumCells, [&](size_t Cell) {
     const kernels::Kernel &K = Ks[Cell / Ts.size()];
     const target::TargetDesc &T = Ts[Cell % Ts.size()];
     Stats Local;
