@@ -426,6 +426,11 @@ struct MemoKind {
   uint64_t cache::Stats::*Misses;
 };
 
+/// gtest would otherwise dump the struct's raw bytes into every listed test
+/// name, and with them the addresses of Name and Get, which ASLR moves on
+/// each run: ctest names would differ from one test discovery to the next.
+void PrintTo(const MemoKind &K, std::ostream *OS) { *OS << K.Name; }
+
 Artifact getModule(uint64_t) {
   return cache::moduleFor(bytesOf(0xabc, 64), anyDecode)->Fn;
 }
@@ -464,6 +469,11 @@ const MemoKind Kinds[] = {
     {"native", getNative, &cache::Stats::NativeHits,
      &cache::Stats::NativeMisses},
 };
+
+TEST(MemoKindNameTest, ListedNamesCarryNoAddresses) {
+  for (const MemoKind &K : Kinds)
+    EXPECT_EQ(::testing::PrintToString(K), K.Name);
+}
 
 constexpr uint64_t Id = 42; ///< A module id nothing else in the suite uses.
 constexpr size_t Filler = 64; ///< Module cost of the filler entries.
