@@ -10,13 +10,16 @@
 // Built on google-benchmark: wall-clock time of the online compiler on
 // scalar vs vectorized bytecode, followed by a printed ratio summary, a
 // cold-vs-warm measurement of the content-addressed code cache on the
-// executor's integrated compile path, and the verifier's cost per KB of
-// bytecode for every kernel on every SIMD target.
+// executor's integrated compile path, and the verifier's and the
+// lowering's cost per KB of bytecode for every kernel on every SIMD
+// target.
 //
-//   jit_compile_time [--verify-json PATH] [google-benchmark flags]
+//   jit_compile_time [--verify-json PATH] [--lower-json PATH]
+//                    [google-benchmark flags]
 //
 // --verify-json writes the verifier matrix to PATH, which
-// scripts/perf_gate.py --verify-linear gates. Use
+// scripts/perf_gate.py --verify-linear gates; --lower-json writes the
+// lowering matrix, which perf_gate.py --lower-linear gates. Use
 // --benchmark_filter=NONE to skip the timed micro-runs and only produce
 // the summaries.
 //
@@ -37,6 +40,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 
 using namespace vapor;
 
@@ -192,23 +196,37 @@ void printCacheSummary() {
   jit::cache::clear();
 }
 
-/// The verifier's cost per KB of split bytecode, per kernel: the static
-/// gate must stay linear in module size like the JIT (paper Sec. I). Each
-/// call verifies one SIMD target, the way the executor's gate does. The
-/// cells are timed round-robin for VerifyReps rounds and each keeps its
-/// median, so a slow spell of the host hits every kernel alike: the gate
-/// compares kernels with each other, never with another host. A kernel's
-/// us/KB is the mean of its per-target medians over its encoded size.
-void printVerifySummary(const char *JsonPath) {
-  constexpr int VerifyReps = 31;
-  using Clock = std::chrono::steady_clock;
-  bench::printHeader("Verifier cost per KB of split bytecode, every kernel "
-                     "on every SIMD target (median of " +
-                     std::to_string(VerifyReps) + " interleaved calls)");
+/// One per-KB cost matrix: a stage's time on every kernel's split
+/// bytecode for every SIMD target, per KB of bytecode. The stage must stay
+/// linear in module size (paper Sec. I), so each call handles one SIMD
+/// target, the way the executor does. The cells are timed round-robin for
+/// Reps rounds and each keeps its median, so a slow spell of the host hits
+/// every kernel alike: the gates compare kernels with each other, never
+/// with another host. A kernel's us/KB is the mean of its per-target
+/// medians over its encoded size. \p Stage runs once on a module for the
+/// simdTargets() entry it is given.
+struct PerKBMatrix {
+  const char *Title;  ///< Printed header.
+  const char *Schema; ///< JSON schema tag (perf_gate checks it).
+  const char *JsonPath;
+  std::function<void(const ir::Function &, size_t Target)> Stage;
+};
+
+std::vector<target::TargetDesc> simdTargets() {
   std::vector<target::TargetDesc> Simd;
   for (const target::TargetDesc &T : target::allTargets())
     if (T.hasSimd())
       Simd.push_back(T);
+  return Simd;
+}
+
+void printPerKBSummary(const PerKBMatrix &Matrix) {
+  constexpr int Reps = 31;
+  using Clock = std::chrono::steady_clock;
+  bench::printHeader(std::string(Matrix.Title) + ", every kernel on every " +
+                     "SIMD target (median of " + std::to_string(Reps) +
+                     " interleaved calls)");
+  const std::vector<target::TargetDesc> Simd = simdTargets();
 
   struct Row {
     std::string Kernel;
@@ -236,21 +254,12 @@ void printVerifySummary(const char *JsonPath) {
     Rows.push_back(std::move(R));
   }
 
-  std::vector<verify::VerifyOptions> Opts(Simd.size());
-  for (size_t T = 0; T < Simd.size(); ++T)
-    Opts[T].Targets = {Simd[T]};
-  for (int Rep = -1; Rep < VerifyReps; ++Rep) // Rep -1 warms up.
+  for (int Rep = -1; Rep < Reps; ++Rep) // Rep -1 warms up.
     for (Row &R : Rows)
       for (size_t T = 0; T < Simd.size(); ++T) {
         auto T0 = Clock::now();
-        verify::Report V = verify::verifyModule(R.Module, Opts[T]);
+        Matrix.Stage(R.Module, T);
         auto T1 = Clock::now();
-        benchmark::DoNotOptimize(V.ObligationsProved);
-        if (!V.ok()) {
-          std::fprintf(stderr, "%s on %s: %s", R.Kernel.c_str(),
-                       Simd[T].Name.c_str(), V.str().c_str());
-          std::exit(1);
-        }
         if (Rep >= 0)
           R.Micros[T].push_back(
               std::chrono::duration<double, std::micro>(T1 - T0).count());
@@ -284,20 +293,20 @@ void printVerifySummary(const char *JsonPath) {
   std::printf("median %.1f us/KB; worst %s at %.2fx the median\n", Median,
               Rows.front().Kernel.c_str(), Rows.front().UsPerKB / Median);
 
-  if (!JsonPath)
+  if (!Matrix.JsonPath)
     return;
-  std::ofstream OS(JsonPath);
+  std::ofstream OS(Matrix.JsonPath);
   if (!OS) {
-    std::fprintf(stderr, "cannot write %s\n", JsonPath);
+    std::fprintf(stderr, "cannot write %s\n", Matrix.JsonPath);
     std::exit(1);
   }
   char Buf[256];
   OS << "{\n  \"bench\": \"jit_compile_time\",\n"
-        "  \"schema\": \"vapor-bench-verify-v1\",\n";
+        "  \"schema\": \"" << Matrix.Schema << "\",\n";
   std::snprintf(Buf, sizeof(Buf),
                 "  \"reps\": %d,\n  \"median_us_per_kb\": %.2f,\n"
                 "  \"targets\": [",
-                VerifyReps, Median);
+                Reps, Median);
   OS << Buf;
   for (size_t T = 0; T < Simd.size(); ++T)
     OS << (T ? ", " : "") << "\"" << Simd[T].Name << "\"";
@@ -317,27 +326,45 @@ void printVerifySummary(const char *JsonPath) {
     OS << "}}" << (I + 1 < Rows.size() ? "," : "") << "\n";
   }
   OS << "  ]\n}\n";
-  std::printf("wrote %s\n", JsonPath);
+  std::printf("wrote %s\n", Matrix.JsonPath);
+}
+
+/// The static verifier, as the executor's gate runs it: one SIMD target
+/// per call. A kernel it rejects ends the run.
+void verifyOnce(const ir::Function &F, const verify::VerifyOptions &Opt) {
+  verify::Report V = verify::verifyModule(F, Opt);
+  benchmark::DoNotOptimize(V.ObligationsProved);
+  if (!V.ok()) {
+    std::fprintf(stderr, "%s on %s: %s", F.Name.c_str(),
+                 Opt.Targets[0].Name.c_str(), V.str().c_str());
+    std::exit(1);
+  }
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  // Peel off our own --verify-json PATH before google-benchmark sees
-  // argv -- it rejects flags it does not recognize.
+  // Peel off our own --verify-json / --lower-json PATH before
+  // google-benchmark sees argv -- it rejects flags it does not recognize.
   const char *VerifyJsonPath = nullptr;
+  const char *LowerJsonPath = nullptr;
   std::vector<char *> Args;
   Args.push_back(argv[0]);
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--verify-json") == 0) {
-      if (I + 1 == argc) {
-        std::fprintf(stderr, "--verify-json needs a PATH\n");
-        return 2;
-      }
-      VerifyJsonPath = argv[++I];
-    } else {
+    const char **Path = std::strcmp(argv[I], "--verify-json") == 0
+                            ? &VerifyJsonPath
+                        : std::strcmp(argv[I], "--lower-json") == 0
+                            ? &LowerJsonPath
+                            : nullptr;
+    if (!Path) {
       Args.push_back(argv[I]);
+      continue;
     }
+    if (I + 1 == argc) {
+      std::fprintf(stderr, "%s needs a PATH\n", argv[I]);
+      return 2;
+    }
+    *Path = argv[++I];
   }
   int BenchArgc = static_cast<int>(Args.size());
 
@@ -347,6 +374,20 @@ int main(int argc, char **argv) {
   benchmark::Shutdown();
   printRatioSummary();
   printCacheSummary();
-  printVerifySummary(VerifyJsonPath);
+  const std::vector<target::TargetDesc> Simd = simdTargets();
+  std::vector<verify::VerifyOptions> VerifyOpts(Simd.size());
+  for (size_t T = 0; T < Simd.size(); ++T)
+    VerifyOpts[T].Targets = {Simd[T]};
+  printPerKBSummary({"Verifier cost per KB of split bytecode",
+                     "vapor-bench-verify-v1", VerifyJsonPath,
+                     [&](const ir::Function &F, size_t T) {
+                       verifyOnce(F, VerifyOpts[T]);
+                     }});
+  printPerKBSummary({"Lowering cost per KB of split bytecode (strong "
+                     "tier, unknown placement)",
+                     "vapor-bench-lower-v1", LowerJsonPath,
+                     [&](const ir::Function &F, size_t T) {
+                       jitOnce(F, Simd[T]);
+                     }});
   return 0;
 }

@@ -138,6 +138,16 @@ Three modes:
                        input:
                        perf_gate.py --verify-linear verify_current.json
 
+  --lower-linear       the same gate on the online compiler's lowering,
+                       from one ``jit_compile_time --lower-json`` report
+                       (schema vapor-bench-lower-v1): jit::compile at the
+                       strong tier with unknown placement, one SIMD target
+                       per call, for every registry kernel. No kernel may
+                       exceed 2.0x the median kernel's us/KB; the same
+                       matrix shape is required, or the report is bad
+                       input:
+                       perf_gate.py --lower-linear lower_current.json
+
 Exit status: 0 pass, 1 regression, 2 bad input.
 """
 
@@ -183,12 +193,13 @@ VM_MATRIX_KERNELS = 36
 VM_MATRIX_TARGETS = ("sse", "altivec", "neon", "avx", "scalar")
 
 VERIFY_SCHEMA = "vapor-bench-verify-v1"
-# --verify-linear: no kernel's verify us/KB above this many times the
-# median kernel, over exactly this kernel x target matrix (the registry's
-# kernels::ExpectedKernelCount and every target with SIMD).
-VERIFY_LINEAR_MAX = 2.0
-VERIFY_KERNELS = 36
-VERIFY_TARGETS = ("sse", "altivec", "neon", "avx")
+LOWER_SCHEMA = "vapor-bench-lower-v1"
+# --verify-linear and --lower-linear: no kernel's us/KB above this many
+# times the median kernel, over exactly this kernel x target matrix (the
+# registry's kernels::ExpectedKernelCount and every target with SIMD).
+LINEAR_MAX = 2.0
+LINEAR_KERNELS = 36
+LINEAR_TARGETS = ("sse", "altivec", "neon", "avx")
 TIERING_SCHEMA = "vapor-bench-tiering-v3"
 
 
@@ -294,6 +305,63 @@ def headline_cell(report):
     return None
 
 
+def linear_gate(path, schema, stage, flag):
+    """The --verify-linear / --lower-linear gate on one jit_compile_time
+    per-KB report: exits 0 when no kernel's us/KB is above LINEAR_MAX
+    times the median kernel, 1 when one is, 2 on a report that is not
+    exactly the LINEAR_KERNELS kernels (each named once) x LINEAR_TARGETS
+    of \p schema."""
+    report = load(path)
+    if not isinstance(report, dict) or report.get("schema") != schema:
+        got = report.get("schema") if isinstance(report, dict) else None
+        print(f"perf_gate: {path} has schema {got!r}, not {schema!r}; "
+              f"regenerate it with jit_compile_time {flag}",
+              file=sys.stderr)
+        sys.exit(2)
+    kernels = report.get("kernels")
+    targets = report.get("targets")
+    if not isinstance(kernels, list) or not isinstance(targets, list) \
+            or sorted(targets) != sorted(LINEAR_TARGETS) \
+            or len(kernels) != LINEAR_KERNELS \
+            or len({k.get("kernel") for k in kernels
+                    if isinstance(k, dict)}) != LINEAR_KERNELS:
+        print(f"perf_gate: {path} is not {LINEAR_KERNELS} distinct "
+              f"kernels x the SIMD targets {list(LINEAR_TARGETS)}",
+              file=sys.stderr)
+        sys.exit(2)
+    for k in kernels:
+        per_call = k.get("us_per_call")
+        if not isinstance(k.get("us_per_kb"), (int, float)) \
+                or k["us_per_kb"] <= 0 \
+                or not isinstance(per_call, dict) \
+                or sorted(per_call) != sorted(LINEAR_TARGETS) \
+                or not all(isinstance(u, (int, float)) and u > 0
+                           for u in per_call.values()):
+            print(f"perf_gate: {path} has an incomplete row for "
+                  f"{k.get('kernel', '?')}", file=sys.stderr)
+            sys.exit(2)
+    per_kb = sorted(k["us_per_kb"] for k in kernels)
+    median = per_kb[len(per_kb) // 2]
+    worst = sorted(kernels, key=lambda k: -k["us_per_kb"])[:3]
+    ratio = worst[0]["us_per_kb"] / median
+    over = [k for k in kernels if k["us_per_kb"] > LINEAR_MAX * median]
+    verdict = "FAIL" if over else "PASS"
+    print(f"perf_gate: {verdict}: {stage} cost over {len(kernels)} "
+          f"kernels x {len(targets)} SIMD targets: median "
+          f"{median:.1f} us/KB, worst {ratio:.2f}x the median "
+          f"(limit {LINEAR_MAX:.2f}x); slowest: "
+          + ", ".join(f"{k['kernel']} {k['us_per_kb']:.1f}"
+                      for k in worst))
+    if over:
+        print(f"perf_gate: {stage} time is no longer proportional to "
+              "module size on: "
+              + ", ".join(f"{k['kernel']} "
+                          f"{k['us_per_kb'] / median:.2f}x"
+                          for k in over), file=sys.stderr)
+        sys.exit(1)
+    sys.exit(0)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="committed BENCH_vm.json (or, with "
@@ -336,60 +404,18 @@ def main():
                     help="gate a jit_compile_time --verify-json report: "
                          "no kernel's verify us/KB above 2.0x the median "
                          "kernel")
+    ap.add_argument("--lower-linear", action="store_true",
+                    help="gate a jit_compile_time --lower-json report: "
+                         "no kernel's lowering us/KB above 2.0x the "
+                         "median kernel")
     args = ap.parse_args()
 
     if args.verify_linear:
-        path = args.current or args.baseline
-        report = load(path)
-        if report.get("schema") != VERIFY_SCHEMA:
-            print(f"perf_gate: {path} has schema "
-                  f"{report.get('schema')!r}, not {VERIFY_SCHEMA!r}; "
-                  "regenerate it with jit_compile_time --verify-json",
-                  file=sys.stderr)
-            sys.exit(2)
-        kernels = report.get("kernels")
-        targets = report.get("targets")
-        if not isinstance(kernels, list) or not isinstance(targets, list) \
-                or sorted(targets) != sorted(VERIFY_TARGETS) \
-                or len(kernels) != VERIFY_KERNELS \
-                or len({k.get("kernel") for k in kernels
-                        if isinstance(k, dict)}) != VERIFY_KERNELS:
-            print(f"perf_gate: {path} is not {VERIFY_KERNELS} distinct "
-                  f"kernels x the SIMD targets {list(VERIFY_TARGETS)}",
-                  file=sys.stderr)
-            sys.exit(2)
-        for k in kernels:
-            per_call = k.get("us_per_call")
-            if not isinstance(k.get("us_per_kb"), (int, float)) \
-                    or k["us_per_kb"] <= 0 \
-                    or not isinstance(per_call, dict) \
-                    or sorted(per_call) != sorted(VERIFY_TARGETS) \
-                    or not all(isinstance(u, (int, float)) and u > 0
-                               for u in per_call.values()):
-                print(f"perf_gate: {path} has an incomplete row for "
-                      f"{k.get('kernel', '?')}", file=sys.stderr)
-                sys.exit(2)
-        per_kb = sorted(k["us_per_kb"] for k in kernels)
-        median = per_kb[len(per_kb) // 2]
-        worst = sorted(kernels, key=lambda k: -k["us_per_kb"])[:3]
-        ratio = worst[0]["us_per_kb"] / median
-        over = [k for k in kernels
-                if k["us_per_kb"] > VERIFY_LINEAR_MAX * median]
-        verdict = "FAIL" if over else "PASS"
-        print(f"perf_gate: {verdict}: verify cost over {len(kernels)} "
-              f"kernels x {len(targets)} SIMD targets: median "
-              f"{median:.1f} us/KB, worst {ratio:.2f}x the median "
-              f"(limit {VERIFY_LINEAR_MAX:.2f}x); slowest: "
-              + ", ".join(f"{k['kernel']} {k['us_per_kb']:.1f}"
-                          for k in worst))
-        if over:
-            print("perf_gate: verify time is no longer proportional to "
-                  "module size on: "
-                  + ", ".join(f"{k['kernel']} "
-                              f"{k['us_per_kb'] / median:.2f}x"
-                              for k in over), file=sys.stderr)
-            sys.exit(1)
-        sys.exit(0)
+        linear_gate(args.current or args.baseline, VERIFY_SCHEMA, "verify",
+                    "--verify-json")
+    if args.lower_linear:
+        linear_gate(args.current or args.baseline, LOWER_SCHEMA, "lowering",
+                    "--lower-json")
 
     if args.tiering_floor:
         path = args.current or args.baseline

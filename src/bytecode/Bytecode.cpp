@@ -47,19 +47,55 @@ void encodeRegion(ByteWriter &W, const Region &R) {
   }
 }
 
-bool decodeRegion(ByteReader &R, Region &Out) {
+// The fewest bytes one table entry encodes to: every field takes at least
+// one byte. A count read from the stream is checked against the bytes left
+// at these sizes before anything is sized from it.
+constexpr uint64_t MinArrayBytes = 4;   // Name, kind, count, alignment.
+constexpr uint64_t MinValueBytes = 5;   // Type, def, A, B, name.
+constexpr uint64_t MinParamBytes = 1;   // Value id.
+constexpr uint64_t MinInstrBytes = 5;   // Op, type, result, #ops, flags.
+constexpr uint64_t MinOperandBytes = 1; // Value or array id.
+constexpr uint64_t MinLoopBytes = 8;    // 4 ids, role, limit, #carried,
+                                        // #body nodes.
+constexpr uint64_t MinCarriedBytes = 4; // Phi, init, next, result.
+constexpr uint64_t MinIfBytes = 3;      // Cond, #then, #else.
+constexpr uint64_t MinNodeBytes = 2;    // Kind, index.
+
+Status malformed(std::string Msg) {
+  return Status::error(status::Code::MalformedModule, status::Layer::Bytecode,
+                       std::move(Msg));
+}
+
+/// A module that claims more entries than its remaining bytes can hold
+/// is cut short or lying: it fails here, before a table is sized from the
+/// count or a loop runs over it.
+Status checkCount(const ByteReader &R, uint64_t Count, uint64_t MinBytes,
+                  const char *Table) {
+  if (Count <= R.remaining() / MinBytes)
+    return Status::okStatus();
+  return Status::error(status::Code::TruncatedModule, status::Layer::Bytecode,
+                       std::string(Table) + ": count " +
+                           std::to_string(Count) + " exceeds the " +
+                           std::to_string(R.remaining()) + " bytes left");
+}
+
+Status decodeRegion(ByteReader &R, Region &Out, const char *Malformed) {
   uint64_t N = R.readU64();
   if (R.failed() || N > (1u << 24))
-    return false;
+    return malformed(Malformed);
+  if (Status S = checkCount(R, N, MinNodeBytes, "region nodes"); !S.ok())
+    return S;
   Out.Nodes.resize(N);
   for (uint64_t I = 0; I < N; ++I) {
     uint8_t K = R.readU8();
     if (K > static_cast<uint8_t>(NodeKind::If))
-      return false;
+      return malformed(Malformed);
     Out.Nodes[I].Kind = static_cast<NodeKind>(K);
     Out.Nodes[I].Index = static_cast<uint32_t>(R.readU64());
   }
-  return !R.failed();
+  if (R.failed())
+    return malformed(Malformed);
+  return Status::okStatus();
 }
 
 void encodeInstr(ByteWriter &W, const Instr &I) {
@@ -110,18 +146,24 @@ void encodeInstr(ByteWriter &W, const Instr &I) {
   }
 }
 
-bool decodeInstr(ByteReader &R, Instr &I) {
+Status decodeInstr(ByteReader &R, Instr &I, uint64_t Idx) {
+  auto Bad = [&] {
+    return malformed("malformed instruction #" + std::to_string(Idx));
+  };
   uint8_t Op = R.readU8();
   if (Op >= NumOpcodes)
-    return false;
+    return Bad();
   I.Op = static_cast<Opcode>(Op);
   if (!decodeType(R, I.Ty))
-    return false;
+    return Bad();
   uint64_t Res = R.readU64();
   I.Result = Res == 0 ? NoValue : static_cast<ValueId>(Res - 1);
   uint64_t NOps = R.readU64();
   if (R.failed() || NOps > (1u << 16))
-    return false;
+    return Bad();
+  if (Status S = checkCount(R, NOps, MinOperandBytes, "instruction operands");
+      !S.ok())
+    return S;
   I.Ops.resize(NOps);
   for (uint64_t J = 0; J < NOps; ++J)
     I.Ops[J] = static_cast<ValueId>(R.readU64());
@@ -138,7 +180,7 @@ bool decodeInstr(ByteReader &R, Instr &I) {
   if (Flags & 16) {
     uint8_t K = R.readU8();
     if (!validKind(K))
-      return false;
+      return Bad();
     I.TyParam = static_cast<ScalarKind>(K);
   }
   if (Flags & 32) {
@@ -149,21 +191,26 @@ bool decodeInstr(ByteReader &R, Instr &I) {
     // able to smuggle negative or absurd moduli past the consumer.
     if (I.Hint.Mis < -1 || I.Hint.Mod < 0 || I.Hint.Mod > (1 << 20) ||
         I.Hint.Mis > (1 << 20))
-      return false;
+      return Bad();
   }
   if (Flags & 64) {
     uint8_t G = R.readU8();
     if (G > static_cast<uint8_t>(GuardKind::PreferOuterLoop))
-      return false;
+      return Bad();
     I.Guard = static_cast<GuardKind>(G);
     uint64_t NArgs = R.readU64();
     if (R.failed() || NArgs > (1u << 16))
-      return false;
+      return Bad();
+    if (Status S = checkCount(R, NArgs, MinOperandBytes, "guard arrays");
+        !S.ok())
+      return S;
     I.GuardArgs.resize(NArgs);
     for (uint64_t J = 0; J < NArgs; ++J)
       I.GuardArgs[J] = static_cast<uint32_t>(R.readU64());
   }
-  return !R.failed();
+  if (R.failed())
+    return Bad();
+  return Status::okStatus();
 }
 
 } // namespace
@@ -256,10 +303,14 @@ Expected<Function> bytecode::decode(const std::vector<uint8_t> &Bytes) {
 
   Function F(R.readString());
   F.IsSplitLayer = R.readU8() != 0;
+  auto FailWith = [&](const Status &S) { return Fail(S.code(), S.context()); };
 
   uint64_t NArrays = R.readU64();
   if (R.failed() || NArrays > (1u << 16))
     return Fail(Code::MalformedModule, "truncated array table");
+  if (Status S = checkCount(R, NArrays, MinArrayBytes, "arrays"); !S.ok())
+    return FailWith(S);
+  F.Arrays.reserve(NArrays);
   for (uint64_t I = 0; I < NArrays; ++I) {
     ArrayInfo A;
     A.Name = R.readString();
@@ -280,8 +331,11 @@ Expected<Function> bytecode::decode(const std::vector<uint8_t> &Bytes) {
   uint64_t NValues = R.readU64();
   if (R.failed() || NValues > (1u << 24))
     return Fail(Code::MalformedModule, "truncated value table");
+  if (Status S = checkCount(R, NValues, MinValueBytes, "values"); !S.ok())
+    return FailWith(S);
+  F.Values.reserve(NValues);
   for (uint64_t I = 0; I < NValues; ++I) {
-    ValueInfo V;
+    ValueInfo &V = F.Values.emplace_back();
     if (!decodeType(R, V.Ty))
       return Fail(Code::MalformedModule, "bad type for value #" + std::to_string(I));
     uint8_t D = R.readU8();
@@ -291,12 +345,14 @@ Expected<Function> bytecode::decode(const std::vector<uint8_t> &Bytes) {
     V.A = static_cast<uint32_t>(R.readU64());
     V.B = static_cast<uint32_t>(R.readU64());
     V.Name = R.readString();
-    F.Values.push_back(std::move(V));
   }
 
   uint64_t NParams = R.readU64();
   if (R.failed() || NParams > NValues)
     return Fail(Code::MalformedModule, "truncated parameter list");
+  if (Status S = checkCount(R, NParams, MinParamBytes, "parameters"); !S.ok())
+    return FailWith(S);
+  F.Params.reserve(NParams);
   for (uint64_t I = 0; I < NParams; ++I) {
     ValueId P = static_cast<ValueId>(R.readU64());
     if (P >= F.Values.size())
@@ -307,16 +363,19 @@ Expected<Function> bytecode::decode(const std::vector<uint8_t> &Bytes) {
   uint64_t NInstrs = R.readU64();
   if (R.failed() || NInstrs > (1u << 24))
     return Fail(Code::MalformedModule, "truncated instruction stream");
-  for (uint64_t I = 0; I < NInstrs; ++I) {
-    Instr In;
-    if (!decodeInstr(R, In))
-      return Fail(Code::MalformedModule, "malformed instruction #" + std::to_string(I));
-    F.Instrs.push_back(std::move(In));
-  }
+  if (Status S = checkCount(R, NInstrs, MinInstrBytes, "instructions"); !S.ok())
+    return FailWith(S);
+  F.Instrs.resize(NInstrs);
+  for (uint64_t I = 0; I < NInstrs; ++I)
+    if (Status S = decodeInstr(R, F.Instrs[I], I); !S.ok())
+      return FailWith(S);
 
   uint64_t NLoops = R.readU64();
   if (R.failed() || NLoops > (1u << 20))
     return Fail(Code::MalformedModule, "truncated loop table");
+  if (Status S = checkCount(R, NLoops, MinLoopBytes, "loops"); !S.ok())
+    return FailWith(S);
+  F.Loops.reserve(NLoops);
   for (uint64_t I = 0; I < NLoops; ++I) {
     LoopStmt L;
     L.IndVar = static_cast<ValueId>(R.readU64());
@@ -335,32 +394,38 @@ Expected<Function> bytecode::decode(const std::vector<uint8_t> &Bytes) {
     uint64_t NCarried = R.readU64();
     if (R.failed() || NCarried > (1u << 16))
       return Fail(Code::MalformedModule, "truncated carried-variable list");
-    for (uint64_t J = 0; J < NCarried; ++J) {
-      LoopStmt::CarriedVar C;
+    if (Status S = checkCount(R, NCarried, MinCarriedBytes, "carried variables");
+        !S.ok())
+      return FailWith(S);
+    L.Carried.resize(NCarried);
+    for (LoopStmt::CarriedVar &C : L.Carried) {
       C.Phi = static_cast<ValueId>(R.readU64());
       C.Init = static_cast<ValueId>(R.readU64());
       C.Next = static_cast<ValueId>(R.readU64());
       C.Result = static_cast<ValueId>(R.readU64());
-      L.Carried.push_back(C);
     }
-    if (!decodeRegion(R, L.Body))
-      return Fail(Code::MalformedModule, "malformed loop body");
+    if (Status S = decodeRegion(R, L.Body, "malformed loop body"); !S.ok())
+      return FailWith(S);
     F.Loops.push_back(std::move(L));
   }
 
   uint64_t NIfs = R.readU64();
   if (R.failed() || NIfs > (1u << 20))
     return Fail(Code::MalformedModule, "truncated if table");
+  if (Status S = checkCount(R, NIfs, MinIfBytes, "ifs"); !S.ok())
+    return FailWith(S);
+  F.Ifs.reserve(NIfs);
   for (uint64_t I = 0; I < NIfs; ++I) {
     IfStmt S;
     S.Cond = static_cast<ValueId>(R.readU64());
-    if (!decodeRegion(R, S.Then) || !decodeRegion(R, S.Else))
-      return Fail(Code::MalformedModule, "malformed if arms");
+    for (Region *Arm : {&S.Then, &S.Else})
+      if (Status St = decodeRegion(R, *Arm, "malformed if arms"); !St.ok())
+        return FailWith(St);
     F.Ifs.push_back(std::move(S));
   }
 
-  if (!decodeRegion(R, F.Body))
-    return Fail(Code::MalformedModule, "malformed function body");
+  if (Status S = decodeRegion(R, F.Body, "malformed function body"); !S.ok())
+    return FailWith(S);
   if (R.failed())
     return Fail(Code::TruncatedModule, "truncated module");
   if (!R.atEnd())

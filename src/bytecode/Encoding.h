@@ -77,8 +77,11 @@ public:
 
   bool failed() const { return Failed; }
   bool atEnd() const { return P == End; }
+  size_t remaining() const { return static_cast<size_t>(End - P); }
 
   uint64_t readU64() {
+    if (P != End && *P < 0x80) // One byte: most ids and counts.
+      return *P++;
     uint64_t V = 0;
     unsigned Shift = 0;
     while (true) {

@@ -36,9 +36,13 @@ public:
               " not defined as a parameter");
       if (!F.Values[P].Ty.isScalar())
         error("parameter %" + std::to_string(P) + " must be scalar");
-      Defined[P] = true;
+      define(P);
     }
-    walkRegion(F.Body);
+    walkRegion(F.Body, 0);
+    // Below a too-deep region nothing was walked, so nothing there counts
+    // as placed: the depth error is the finding.
+    if (TooDeep)
+      return std::move(Errors);
     for (size_t I = 0, E = F.Instrs.size(); I != E; ++I)
       if (InstrPlaced[I] != 1)
         error("instruction #" + std::to_string(I) + " placed " +
@@ -76,6 +80,12 @@ private:
     return static_cast<uint8_t>(K) <= static_cast<uint8_t>(ScalarKind::F64);
   }
 
+  /// Vector lanes must have a size: consumers divide by it (a target's
+  /// vectorization factor, the lanes of a scalar expansion).
+  static bool hasLaneSize(Type Ty) {
+    return !Ty.Vector || Ty.Elem != ScalarKind::None;
+  }
+
   /// Field-level sanity of the value/array tables. These can arrive from
   /// a decoder or hand-assembly, so nothing about them is trusted; the
   /// kind checks in particular keep garbage element kinds out of every
@@ -84,6 +94,9 @@ private:
     for (size_t V = 0; V < F.Values.size(); ++V)
       if (!validKind(F.Values[V].Ty.Elem))
         error("value %" + std::to_string(V) + " has invalid element kind");
+      else if (!hasLaneSize(F.Values[V].Ty))
+        error("value %" + std::to_string(V) +
+              " is a vector without an element kind");
     for (size_t A = 0; A < F.Arrays.size(); ++A) {
       const ArrayInfo &AI = F.Arrays[A];
       std::string Where = "array '" + AI.Name + "'";
@@ -100,6 +113,18 @@ private:
     }
   }
 
+  void define(ValueId V) {
+    if (Defined[V])
+      return;
+    Defined[V] = true;
+    DefLog.push_back(V);
+  }
+
+  void undefineSince(size_t Scope) {
+    for (; DefLog.size() > Scope; DefLog.pop_back())
+      Defined[DefLog.back()] = false;
+  }
+
   bool checkUse(ValueId V, const Site &W) {
     if (V == NoValue || V >= F.Values.size()) {
       error(W, "value id out of range");
@@ -112,7 +137,14 @@ private:
     return true;
   }
 
-  void walkRegion(const Region &R) {
+  void walkRegion(const Region &R, unsigned Depth) {
+    if (Depth > MaxRegionDepth) {
+      if (!TooDeep)
+        error("regions nest deeper than " + std::to_string(MaxRegionDepth) +
+              " levels");
+      TooDeep = true;
+      return;
+    }
     for (const NodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case NodeKind::Instr:
@@ -129,7 +161,7 @@ private:
           continue;
         }
         ++LoopPlaced[N.Index];
-        checkLoop(F.Loops[N.Index]);
+        checkLoop(F.Loops[N.Index], Depth + 1);
         break;
       case NodeKind::If:
         if (N.Index >= F.Ifs.size()) {
@@ -137,13 +169,14 @@ private:
           continue;
         }
         ++IfPlaced[N.Index];
-        checkIf(F.Ifs[N.Index]);
+        checkIf(F.Ifs[N.Index], Depth + 1);
         break;
       }
     }
   }
 
-  void checkLoop(const LoopStmt &L) {
+  /// Checks loop \p L, whose body sits at depth \p BodyDepth.
+  void checkLoop(const LoopStmt &L, unsigned BodyDepth) {
     for (ValueId Bound : {L.Lower, L.Upper, L.Step})
       if (checkUse(Bound, {"loop"}) &&
           F.typeOf(Bound) != Type::scalar(ScalarKind::I64))
@@ -168,32 +201,33 @@ private:
     // carried phis) are scoped to the body: the loop may run zero times, so
     // nothing defined inside may be used after it. Only the carried
     // Results materialize at exit.
-    std::vector<bool> Saved = Defined;
-    Defined[L.IndVar] = true;
+    size_t Scope = DefLog.size();
+    define(L.IndVar);
     for (const auto &C : L.Carried)
       if (C.Phi != NoValue && C.Phi < F.Values.size())
-        Defined[C.Phi] = true;
-    walkRegion(L.Body);
+        define(C.Phi);
+    walkRegion(L.Body, BodyDepth);
     for (const auto &C : L.Carried)
       if (C.Next != NoValue)
         checkUse(C.Next, {"loop carried next"});
-    Defined = std::move(Saved);
+    undefineSince(Scope);
     for (const auto &C : L.Carried)
       if (C.Result != NoValue && C.Result < F.Values.size())
-        Defined[C.Result] = true;
+        define(C.Result);
   }
 
-  void checkIf(const IfStmt &S) {
+  /// Checks if \p S, whose arms sit at depth \p ArmDepth.
+  void checkIf(const IfStmt &S, unsigned ArmDepth) {
     if (checkUse(S.Cond, {"if condition"}) &&
         F.typeOf(S.Cond) != Type::scalar(ScalarKind::I1))
       error("if condition must be scalar i1");
     // Each arm is a scope: its definitions are not visible afterwards
     // (versioned loops communicate results through memory).
-    std::vector<bool> Saved = Defined;
-    walkRegion(S.Then);
-    Defined = Saved;
-    walkRegion(S.Else);
-    Defined = std::move(Saved);
+    size_t Scope = DefLog.size();
+    walkRegion(S.Then, ArmDepth);
+    undefineSince(Scope);
+    walkRegion(S.Else, ArmDepth);
+    undefineSince(Scope);
   }
 
   void checkInstr(const Instr &I, uint32_t Idx) {
@@ -220,6 +254,8 @@ private:
       error(W, "malformed alignment hint");
     if (!validKind(I.TyParam))
       error(W, "invalid element-kind parameter");
+    if (!hasLaneSize(I.Ty))
+      error(W, "vector type without an element kind");
 
     if (I.hasResult()) {
       if (I.Result >= F.Values.size() ||
@@ -227,7 +263,7 @@ private:
           F.Values[I.Result].A != Idx)
         error(W, "result value bookkeeping broken");
       else
-        Defined[I.Result] = true;
+        define(I.Result);
     }
 
     if (!OperandsOk)
@@ -408,9 +444,13 @@ private:
   const Function &F;
   std::vector<std::string> Errors;
   std::vector<bool> Defined;
+  /// The values define() set, in order. A scope (loop body, if-arm) ends
+  /// by undefining what it added, so no scope copies Defined.
+  std::vector<ValueId> DefLog;
   std::vector<uint32_t> InstrPlaced;
   std::vector<uint32_t> LoopPlaced;
   std::vector<uint32_t> IfPlaced;
+  bool TooDeep = false;
 };
 
 } // namespace

@@ -8,9 +8,10 @@
 //
 //   1. foldGuards      — resolve version_guard conditions that are static
 //                        for this (target, runtime) pair.
-//   2. planRegions     — per region (function top level and each if-arm),
-//                        decide vector vs scalar-expansion lowering and a
-//                        strategy for every memory idiom.
+//   2. planTopLevel    — per region (function top level, each loop body
+//                        and each if-arm), decide vector vs
+//                        scalar-expansion lowering and a strategy for
+//                        every memory idiom.
 //   3. markLive        — dead-code analysis given those strategies: the
 //                        realignment chains of paper Fig. 3a die here when
 //                        the target uses plain (mis)aligned accesses.
@@ -22,6 +23,18 @@
 //                        register-pressure spill modeling; legacy profile:
 //                        unpromoted accumulators (Table 3).
 //
+// How the passes stay linear:
+//   - State is flat arrays indexed by IR value, instruction, loop, if or
+//     machine register, never maps or sets.
+//   - A loop's facts that several levels ask for (its first vector
+//     blocker, its smallest vector element, whether it holds anything
+//     live) are computed once per loop, in one walk, and reused, so no
+//     pass re-walks a subtree per level of nesting.
+//   - The post passes (hoisting's definition counts and register
+//     pressure) look at each machine loop's whole subtree, which costs
+//     the module size times its nesting depth. Decoding bounds that depth
+//     at ir::MaxRegionDepth, so the factor is a constant.
+//
 //===----------------------------------------------------------------------===//
 
 #include "jit/Jit.h"
@@ -32,8 +45,7 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <optional>
 
 using namespace vapor;
 using namespace vapor::jit;
@@ -225,19 +237,25 @@ public:
 
     computeScalarExpansionSize();
     foldGuards();
-    planRegion(F.Body, decideTopLevelMode());
+    planTopLevel();
     markLive();
 
+    Lanes.resize(F.Values.size());
+    Lowered.assign(F.Values.size(), false);
+    BaseReg.assign(F.Arrays.size(), NoReg);
     for (ValueId P : F.Params) {
       MReg R = M.makeReg(F.typeOf(P).Elem, false);
       M.Params.push_back({F.Values[P].Name, R});
-      Map[P] = {R};
+      setLanes(P, {R});
     }
     emitRegion(F.Body);
 
     if (Opt.CompilerTier == Tier::Strong) {
-      std::vector<int> Defs(M.Regs.size(), 0);
-      hoistInvariants(M.Body, Defs);
+      LoopEnd.assign(M.Loops.size(), 0);
+      ParentLoop.assign(M.Loops.size(), NoLoop);
+      DefLoop.assign(M.Regs.size(), NoLoop);
+      mapLoops(M.Body, NoLoop, 0);
+      hoistInvariants(M.Body);
     }
     modelRegisterPressure();
     if (!Opt.PromoteAccumulators)
@@ -262,22 +280,52 @@ private:
   bool TopLevelScalar = false;
   std::string ScalarizeReason;
 
-  std::map<ValueId, bool> FoldedGuards;
-  std::map<uint32_t, MemStrategy> Strat;     ///< Per memory instruction.
-  std::map<const Region *, bool> RegionScalar;
+  // All compile state is flat, indexed by IR value, instruction, loop or
+  // if (or machine register): every lookup is O(1), and nothing is keyed
+  // by a pointer or kept in a node-based container.
+
+  enum class Fold : uint8_t { Unfolded, True, False };
+  /// Per value: the static fold of the version_guard defining it. The
+  /// last slot stands for every id past the table (a guard without a
+  /// result), so such guards share one fold as they always have.
+  std::vector<Fold> FoldedGuards;
+  /// Per instruction: the memory strategy, for memory idioms in a
+  /// compiled region; nullopt otherwise.
+  std::vector<std::optional<MemStrategy>> Strat;
+  /// Per instruction: whether its region lowers by scalar expansion.
+  std::vector<uint8_t> InstrScalar;
+  /// Per loop: whether its body lowers by scalar expansion.
+  std::vector<uint8_t> LoopScalar;
   std::vector<bool> InstrNeeded;
   std::vector<bool> ValueLive;
   std::vector<bool> LoopNeeded;
+  /// Per loop and per if: whether emission visits it. Computed once,
+  /// after liveness.
+  std::vector<bool> LoopEmitted;
+  std::vector<bool> IfEmitted;
 
-  std::map<ValueId, std::vector<MReg>> Map; ///< IR value -> lane registers.
-  std::map<uint32_t, MReg> BaseReg;         ///< Array -> base-address reg.
+  /// Per loop, computed on first use: the first instruction of its body
+  /// (if-arms excluded) that blocks vector lowering, or NoBlocker.
+  static constexpr uint32_t NoBlocker = ~0u;
+  static constexpr uint32_t NotComputed = ~0u - 1;
+  std::vector<uint32_t> LoopBlocker;
+  /// Per loop, computed on first use: minVectorElemSize of its body
+  /// (0 until computed).
+  std::vector<uint8_t> LoopMinElem;
+
+  /// Per value: its lane registers, valid where Lowered is set.
+  std::vector<std::vector<MReg>> Lanes;
+  std::vector<bool> Lowered;
+  std::vector<MReg> BaseReg; ///< Per array: base-address reg, or NoReg.
 
   /// Summarizes the per-access and per-guard decisions this compile took
   /// (the observability layer's strategy record).
   StrategyStats tallyStrategy() const {
     StrategyStats S;
-    for (const auto &Entry : Strat) {
-      switch (Entry.second) {
+    for (const std::optional<MemStrategy> &Entry : Strat) {
+      if (!Entry)
+        continue;
+      switch (*Entry) {
       case MemStrategy::Aligned:
         ++S.MemAligned;
         break;
@@ -292,10 +340,12 @@ private:
         break;
       }
     }
-    for (const auto &Entry : FoldedGuards)
-      (Entry.second ? S.GuardsFoldedTrue : S.GuardsFoldedFalse) += 1;
+    for (Fold Entry : FoldedGuards)
+      if (Entry != Fold::Unfolded)
+        (Entry == Fold::True ? S.GuardsFoldedTrue : S.GuardsFoldedFalse) +=
+            1;
     for (const Instr &I : F.Instrs)
-      if (I.Op == Opcode::VersionGuard && !FoldedGuards.count(I.Result))
+      if (I.Op == Opcode::VersionGuard && !folded(I.Result))
         ++S.GuardsRuntime;
     return S;
   }
@@ -310,27 +360,41 @@ private:
 
   //===--- Pass 1: guard folding -----------------------------------------===//
 
+  Fold &foldSlot(ValueId V) {
+    return FoldedGuards[std::min<size_t>(V, F.Values.size())];
+  }
+
+  /// The static value of guard result \p V, or nullopt if it stays a
+  /// runtime check.
+  std::optional<bool> folded(ValueId V) const {
+    Fold Entry = FoldedGuards[std::min<size_t>(V, F.Values.size())];
+    if (Entry == Fold::Unfolded)
+      return std::nullopt;
+    return Entry == Fold::True;
+  }
+
   void foldGuards() {
-    std::set<uint32_t> NestedGuards;
+    FoldedGuards.assign(F.Values.size() + 1, Fold::Unfolded);
+    std::vector<bool> NestedGuards(F.Instrs.size(), false);
     collectNestedGuards(F.Body, /*InLoop=*/false, NestedGuards);
     for (uint32_t Idx = 0; Idx < F.Instrs.size(); ++Idx) {
       const Instr &I = F.Instrs[Idx];
       if (I.Op != Opcode::VersionGuard)
         continue;
       auto Folded = foldGuardStatic(I, T, RT, Opt.CompilerTier,
-                                    NestedGuards.count(Idx) != 0);
+                                    NestedGuards[Idx]);
       if (Folded)
-        FoldedGuards[I.Result] = *Folded;
+        foldSlot(I.Result) = *Folded ? Fold::True : Fold::False;
     }
   }
 
   void collectNestedGuards(const Region &R, bool InLoop,
-                           std::set<uint32_t> &Out) {
+                           std::vector<bool> &Out) {
     for (const NodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case NodeKind::Instr:
         if (InLoop && F.Instrs[N.Index].Op == Opcode::VersionGuard)
-          Out.insert(N.Index);
+          Out[N.Index] = true;
         break;
       case NodeKind::Loop:
         collectNestedGuards(F.Loops[N.Index].Body, true, Out);
@@ -345,46 +409,96 @@ private:
 
   //===--- Pass 2: region modes and memory strategies ---------------------===//
 
-  bool decideTopLevelMode() {
+  void planTopLevel() {
+    Strat.assign(F.Instrs.size(), std::nullopt);
+    InstrScalar.assign(F.Instrs.size(), 0);
+    LoopScalar.assign(F.Loops.size(), 0);
+    LoopBlocker.assign(F.Loops.size(), NotComputed);
+    LoopMinElem.assign(F.Loops.size(), 0);
     if (Opt.ForceScalarize) {
       TopLevelScalar = true;
       ScalarizeReason = "scalarization forced (executor deoptimization)";
-      return true;
-    }
-    if (!T.hasSimd()) {
+    } else if (!T.hasSimd()) {
       TopLevelScalar = true;
       ScalarizeReason = "target has no SIMD support";
-      return true;
+    } else {
+      uint32_t Blocker = vectorBlocker(F.Body);
+      if (Blocker != NoBlocker) {
+        const Instr &I = F.Instrs[Blocker];
+        TopLevelScalar = true;
+        ScalarizeReason =
+            vectorBlockReason(F, I, T, hintAligned(I.Hint, I.Array));
+      }
     }
-    return false;
+    planNodes(F.Body, TopLevelScalar);
   }
 
-  /// \returns a reason string if the vector code in \p R (its own scope,
-  /// excluding folded-off arms) cannot be lowered vectorially.
-  std::string vectorBlocker(const Region &R) {
+  bool blocksVector(uint32_t Idx) const {
+    const Instr &I = F.Instrs[Idx];
+    return !vectorBlockReason(F, I, T, hintAligned(I.Hint, I.Array))
+                .empty();
+  }
+
+  /// \returns the first instruction of the vector code in \p R (its own
+  /// scope, nested loops included, if-arms excluded: they decide for
+  /// themselves) that cannot be lowered vectorially, or NoBlocker. Each
+  /// nested loop's answer is computed once and reused, so every
+  /// instruction is checked at most once per compile.
+  uint32_t vectorBlocker(const Region &R) {
+    for (const NodeRef &N : R.Nodes) {
+      uint32_t Blocker = NoBlocker;
+      if (N.Kind == NodeKind::Instr && blocksVector(N.Index))
+        Blocker = N.Index;
+      else if (N.Kind == NodeKind::Loop)
+        Blocker = loopBlocker(N.Index);
+      if (Blocker != NoBlocker)
+        return Blocker;
+    }
+    return NoBlocker;
+  }
+
+  uint32_t loopBlocker(uint32_t Loop) {
+    if (LoopBlocker[Loop] == NotComputed)
+      LoopBlocker[Loop] = vectorBlocker(F.Loops[Loop].Body);
+    return LoopBlocker[Loop];
+  }
+
+  /// minVectorElemSize of loop \p Loop's body, computed once per loop.
+  unsigned loopMinElem(uint32_t Loop) {
+    if (LoopMinElem[Loop] == 0)
+      LoopMinElem[Loop] =
+          static_cast<uint8_t>(minElemIn(F.Loops[Loop].Body));
+    return LoopMinElem[Loop];
+  }
+
+  unsigned minElemIn(const Region &R) {
+    unsigned MinSize = 16;
     for (const NodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case NodeKind::Instr: {
         const Instr &I = F.Instrs[N.Index];
-        std::string S =
-            vectorBlockReason(F, I, T, hintAligned(I.Hint, I.Array));
-        if (!S.empty())
-          return S;
+        if (I.Ty.isVector() && I.Ty.Elem != ScalarKind::I1)
+          MinSize = std::min(MinSize, scalarSize(I.Ty.Elem));
         break;
       }
-      case NodeKind::Loop: {
-        std::string S = vectorBlocker(F.Loops[N.Index].Body);
-        if (!S.empty())
-          return S;
+      case NodeKind::Loop:
+        MinSize = std::min(MinSize, loopMinElem(N.Index));
         break;
-      }
-      case NodeKind::If: {
-        // Arms get their own mode; nothing to check here.
+      case NodeKind::If:
+        MinSize = std::min({MinSize, minElemIn(F.Ifs[N.Index].Then),
+                            minElemIn(F.Ifs[N.Index].Else)});
         break;
-      }
       }
     }
-    return "";
+    return MinSize;
+  }
+
+  /// This target's vectorization factor for loop \p Loop (jit::loopVF).
+  int64_t loopVF(uint32_t Loop) {
+    unsigned MinSize = loopMinElem(Loop);
+    if (MinSize == 16 || T.VSBytes == 0)
+      return 1;
+    return T.VSBytes / MinSize;
   }
 
   /// Whether the hint proves VS-alignment of the access (paper
@@ -393,25 +507,14 @@ private:
     return hintProvesAligned(H, Array, T, RT);
   }
 
-  /// Decides the lowering mode of \p R and the strategy of every memory
-  /// idiom directly or transitively inside it (stopping at if-arms, which
-  /// decide for themselves).
-  void planRegion(const Region &R, bool ParentScalar) {
-    bool Scalar = ParentScalar;
-    if (!Scalar) {
-      std::string Blocker = vectorBlocker(R);
-      if (!Blocker.empty()) {
-        Scalar = true;
-        if (&R == &F.Body) {
-          TopLevelScalar = true;
-          ScalarizeReason = Blocker;
-        }
-      }
-    }
-    RegionScalar[&R] = Scalar;
-    planNodes(R, Scalar);
+  /// Decides the lowering mode of if-arm \p R and plans it.
+  void planArm(const Region &R, bool ParentScalar) {
+    planNodes(R, ParentScalar || vectorBlocker(R) != NoBlocker);
   }
 
+  /// Plans the nodes of region \p R, lowered in mode \p Scalar: the mode
+  /// of every nested loop body and if-arm, and the strategy of every
+  /// memory idiom.
   void planNodes(const Region &R, bool Scalar) {
     for (const NodeRef &N : R.Nodes) {
       switch (N.Kind) {
@@ -420,29 +523,24 @@ private:
         break;
       case NodeKind::Loop: {
         const LoopStmt &L = F.Loops[N.Index];
-        bool LoopScalar = Scalar;
-        if (!LoopScalar && L.MaxSafeVF > 0 &&
-            loopVF(L) > L.MaxSafeVF)
-          LoopScalar = true; // Dependence hint: this VF is too wide.
-        if (!LoopScalar) {
-          std::string Blocker = vectorBlocker(L.Body);
-          if (!Blocker.empty())
-            LoopScalar = true;
-        }
-        RegionScalar[&L.Body] = LoopScalar;
-        planNodes(L.Body, LoopScalar);
+        bool BodyScalar = Scalar;
+        if (!BodyScalar && L.MaxSafeVF > 0 && loopVF(N.Index) > L.MaxSafeVF)
+          BodyScalar = true; // Dependence hint: this VF is too wide.
+        if (!BodyScalar && loopBlocker(N.Index) != NoBlocker)
+          BodyScalar = true;
+        LoopScalar[N.Index] = BodyScalar;
+        planNodes(L.Body, BodyScalar);
         break;
       }
       case NodeKind::If: {
         const IfStmt &S = F.Ifs[N.Index];
-        auto Folded = FoldedGuards.find(S.Cond);
-        if (Folded != FoldedGuards.end()) {
+        if (std::optional<bool> Taken = folded(S.Cond)) {
           // Only the surviving arm is compiled at all.
-          planRegion(Folded->second ? S.Then : S.Else, Scalar);
-          RegionScalar[&(Folded->second ? S.Else : S.Then)] = Scalar;
+          planArm(*Taken ? S.Then : S.Else, Scalar);
+          recordModes(*Taken ? S.Else : S.Then, Scalar);
         } else {
-          planRegion(S.Then, Scalar);
-          planRegion(S.Else, Scalar);
+          planArm(S.Then, Scalar);
+          planArm(S.Else, Scalar);
         }
         break;
       }
@@ -450,10 +548,8 @@ private:
     }
   }
 
-  /// This target's vectorization factor for loop \p L.
-  int64_t loopVF(const LoopStmt &L) const { return jit::loopVF(F, L, T); }
-
   void planInstr(const Instr &I, uint32_t Idx, bool Scalar) {
+    InstrScalar[Idx] = Scalar;
     switch (I.Op) {
     case Opcode::ALoad:
     case Opcode::AStore:
@@ -468,42 +564,56 @@ private:
     }
   }
 
+  /// Gives every instruction of a folded-off arm \p R the mode \p Scalar
+  /// of the region around it. Nothing there is compiled.
+  void recordModes(const Region &R, bool Scalar) {
+    for (const NodeRef &N : R.Nodes) {
+      switch (N.Kind) {
+      case NodeKind::Instr:
+        InstrScalar[N.Index] = Scalar;
+        break;
+      case NodeKind::Loop:
+        recordModes(F.Loops[N.Index].Body, Scalar);
+        break;
+      case NodeKind::If:
+        recordModes(F.Ifs[N.Index].Then, Scalar);
+        recordModes(F.Ifs[N.Index].Else, Scalar);
+        break;
+      }
+    }
+  }
+
   //===--- Pass 3: liveness / dead-code analysis --------------------------===//
 
-  /// Operands that remain live under the chosen strategy. The whole point
-  /// of the split-layer realignment design: when a target does not need
-  /// the chain, realign_load keeps only its address operand and the chain
-  /// dies (paper Sec. III-C(b,c,d)).
-  std::vector<ValueId> keptOperands(const Instr &I, uint32_t Idx) const {
-    if (I.Op == Opcode::RealignLoad) {
-      auto It = Strat.find(Idx);
-      if (It != Strat.end() && It->second != MemStrategy::Perm)
-        return {I.Ops[3]};
+  /// Calls \p Fn on each operand that remains live under the chosen
+  /// strategy. The whole point of the split-layer realignment design:
+  /// when a target does not need the chain, realign_load keeps only its
+  /// address operand and the chain dies (paper Sec. III-C(b,c,d)).
+  template <typename OperandFn>
+  void forKeptOperands(const Instr &I, uint32_t Idx, OperandFn Fn) const {
+    if (I.Op == Opcode::RealignLoad && Strat[Idx] &&
+        *Strat[Idx] != MemStrategy::Perm) {
+      Fn(I.Ops[3]);
+      return;
     }
     if (I.Op == Opcode::LoopBound) {
       // Only the bound selected by the region's lowering mode stays live.
-      return {I.Ops[loopBoundScalar(Idx) ? 1 : 0]};
+      Fn(I.Ops[loopBoundScalar(Idx) ? 1 : 0]);
+      return;
     }
-    return I.Ops;
+    for (ValueId Op : I.Ops)
+      Fn(Op);
   }
 
   /// Whether the loop_bound at \p Idx resolves to its scalar argument.
   /// True only in scalar-expansion regions... which for loop_bound's
   /// semantics (paper Table 1) means: scalar peel loops must not run.
-  bool loopBoundScalar(uint32_t Idx) const {
-    auto It = InstrRegionScalar.find(Idx);
-    return It != InstrRegionScalar.end() && It->second;
-  }
-
-  std::map<uint32_t, bool> InstrRegionScalar;
+  bool loopBoundScalar(uint32_t Idx) const { return InstrScalar[Idx]; }
 
   void markLive() {
     InstrNeeded.assign(F.Instrs.size(), false);
     ValueLive.assign(F.Values.size(), false);
     LoopNeeded.assign(F.Loops.size(), false);
-
-    // Record each instruction's region mode (needed by loop_bound).
-    recordModes(F.Body, RegionScalar.at(&F.Body));
 
     std::vector<ValueId> Work;
     auto LiveValue = [&](ValueId V) {
@@ -528,8 +638,7 @@ private:
         uint32_t Idx = VI.A;
         if (!InstrNeeded[Idx]) {
           InstrNeeded[Idx] = true;
-          for (ValueId Op : keptOperands(F.Instrs[Idx], Idx))
-            LiveValue(Op);
+          forKeptOperands(F.Instrs[Idx], Idx, LiveValue);
         }
         break;
       }
@@ -554,36 +663,16 @@ private:
       }
       }
     }
+
+    LoopEmitted.assign(F.Loops.size(), false);
+    IfEmitted.assign(F.Ifs.size(), false);
+    markEmitted(F.Body);
   }
 
-  void recordModes(const Region &R, bool Scalar) {
-    for (const NodeRef &N : R.Nodes) {
-      switch (N.Kind) {
-      case NodeKind::Instr:
-        InstrRegionScalar[N.Index] = Scalar;
-        break;
-      case NodeKind::Loop: {
-        const Region &Body = F.Loops[N.Index].Body;
-        recordModes(Body, RegionScalar.count(&Body)
-                              ? RegionScalar.at(&Body)
-                              : Scalar);
-        break;
-      }
-      case NodeKind::If: {
-        const IfStmt &S = F.Ifs[N.Index];
-        recordModes(S.Then, RegionScalar.count(&S.Then)
-                                ? RegionScalar.at(&S.Then)
-                                : Scalar);
-        recordModes(S.Else, RegionScalar.count(&S.Else)
-                                ? RegionScalar.at(&S.Else)
-                                : Scalar);
-        break;
-      }
-      }
-    }
-  }
-
-  template <typename LiveFn> void rootRegion(const Region &R, LiveFn Live) {
+  /// Roots liveness at every store in \p R that can execute. \returns
+  /// whether \p R holds one, which is what makes a loop needed here.
+  template <typename LiveFn> bool rootRegion(const Region &R, LiveFn &Live) {
+    bool Rooted = false;
     for (const NodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case NodeKind::Instr: {
@@ -591,15 +680,15 @@ private:
         if (!writesMemory(I.Op))
           break;
         InstrNeeded[N.Index] = true;
-        for (ValueId Op : keptOperands(I, N.Index))
-          Live(Op);
+        Rooted = true;
+        forKeptOperands(I, N.Index, Live);
         break;
       }
       case NodeKind::Loop: {
         const LoopStmt &L = F.Loops[N.Index];
-        rootRegion(L.Body, Live);
-        if (regionHasNeeded(L.Body)) {
+        if (rootRegion(L.Body, Live)) {
           LoopNeeded[N.Index] = true;
+          Rooted = true;
           Live(L.Lower);
           Live(L.Upper);
           Live(L.Step);
@@ -608,33 +697,44 @@ private:
       }
       case NodeKind::If: {
         const IfStmt &S = F.Ifs[N.Index];
-        auto Folded = FoldedGuards.find(S.Cond);
-        if (Folded != FoldedGuards.end()) {
-          rootRegion(Folded->second ? S.Then : S.Else, Live);
+        if (std::optional<bool> Taken = folded(S.Cond)) {
+          Rooted |= rootRegion(*Taken ? S.Then : S.Else, Live);
         } else {
-          rootRegion(S.Then, Live);
-          rootRegion(S.Else, Live);
+          Rooted |= rootRegion(S.Then, Live);
+          Rooted |= rootRegion(S.Else, Live);
           Live(S.Cond);
         }
         break;
       }
       }
     }
+    return Rooted;
   }
 
-  bool regionHasNeeded(const Region &R) const {
+  /// Records, once liveness is final, which loops and ifs hold anything
+  /// needed (folded-off arms included). \returns whether \p R does.
+  bool markEmitted(const Region &R) {
+    bool Needed = false;
     for (const NodeRef &N : R.Nodes) {
-      if (N.Kind == NodeKind::Instr && InstrNeeded[N.Index])
-        return true;
-      if (N.Kind == NodeKind::Loop &&
-          (LoopNeeded[N.Index] || regionHasNeeded(F.Loops[N.Index].Body)))
-        return true;
-      if (N.Kind == NodeKind::If &&
-          (regionHasNeeded(F.Ifs[N.Index].Then) ||
-           regionHasNeeded(F.Ifs[N.Index].Else)))
-        return true;
+      switch (N.Kind) {
+      case NodeKind::Instr:
+        Needed |= InstrNeeded[N.Index];
+        break;
+      case NodeKind::Loop:
+        if (markEmitted(F.Loops[N.Index].Body) || LoopNeeded[N.Index])
+          LoopEmitted[N.Index] = true;
+        Needed |= LoopEmitted[N.Index];
+        break;
+      case NodeKind::If: {
+        bool Then = markEmitted(F.Ifs[N.Index].Then);
+        bool Else = markEmitted(F.Ifs[N.Index].Else);
+        IfEmitted[N.Index] = Then || Else;
+        Needed |= IfEmitted[N.Index];
+        break;
+      }
+      }
     }
-    return false;
+    return Needed;
   }
 
   //===--- Pass 4: emission -----------------------------------------------===//
@@ -690,9 +790,9 @@ private:
   }
 
   MReg baseOf(uint32_t Array) {
-    auto It = BaseReg.find(Array);
-    if (It != BaseReg.end())
-      return It->second;
+    assert(Array < BaseReg.size() && "array id out of range");
+    if (BaseReg[Array] != NoReg)
+      return BaseReg[Array];
     // Bases load once at entry; emit into the function body start.
     MInstr I;
     I.Op = MOp::LoadBase;
@@ -722,10 +822,14 @@ private:
     return emit(std::move(I));
   }
 
-  const std::vector<MReg> &lanesOf(ValueId V) {
-    auto It = Map.find(V);
-    assert(It != Map.end() && "IR value not yet lowered");
-    return It->second;
+  const std::vector<MReg> &lanesOf(ValueId V) const {
+    assert(V < Lowered.size() && Lowered[V] && "IR value not yet lowered");
+    return Lanes[V];
+  }
+
+  void setLanes(ValueId V, std::vector<MReg> Regs) {
+    Lanes[V] = std::move(Regs);
+    Lowered[V] = true;
   }
 
   unsigned scalarLaneCount(ScalarKind K) const {
@@ -733,30 +837,26 @@ private:
   }
 
   void emitRegion(const Region &R) {
-    bool Scalar = RegionScalar.count(&R) ? RegionScalar.at(&R)
-                                         : TopLevelScalar;
     for (const NodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case NodeKind::Instr:
         if (InstrNeeded[N.Index])
-          emitInstr(F.Instrs[N.Index], N.Index, Scalar);
+          emitInstr(F.Instrs[N.Index], N.Index, InstrScalar[N.Index]);
         break;
       case NodeKind::Loop:
-        if (LoopNeeded[N.Index] ||
-            regionHasNeeded(F.Loops[N.Index].Body))
-          emitLoop(F.Loops[N.Index],
-                   RegionScalar.count(&F.Loops[N.Index].Body)
-                       ? RegionScalar.at(&F.Loops[N.Index].Body)
-                       : Scalar);
+        if (LoopEmitted[N.Index])
+          emitLoop(N.Index);
         break;
       case NodeKind::If:
-        emitIf(F.Ifs[N.Index], Scalar);
+        emitIf(N.Index);
         break;
       }
     }
   }
 
-  void emitLoop(const LoopStmt &L, bool Scalar) {
+  void emitLoop(uint32_t LoopId) {
+    const LoopStmt &L = F.Loops[LoopId];
+    bool Scalar = LoopScalar[LoopId];
     // A vector main loop whose body is scalar-expanded (dependence hint or
     // per-loop capability fallback) consumes fewer elements per iteration
     // than the get_VF its enclosing (vector) region materialized: its step
@@ -765,7 +865,7 @@ private:
     // the precomputed main bound stays exact.
     MReg StepReg = lanesOf(L.Step)[0];
     if (Scalar && L.Role == LoopRole::VecMain) {
-      unsigned MinSize = minVectorElemSize(F, L.Body);
+      unsigned MinSize = loopMinElem(LoopId);
       int64_t ScalarStep =
           MinSize == 16 ? 1
                         : std::max<int64_t>(1, VSEff / MinSize);
@@ -782,7 +882,7 @@ private:
     }
     MReg Iv = M.makeReg(ScalarKind::I64, false);
     M.Loops[LoopIdx].IndVar = Iv;
-    Map[L.IndVar] = {Iv};
+    setLanes(L.IndVar, {Iv});
 
     // Live carried variables become per-lane machine carried slots.
     struct CarriedLanes {
@@ -791,7 +891,10 @@ private:
     };
     std::vector<CarriedLanes> LiveCarried;
     for (const auto &C : L.Carried) {
-      if (!ValueLive[C.Phi] && !ValueLive[C.Result])
+      // ir::verify leaves a carried result's id unchecked; one past the
+      // value table is never read.
+      bool ResultLive = C.Result < ValueLive.size() && ValueLive[C.Result];
+      if (!ValueLive[C.Phi] && !ResultLive)
         continue;
       CarriedLanes CL;
       CL.C = &C;
@@ -801,7 +904,7 @@ private:
         M.Loops[LoopIdx].Carried.push_back({Phi, Init, NoReg});
         CL.Phis.push_back(Phi);
       }
-      Map[C.Phi] = CL.Phis;
+      setLanes(C.Phi, CL.Phis);
       LiveCarried.push_back(std::move(CL));
     }
 
@@ -817,20 +920,20 @@ private:
       for (size_t LIdx = 0; LIdx < CL.Phis.size(); ++LIdx)
         M.Loops[LoopIdx].Carried[Slot + LIdx].Next = Nexts[LIdx];
       // After the loop the phi registers hold the final values.
-      Map[CL.C->Result] = CL.Phis;
+      if (CL.C->Result < Lanes.size())
+        setLanes(CL.C->Result, CL.Phis);
       Slot += CL.Phis.size();
     }
   }
 
-  void emitIf(const IfStmt &S, bool Scalar) {
-    auto Folded = FoldedGuards.find(S.Cond);
-    if (Folded != FoldedGuards.end()) {
-      emitRegion(Folded->second ? S.Then : S.Else);
+  void emitIf(uint32_t IfId) {
+    const IfStmt &S = F.Ifs[IfId];
+    if (std::optional<bool> Taken = folded(S.Cond)) {
+      emitRegion(*Taken ? S.Then : S.Else);
       return;
     }
-    if (!regionHasNeeded(S.Then) && !regionHasNeeded(S.Else))
+    if (!IfEmitted[IfId])
       return;
-    (void)Scalar;
     M.Ifs.emplace_back();
     uint32_t IfIdx = static_cast<uint32_t>(M.Ifs.size() - 1);
     M.Ifs[IfIdx].Cond = lanesOf(S.Cond)[0];
@@ -852,53 +955,70 @@ private:
 
   //===--- Pass 5: post passes --------------------------------------------===//
 
-  /// Adds \p Delta to the definition count of every register \p L
-  /// defines: its induction variable, carried phis and body, nested
-  /// regions included.
-  void countDefs(const MLoop &L, int Delta, std::vector<int> &Defs) {
-    Defs[L.IndVar] += Delta;
-    for (const auto &C : L.Carried)
-      Defs[C.Phi] += Delta;
-    countDefs(L.Body, Delta, Defs);
-  }
+  // Machine loops are numbered in pre-order (emitLoop appends a loop
+  // before emitting its body), so loop L's subtree is the index range
+  // [L, LoopEnd[L]).
+  static constexpr uint32_t NoLoop = ~0u;
+  std::vector<uint32_t> LoopEnd;
+  std::vector<uint32_t> ParentLoop; ///< Innermost enclosing loop, or NoLoop.
+  /// Per register: the innermost machine loop holding its one definition
+  /// (a defining instruction, or the loop whose induction variable or
+  /// carried phi it is), or NoLoop. Every register has at most one.
+  std::vector<uint32_t> DefLoop;
 
-  void countDefs(const MRegion &R, int Delta, std::vector<int> &Defs) {
+  /// Records the loop tree and every register's defining loop for the
+  /// nodes of \p R, which sits directly in loop \p Loop. \returns one past
+  /// the last loop index in R's subtree.
+  uint32_t mapLoops(const MRegion &R, uint32_t Loop, uint32_t Next) {
     for (const MNodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case MNodeKind::Instr:
         if (M.Instrs[N.Index].Dst != NoReg)
-          Defs[M.Instrs[N.Index].Dst] += Delta;
+          DefLoop[M.Instrs[N.Index].Dst] = Loop;
         break;
-      case MNodeKind::Loop:
-        countDefs(M.Loops[N.Index], Delta, Defs);
+      case MNodeKind::Loop: {
+        assert(N.Index == Next && "machine loops are numbered in pre-order");
+        const MLoop &L = M.Loops[N.Index];
+        ParentLoop[N.Index] = Loop;
+        DefLoop[L.IndVar] = N.Index;
+        for (const auto &C : L.Carried)
+          DefLoop[C.Phi] = N.Index;
+        Next = LoopEnd[N.Index] = mapLoops(L.Body, N.Index, N.Index + 1);
         break;
+      }
       case MNodeKind::If:
-        countDefs(M.Ifs[N.Index].Then, Delta, Defs);
-        countDefs(M.Ifs[N.Index].Else, Delta, Defs);
+        Next = mapLoops(M.Ifs[N.Index].Then, Loop, Next);
+        Next = mapLoops(M.Ifs[N.Index].Else, Loop, Next);
         break;
       }
     }
+    return Next;
+  }
+
+  /// Whether register \p S is defined inside loop \p Loop's subtree.
+  bool definedIn(MReg S, uint32_t Loop) const {
+    return S != NoReg && DefLoop[S] >= Loop && DefLoop[S] < LoopEnd[Loop];
   }
 
   /// Strong-tier loop-invariant code motion: hoists pure instructions
   /// whose sources are defined outside the loop, to just before it. The
   /// hoist order is the one a restart-from-the-top fixpoint gives: always
-  /// the first invariant instruction of the body. \p Defs counts each
-  /// register's definitions inside the loop being processed (all zero
-  /// between loops), so a hoist only decrements its destination's count.
-  void hoistInvariants(MRegion &R, std::vector<int> &Defs) {
+  /// the first invariant instruction of the body. A hoist moves its
+  /// register's only definition out of the loop, and an earlier
+  /// instruction reading it may have become invariant, so the scan
+  /// restarts from the top.
+  void hoistInvariants(MRegion &R) {
     for (size_t NIdx = 0; NIdx < R.Nodes.size(); ++NIdx) {
       MNodeRef N = R.Nodes[NIdx];
       if (N.Kind == MNodeKind::If) {
-        hoistInvariants(M.Ifs[N.Index].Then, Defs);
-        hoistInvariants(M.Ifs[N.Index].Else, Defs);
+        hoistInvariants(M.Ifs[N.Index].Then);
+        hoistInvariants(M.Ifs[N.Index].Else);
         continue;
       }
       if (N.Kind != MNodeKind::Loop)
         continue;
       MLoop &L = M.Loops[N.Index];
-      hoistInvariants(L.Body, Defs);
-      countDefs(L, +1, Defs);
+      hoistInvariants(L.Body);
       std::vector<MNodeRef> Hoisted;
       for (size_t BIdx = 0; BIdx < L.Body.Nodes.size();) {
         MNodeRef BN = L.Body.Nodes[BIdx];
@@ -906,92 +1026,113 @@ private:
             BN.Kind == MNodeKind::Instr ? &M.Instrs[BN.Index] : nullptr;
         if (!BI || !isHoistable(BI->Op) ||
             std::any_of(BI->Srcs.begin(), BI->Srcs.end(),
-                        [&](MReg S) { return S != NoReg && Defs[S] != 0; })) {
+                        [&](MReg S) { return definedIn(S, N.Index); })) {
           ++BIdx;
           continue;
         }
         L.Body.Nodes.erase(L.Body.Nodes.begin() + BIdx);
         Hoisted.push_back(BN);
-        // Once a register has no definition left in the loop, an earlier
-        // instruction reading it may have become invariant: rescan from
-        // the top. Otherwise every earlier instruction is still variant.
-        if (BI->Dst != NoReg && --Defs[BI->Dst] == 0)
+        if (BI->Dst != NoReg) {
+          DefLoop[BI->Dst] = ParentLoop[N.Index];
           BIdx = 0;
+        }
       }
-      countDefs(L, -1, Defs);
       R.Nodes.insert(R.Nodes.begin() + NIdx, Hoisted.begin(), Hoisted.end());
       NIdx += Hoisted.size(); // Back on the loop; hoisted nodes are done.
     }
   }
 
-  /// Linearizes the instructions of a region subtree in execution order.
-  void linearize(const MRegion &R, std::vector<const MInstr *> &Out) {
+  /// Appends the instructions of \p R to Seq in execution order, and
+  /// records each loop's body as the segment [SegBegin, SegEnd) of it.
+  void linearize(const MRegion &R) {
     for (const MNodeRef &N : R.Nodes) {
       switch (N.Kind) {
       case MNodeKind::Instr:
-        Out.push_back(&M.Instrs[N.Index]);
+        Seq.push_back(N.Index);
         break;
       case MNodeKind::Loop:
-        linearize(M.Loops[N.Index].Body, Out);
+        SegBegin[N.Index] = static_cast<uint32_t>(Seq.size());
+        linearize(M.Loops[N.Index].Body);
+        SegEnd[N.Index] = static_cast<uint32_t>(Seq.size());
         break;
       case MNodeKind::If:
-        linearize(M.Ifs[N.Index].Then, Out);
-        linearize(M.Ifs[N.Index].Else, Out);
+        linearize(M.Ifs[N.Index].Then);
+        linearize(M.Ifs[N.Index].Else);
         break;
       }
     }
   }
 
+  // Register-pressure scratch: the whole function linearized once (as
+  // instruction indices) with each loop's segment of it, each register's
+  // [first, last] live position in the loop at hand (First < 0 when the
+  // register is untouched, reset through Touched), and per-position
+  // +1/-1 counts of live-range starts and ends per register class.
+  std::vector<uint32_t> Seq;
+  std::vector<uint32_t> SegBegin, SegEnd;
+  std::vector<int> RangeFirst, RangeLast;
+  std::vector<MReg> Touched;
+  std::vector<int> ScalarDelta, VecDelta;
+
   /// Maximum number of simultaneously live registers (per class) over the
-  /// linearized body of \p L — a linear-scan allocator's demand. Carried
-  /// phis and externally defined values live across the whole body.
-  void maxLivePressure(const MLoop &L, unsigned &ScalarPeak,
+  /// linearized body of loop \p LIdx — a linear-scan allocator's demand.
+  /// Carried phis and externally defined values live across the whole
+  /// body.
+  void maxLivePressure(uint32_t LIdx, unsigned &ScalarPeak,
                        unsigned &VecPeak) {
-    std::vector<const MInstr *> Seq;
-    linearize(L.Body, Seq);
-    std::map<MReg, std::pair<int, int>> Range; // reg -> [def, last use]
-    int End = static_cast<int>(Seq.size());
+    const MLoop &L = M.Loops[LIdx];
+    const uint32_t Begin = SegBegin[LIdx];
+    int End = static_cast<int>(SegEnd[LIdx] - Begin);
+    auto SetRange = [&](MReg Reg, int First, int Last) {
+      if (RangeFirst[Reg] < 0)
+        Touched.push_back(Reg);
+      RangeFirst[Reg] = First;
+      RangeLast[Reg] = Last;
+    };
     auto NoteUse = [&](MReg Reg, int Pos) {
       if (Reg == NoReg)
         return;
-      auto It = Range.find(Reg);
-      if (It == Range.end())
-        Range[Reg] = {0, Pos}; // Defined outside: live from entry.
+      if (RangeFirst[Reg] < 0)
+        SetRange(Reg, 0, Pos); // Defined outside: live from entry.
       else
-        It->second.second = std::max(It->second.second, Pos);
+        RangeLast[Reg] = std::max(RangeLast[Reg], Pos);
     };
     for (int Pos = 0; Pos < End; ++Pos) {
-      for (MReg S : Seq[Pos]->Srcs)
+      const MInstr &I = M.Instrs[Seq[Begin + Pos]];
+      for (MReg S : I.Srcs)
         NoteUse(S, Pos);
-      if (Seq[Pos]->Dst != NoReg && !Range.count(Seq[Pos]->Dst))
-        Range[Seq[Pos]->Dst] = {Pos, Pos};
+      if (I.Dst != NoReg && RangeFirst[I.Dst] < 0)
+        SetRange(I.Dst, Pos, Pos);
     }
     // Loop-carried state lives across the back edge: whole body.
     for (const auto &C : L.Carried) {
-      Range[C.Phi] = {0, End};
+      SetRange(C.Phi, 0, End);
       NoteUse(C.Next, End);
     }
-    Range[L.IndVar] = {0, End};
+    SetRange(L.IndVar, 0, End);
 
-    std::vector<std::pair<int, int>> Events; // (pos, +1/-1) per class tag
-    std::vector<std::pair<int, int>> VEvents;
-    for (const auto &[Reg, RangePair] : Range) {
-      auto &Evs = M.Regs[Reg].Vector ? VEvents : Events;
-      Evs.push_back({RangePair.first, +1});
-      Evs.push_back({RangePair.second + 1, -1});
+    // A range [First, Last] is +1 at First and -1 at Last + 1. The peak
+    // of the running sum over positions is the peak over the ranges'
+    // start and end events taken in order, ends before starts.
+    ScalarDelta.assign(End + 2, 0);
+    VecDelta.assign(End + 2, 0);
+    for (MReg Reg : Touched) {
+      std::vector<int> &Delta = M.Regs[Reg].Vector ? VecDelta : ScalarDelta;
+      ++Delta[RangeFirst[Reg]];
+      --Delta[RangeLast[Reg] + 1];
+      RangeFirst[Reg] = -1;
     }
-    auto Peak = [](std::vector<std::pair<int, int>> &Evs) {
-      std::sort(Evs.begin(), Evs.end());
+    Touched.clear();
+    auto Peak = [](const std::vector<int> &Delta) {
       int Cur = 0, Max = 0;
-      for (const auto &[Pos, Delta] : Evs) {
-        (void)Pos;
-        Cur += Delta;
+      for (int D : Delta) {
+        Cur += D;
         Max = std::max(Max, Cur);
       }
       return static_cast<unsigned>(Max);
     };
-    ScalarPeak = Peak(Events);
-    VecPeak = Peak(VEvents);
+    ScalarPeak = Peak(ScalarDelta);
+    VecPeak = Peak(VecDelta);
   }
 
   /// Inserts spill traffic into loop bodies whose peak register demand
@@ -1001,52 +1142,61 @@ private:
     bool Weak = Opt.CompilerTier == Tier::Weak;
     unsigned SAvail = Weak ? std::max(3u, T.ScalarRegs / 2) : T.ScalarRegs;
     unsigned VAvail = Weak ? std::max(3u, T.VectorRegs / 2) : T.VectorRegs;
-    for (MLoop &L : M.Loops) {
+    // Spills go to the front of a loop's own body. Loops are visited in
+    // pre-order, so no loop visited later holds an earlier loop's body in
+    // its segment: one linearization, taken before any spill, serves all.
+    SegBegin.assign(M.Loops.size(), 0);
+    SegEnd.assign(M.Loops.size(), 0);
+    Seq.clear();
+    linearize(M.Body);
+    RangeFirst.assign(M.Regs.size(), -1);
+    RangeLast.assign(M.Regs.size(), 0);
+    for (uint32_t LIdx = 0; LIdx < M.Loops.size(); ++LIdx) {
+      MLoop &L = M.Loops[LIdx];
       unsigned SPeak = 0, VPeak = 0;
-      maxLivePressure(L, SPeak, VPeak);
+      maxLivePressure(LIdx, SPeak, VPeak);
       unsigned Excess = 0;
       if (SPeak > SAvail)
         Excess += SPeak - SAvail;
       if (VPeak > VAvail)
         Excess += VPeak - VAvail;
-      for (unsigned E = 0; E < Excess; ++E) {
-        for (MOp Op : {MOp::SpillSt, MOp::SpillLd}) {
-          MInstr SP;
-          SP.Op = Op;
-          M.Instrs.push_back(SP);
-          L.Body.Nodes.insert(L.Body.Nodes.begin(),
-                              {MNodeKind::Instr,
-                               static_cast<uint32_t>(M.Instrs.size() - 1)});
-        }
+      prependPairs(L, Excess, MOp::SpillSt, MOp::SpillLd);
+    }
+  }
+
+  /// Emits \p Count (\p First, \p Second) pairs, each pair pushed onto the
+  /// front of \p L's body in turn, so the last one emitted leads; the body
+  /// moves once.
+  void prependPairs(MLoop &L, size_t Count, MOp First, MOp Second) {
+    if (Count == 0)
+      return;
+    std::vector<MNodeRef> Front;
+    for (size_t E = 0; E < Count; ++E) {
+      for (MOp Op : {First, Second}) {
+        M.Instrs.emplace_back();
+        M.Instrs.back().Op = Op;
+        Front.push_back(
+            {MNodeKind::Instr, static_cast<uint32_t>(M.Instrs.size() - 1)});
       }
     }
+    L.Body.Nodes.insert(L.Body.Nodes.begin(), Front.rbegin(), Front.rend());
   }
 
   /// Legacy-codegen profile: accumulators live in memory (one spill store
   /// and reload per carried variable per iteration) — the Table 3 "lack
   /// of register promotion of the accumulator in reduction kernels".
   void demoteAccumulators() {
-    for (MLoop &L : M.Loops) {
-      for (size_t C = 0; C < L.Carried.size(); ++C) {
-        for (MOp Op : {MOp::SpillLd, MOp::SpillSt}) {
-          MInstr SP;
-          SP.Op = Op;
-          M.Instrs.push_back(SP);
-          L.Body.Nodes.insert(L.Body.Nodes.begin(),
-                              {MNodeKind::Instr,
-                               static_cast<uint32_t>(M.Instrs.size() - 1)});
-        }
-      }
-    }
+    for (MLoop &L : M.Loops)
+      prependPairs(L, L.Carried.size(), MOp::SpillLd, MOp::SpillSt);
   }
 };
 
 //===--- Instruction emission --------------------------------------------===//
 
 void JitCompiler::emitInstr(const Instr &I, uint32_t Idx, bool Scalar) {
-  auto SetLanes = [&](std::vector<MReg> Lanes) {
+  auto SetLanes = [&](std::vector<MReg> Regs) {
     if (I.hasResult())
-      Map[I.Result] = std::move(Lanes);
+      setLanes(I.Result, std::move(Regs));
   };
 
   switch (I.Op) {
@@ -1477,8 +1627,10 @@ std::vector<MReg> JitCompiler::lowerVectorLoad(const Instr &I, uint32_t Idx,
   }
 
   MemStrategy S = MemStrategy::Aligned;
-  if (I.Op == Opcode::ULoad || I.Op == Opcode::RealignLoad)
-    S = Strat.at(Idx);
+  if (I.Op == Opcode::ULoad || I.Op == Opcode::RealignLoad) {
+    assert(Strat[Idx] && "vector access in a compiled region has no strategy");
+    S = *Strat[Idx];
+  }
 
   if (I.Op == Opcode::RealignLoad && S == MemStrategy::Perm) {
     MInstr P;
@@ -1531,8 +1683,9 @@ void JitCompiler::lowerVectorStore(const Instr &I, uint32_t Idx,
     return;
   }
 
-  MemStrategy S = I.Op == Opcode::AStore ? MemStrategy::Aligned
-                                         : Strat.at(Idx);
+  assert((I.Op == Opcode::AStore || Strat[Idx]) &&
+         "vector access in a compiled region has no strategy");
+  MemStrategy S = I.Op == Opcode::AStore ? MemStrategy::Aligned : *Strat[Idx];
   MReg Addr = addrOf(I.Array, IdxReg, K, 0);
   MInstr St;
   St.Op = S == MemStrategy::Aligned ? MOp::VStoreA : MOp::VStoreU;
@@ -1564,7 +1717,8 @@ std::vector<MReg> JitCompiler::lowerGuardRuntime(const Instr &I) {
   case GuardKind::PreferOuterLoop:
     // Always folded in foldGuards(); reaching here means the guard's if
     // was live with a folded condition value used elsewhere.
-    return {ldImm(FoldedGuards.at(I.Result) ? 1 : 0, ScalarKind::I1)};
+    assert(folded(I.Result) && "type and cost-model guards always fold");
+    return {ldImm(*folded(I.Result) ? 1 : 0, ScalarKind::I1)};
   case GuardKind::None:
     break;
   }

@@ -340,6 +340,86 @@ TEST(BytecodeStatusTest, FutureVersionYieldsBadVersionStatus) {
   EXPECT_EQ(R.status().code(), status::Code::BadVersion);
 }
 
+//===--- Table counts against the bytes left -----------------------------------//
+//
+// Every table is sized from a count the stream carries. Each entry takes
+// a minimum number of bytes, so a count the rest of the module cannot
+// hold fails at once, with its own diagnostic, before the decoder
+// allocates or loops for it. Each case is a tiny module whose one table
+// claims a huge count.
+
+/// A module's leading fields, up to its array table.
+bytecode::ByteWriter moduleHeader() {
+  bytecode::ByteWriter W;
+  W.writeU64(0x56534d44); // The container magic ("VSMD").
+  W.writeU64(1);          // Version.
+  W.writeString("x");
+  W.writeU8(0); // Scalar source.
+  return W;
+}
+
+/// Writes \p N zero counts: empty tables.
+void writeEmptyTables(bytecode::ByteWriter &W, int N) {
+  for (int I = 0; I < N; ++I)
+    W.writeU64(0);
+}
+
+void expectCountLie(const std::vector<uint8_t> &Bytes, const char *Table,
+                    uint64_t Count, size_t Left) {
+  auto R = bytecode::decode(Bytes);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), status::Code::TruncatedModule)
+      << R.status().str();
+  std::string Want = std::string(Table) + ": count " +
+                     std::to_string(Count) + " exceeds the " +
+                     std::to_string(Left) + " bytes left";
+  EXPECT_EQ(R.status().context(), Want) << R.status().str();
+}
+
+TEST(BytecodeCountTest, RegionNodeCountBeyondBytesLeftFails) {
+  bytecode::ByteWriter W = moduleHeader();
+  writeEmptyTables(W, 6); // Arrays, values, params, instrs, loops, ifs.
+  W.writeU64(1u << 24);   // The body claims 2^24 nodes.
+  EXPECT_EQ(W.size(), 19u);
+  expectCountLie(W.bytes(), "region nodes", 1u << 24, 0);
+}
+
+TEST(BytecodeCountTest, ValueCountBeyondBytesLeftFails) {
+  bytecode::ByteWriter W = moduleHeader();
+  writeEmptyTables(W, 1); // Arrays.
+  W.writeU64(1u << 24);
+  W.writeU8(0); // One byte of a first value.
+  expectCountLie(W.bytes(), "values", 1u << 24, 1);
+}
+
+TEST(BytecodeCountTest, InstructionCountBeyondBytesLeftFails) {
+  bytecode::ByteWriter W = moduleHeader();
+  writeEmptyTables(W, 3); // Arrays, values, params.
+  W.writeU64(1u << 24);
+  writeEmptyTables(W, 3); // What would follow: loops, ifs, body.
+  expectCountLie(W.bytes(), "instructions", 1u << 24, 3);
+}
+
+TEST(BytecodeCountTest, LoopCountBeyondBytesLeftFails) {
+  bytecode::ByteWriter W = moduleHeader();
+  writeEmptyTables(W, 4); // Arrays, values, params, instrs.
+  W.writeU64(1u << 20);
+  writeEmptyTables(W, 2); // Ifs, body.
+  expectCountLie(W.bytes(), "loops", 1u << 20, 2);
+}
+
+TEST(BytecodeCountTest, OperandCountBeyondBytesLeftFails) {
+  bytecode::ByteWriter W = moduleHeader();
+  writeEmptyTables(W, 3); // Arrays, values, params.
+  W.writeU64(1);          // One instruction:
+  W.writeU8(static_cast<uint8_t>(Opcode::Add));
+  W.writeU8(static_cast<uint8_t>(ScalarKind::I64));
+  W.writeU64(0);        // No result.
+  W.writeU64(1u << 16); // Claims 2^16 operands.
+  W.writeU8(0);         // Its flags.
+  expectCountLie(W.bytes(), "instruction operands", 1u << 16, 1);
+}
+
 TEST(BytecodeStatusTest, StructuralCorruptionYieldsMalformedModule) {
   Function F("bad");
   F.addArray("a", ScalarKind::F32, 64, 32);

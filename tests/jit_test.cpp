@@ -664,4 +664,65 @@ TEST(JitLicmTest, WeakTierHoistsNothing) {
                    });
 }
 
+//===--- Lowering digest -------------------------------------------------------//
+
+/// The three runtime placements the digest lowers for: nothing known,
+/// every base known and vector-aligned, and every kernel array's base
+/// known one element past a vector boundary (scratch arrays stay
+/// aligned, as the executor places them).
+jit::RuntimeInfo digestPlacement(const Function &F, int Placement) {
+  if (Placement == 0)
+    return jit::RuntimeInfo::unknown(F.Arrays.size());
+  jit::RuntimeInfo RT;
+  for (size_t A = 0; A < F.Arrays.size(); ++A) {
+    const ArrayInfo &AI = F.Arrays[A];
+    uint64_t Base = (A + 1) << 20;
+    if (Placement == 2 && AI.Name.rfind("__vt", 0) != 0)
+      Base += scalarSize(AI.Elem);
+    RT.Arrays.push_back({true, Base});
+  }
+  return RT;
+}
+
+/// Pins every lowering of the kernel registry to one digest: each
+/// kernel's vectorized module and its scalar source, on every target x
+/// tier x forced-scalar x legacy profile x placement. Each cell hashes
+/// MFunction::str() with Scalarized, ScalarizeReason and the strategy
+/// tally. A change that means to leave code generation alone must keep
+/// the digest; one that changes machine code updates it and says why.
+TEST(JitDigestTest, EveryLoweringMatchesThePinnedDigest) {
+  constexpr uint64_t Pinned = 0xb200c928b906c35dULL;
+  uint64_t H = 0;
+  size_t Cells = 0;
+  auto Mix = [&](const std::string &S) { H = hashBytes(S.data(), S.size(), H); };
+  for (const kernels::Kernel &K : kernels::allKernels()) {
+    const Function Vector = vectorizer::vectorize(K.Source).Output;
+    for (const Function *F : {&Vector, &K.Source})
+      for (const TargetDesc &T : allTargets())
+        for (jit::Tier Tier : {jit::Tier::Weak, jit::Tier::Strong})
+          for (bool Force : {false, true})
+            for (bool Legacy : {false, true})
+              for (int Placement = 0; Placement < 3; ++Placement) {
+                jit::Options JO;
+                JO.CompilerTier = Tier;
+                JO.ForceScalarize = Force;
+                JO.FoldAddressing = !Legacy;
+                JO.PromoteAccumulators = !Legacy;
+                jit::CompileResult CR = jit::compile(
+                    *F, T, digestPlacement(*F, Placement), JO);
+                const jit::StrategyStats &S = CR.Strategy;
+                Mix(CR.Code.str());
+                Mix(std::to_string(CR.Scalarized) + CR.ScalarizeReason);
+                for (uint32_t N : {S.MemAligned, S.MemUnaligned, S.MemPerm,
+                                   S.MemScalar, S.GuardsFoldedTrue,
+                                   S.GuardsFoldedFalse, S.GuardsRuntime})
+                  H = hashCombine(H, N);
+                ++Cells;
+              }
+  }
+  EXPECT_EQ(Cells, kernels::ExpectedKernelCount * 2 * allTargets().size() *
+                       2 * 2 * 2 * 3);
+  EXPECT_EQ(H, Pinned) << std::hex << "lowering digest 0x" << H;
+}
+
 } // namespace

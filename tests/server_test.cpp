@@ -21,6 +21,7 @@
 #include "bytecode/Bytecode.h"
 #include "codegen/NativeJit.h"
 #include "ir/Builder.h"
+#include "ir/Verifier.h"
 #include "jit/CodeCache.h"
 #include "kernels/Kernels.h"
 #include "server/Protocol.h"
@@ -356,6 +357,30 @@ ir::Function overflowingFold(Fold How, int64_t &Wraps) {
   B.store(R, B.constIdx(0), X);
   return vectorizer::vectorize(F, {}).Output;
 }
+
+/// A scalar module of \p Depth loops nested one inside the next, each
+/// over [0, n), around a[0] = i of the innermost induction variable.
+/// Built and encoded without recursion, so any depth can be made: 25,000
+/// levels take about 475 KB, well under the frame cap.
+std::vector<uint8_t> loopNest(uint32_t Depth) {
+  ir::Function F("nest");
+  uint32_t A = F.addArray("a", ir::ScalarKind::I64, 1, 8);
+  ir::ValueId N = F.addParam("n", ir::Type::scalar(ir::ScalarKind::I64));
+  ir::IrBuilder B(F);
+  ir::ValueId Zero = B.constIdx(0);
+  ir::ValueId One = B.constIdx(1);
+  std::vector<ir::IrBuilder::LoopHandle> Loops;
+  for (uint32_t D = 0; D < Depth; ++D)
+    Loops.push_back(B.beginLoop(Zero, N, One));
+  B.store(A, Zero, Loops.back().indVar());
+  for (auto It = Loops.rbegin(); It != Loops.rend(); ++It)
+    B.endLoop(*It);
+  return bytecode::encode(F);
+}
+
+/// Enough levels to overflow an 8 MiB thread stack in any walk that
+/// recursed once per level.
+constexpr uint32_t StackBreakingDepth = 25000;
 
 //===--- Live server over AF_UNIX -----------------------------------------===//
 
@@ -728,6 +753,28 @@ TEST_F(ServerTest, UndecodableModuleFailsClosedNotSilently) {
   ::close(Fd);
 }
 
+TEST_F(ServerTest, StackBreakingNestIsAnsweredAndServingGoesOn) {
+  int Fd = connectTo(Path);
+  ASSERT_GE(Fd, 0);
+  server::RunRequest Req;
+  Req.RequestId = 8;
+  Req.Tenant = "t0";
+  Req.Bytecode = loopNest(StackBreakingDepth);
+  bool Ok = false;
+  server::RunResponse Resp = roundTrip(Fd, Req, Ok);
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(Resp.Code,
+            static_cast<uint8_t>(status::Code::RejectedByVerifier))
+      << Resp.Message;
+  // The same connection still runs a valid module.
+  Req.RequestId = 9;
+  Req.Bytecode = realBytecode();
+  Resp = roundTrip(Fd, Req, Ok);
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(Resp.Code, 0u) << Resp.Message;
+  ::close(Fd);
+}
+
 TEST_F(ServerTest, ResponseKindFromClientIsMalformed) {
   int Fd = connectTo(Path);
   ASSERT_GE(Fd, 0);
@@ -938,6 +985,70 @@ TEST(RunEncodedModuleTest, GarbageBytecodeIsTerminalDecodeFailure) {
   RunOutcome Out = runEncodedModule(W, O);
   ASSERT_FALSE(Out.Terminal.ok());
   EXPECT_EQ(Out.Terminal.layer(), status::Layer::Bytecode);
+}
+
+//===--- Nesting depth bound (ir::MaxRegionDepth) --------------------------===//
+
+TEST(NestingDepthTest, BoundAdmitsItsDepthAndRejectsOneMore) {
+  ModuleWorkload W;
+  W.Name = "nest";
+  W.Bytecode = loopNest(ir::MaxRegionDepth);
+  W.IntParams["n"] = 1;
+  ASSERT_TRUE(bytecode::decode(W.Bytecode).ok());
+  RunOutcome Out = runEncodedModule(W, RunOptions());
+  ASSERT_TRUE(Out.Terminal.ok()) << Out.Terminal.str();
+  EXPECT_EQ(Out.Mem->peekInt(0, 0), 0); // The innermost store ran.
+
+  auto Deeper = bytecode::decode(loopNest(ir::MaxRegionDepth + 1));
+  ASSERT_FALSE(Deeper.ok());
+  EXPECT_EQ(Deeper.status().code(), status::Code::RejectedByVerifier);
+  EXPECT_NE(Deeper.status().context().find("nest deeper than 64 levels"),
+            std::string::npos)
+      << Deeper.status().str();
+}
+
+TEST(NestingDepthTest, StackBreakingNestIsRejectedByDecode) {
+  auto R = bytecode::decode(loopNest(StackBreakingDepth));
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), status::Code::RejectedByVerifier);
+}
+
+TEST(NestingDepthTest, StackBreakingNestIsTerminalInRunEncodedModule) {
+  ModuleWorkload W;
+  W.Name = "nest";
+  W.Bytecode = loopNest(StackBreakingDepth);
+  W.IntParams["n"] = 1;
+  RunOutcome Out = runEncodedModule(W, RunOptions());
+  ASSERT_FALSE(Out.Terminal.ok());
+  EXPECT_EQ(Out.Terminal.code(), status::Code::RejectedByVerifier);
+  EXPECT_EQ(Out.Terminal.layer(), status::Layer::Bytecode);
+}
+
+/// A loop with a dependence limit around a vector of no element kind:
+/// the vectorization factor over it divided by a lane size of zero and
+/// ended the process with SIGFPE.
+TEST(RunEncodedModuleTest, VectorWithoutElementKindIsRejectedNotFatal) {
+  ir::Function F("no_lane_size");
+  F.IsSplitLayer = true;
+  uint32_t A = F.addArray("a", ir::ScalarKind::I64, 16, 8);
+  ir::IrBuilder B(F);
+  auto L = B.beginLoop(B.constIdx(0), B.constIdx(4), B.constIdx(1));
+  ir::Instr I;
+  I.Op = ir::Opcode::ConstInt;
+  I.Ty = ir::Type(ir::ScalarKind::None, true);
+  B.emit(I);
+  B.store(A, L.indVar(), L.indVar());
+  B.endLoop(L);
+  F.Loops[0].MaxSafeVF = 1;
+  ModuleWorkload W;
+  W.Name = "no_lane_size";
+  W.Bytecode = bytecode::encode(F);
+  RunOutcome Out = runEncodedModule(W, RunOptions());
+  ASSERT_FALSE(Out.Terminal.ok());
+  EXPECT_EQ(Out.Terminal.code(), status::Code::RejectedByVerifier);
+  EXPECT_NE(Out.Terminal.context().find("without an element kind"),
+            std::string::npos)
+      << Out.Terminal.str();
 }
 
 TEST(RunEncodedModuleTest, IntegerDivisionByZeroParamIsTotal) {
