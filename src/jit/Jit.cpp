@@ -30,10 +30,12 @@
 //     blocker, its smallest vector element, whether it holds anything
 //     live) are computed once per loop, in one walk, and reused, so no
 //     pass re-walks a subtree per level of nesting.
-//   - The post passes (hoisting's definition counts and register
-//     pressure) look at each machine loop's whole subtree, which costs
-//     the module size times its nesting depth. Decoding bounds that depth
-//     at ir::MaxRegionDepth, so the factor is a constant.
+//   - Hoisting asks whether a source is defined inside a loop through
+//     each register's defining loop and the loop's pre-order range, in
+//     O(1), instead of counting the loop's definitions.
+//   - Register pressure scans each machine loop's whole subtree, which
+//     costs the module size times its nesting depth. Decoding bounds that
+//     depth at ir::MaxRegionDepth, so the factor is a constant.
 //
 //===----------------------------------------------------------------------===//
 
@@ -169,6 +171,14 @@ void scanMinVecElemSize(const Function &F, const Region &R,
   }
 }
 
+/// The vectorization factor on \p T of a loop whose smallest vector
+/// element takes \p MinSize bytes (16: no vector code).
+int64_t vfFor(unsigned MinSize, const TargetDesc &T) {
+  if (MinSize == 16 || T.VSBytes == 0)
+    return 1;
+  return T.VSBytes / MinSize;
+}
+
 } // namespace
 
 unsigned jit::minVectorElemSize(const Function &F, const Region &R) {
@@ -179,10 +189,7 @@ unsigned jit::minVectorElemSize(const Function &F, const Region &R) {
 
 int64_t jit::loopVF(const Function &F, const LoopStmt &L,
                     const TargetDesc &T) {
-  unsigned MinSize = minVectorElemSize(F, L.Body);
-  if (MinSize == 16 || T.VSBytes == 0)
-    return 1;
-  return T.VSBytes / MinSize;
+  return vfFor(minVectorElemSize(F, L.Body), T);
 }
 
 std::optional<bool> jit::foldGuardStatic(const Instr &I, const TargetDesc &T,
@@ -494,12 +501,7 @@ private:
   }
 
   /// This target's vectorization factor for loop \p Loop (jit::loopVF).
-  int64_t loopVF(uint32_t Loop) {
-    unsigned MinSize = loopMinElem(Loop);
-    if (MinSize == 16 || T.VSBytes == 0)
-      return 1;
-    return T.VSBytes / MinSize;
-  }
+  int64_t loopVF(uint32_t Loop) { return vfFor(loopMinElem(Loop), T); }
 
   /// Whether the hint proves VS-alignment of the access (paper
   /// Sec. III-B(c), the single-version alternative to versioning).
