@@ -310,7 +310,7 @@ def linear_gate(path, schema, stage, flag):
     per-KB report: exits 0 when no kernel's us/KB is above LINEAR_MAX
     times the median kernel, 1 when one is, 2 on a report that is not
     exactly the LINEAR_KERNELS kernels (each named once) x LINEAR_TARGETS
-    of \p schema."""
+    of the given schema."""
     report = load(path)
     if not isinstance(report, dict) or report.get("schema") != schema:
         got = report.get("schema") if isinstance(report, dict) else None

@@ -160,16 +160,19 @@ private:
           error("region references out-of-range loop");
           continue;
         }
-        ++LoopPlaced[N.Index];
-        checkLoop(F.Loops[N.Index], Depth + 1);
+        // A loop or if placed twice fails the placement check; walking
+        // it once keeps regions that share one from costing time
+        // exponential in their depth.
+        if (LoopPlaced[N.Index]++ == 0)
+          checkLoop(F.Loops[N.Index], Depth + 1);
         break;
       case NodeKind::If:
         if (N.Index >= F.Ifs.size()) {
           error("region references out-of-range if");
           continue;
         }
-        ++IfPlaced[N.Index];
-        checkIf(F.Ifs[N.Index], Depth + 1);
+        if (IfPlaced[N.Index]++ == 0)
+          checkIf(F.Ifs[N.Index], Depth + 1);
         break;
       }
     }

@@ -35,8 +35,9 @@ constexpr unsigned MaxRegionDepth = 64;
 
 /// Verifies \p F. \returns a list of diagnostics; empty means well-formed.
 /// Checks: operand counts and types per opcode, definition-before-use along
-/// the structured walk, region/node consistency (every instruction placed
-/// exactly once), loop carried-variable completeness, the level rule
+/// the structured walk, region/node consistency (every instruction, loop
+/// and if placed exactly once; a loop or if placed twice is walked once),
+/// loop carried-variable completeness, the level rule
 /// (idioms and vector types only in split-layer functions), and nesting
 /// no deeper than MaxRegionDepth (the walk stops descending there).
 std::vector<std::string> verify(const Function &F);

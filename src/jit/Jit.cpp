@@ -30,9 +30,8 @@
 //     blocker, its smallest vector element, whether it holds anything
 //     live) are computed once per loop, in one walk, and reused, so no
 //     pass re-walks a subtree per level of nesting.
-//   - Hoisting asks whether a source is defined inside a loop through
-//     each register's defining loop and the loop's pre-order range, in
-//     O(1), instead of counting the loop's definitions.
+//   - Hoisting asks whether a source is defined inside a loop in O(1):
+//     each register's defining loop against the loop's pre-order range.
 //   - Register pressure scans each machine loop's whole subtree, which
 //     costs the module size times its nesting depth. Decoding bounds that
 //     depth at ir::MaxRegionDepth, so the factor is a constant.
@@ -294,7 +293,7 @@ private:
   enum class Fold : uint8_t { Unfolded, True, False };
   /// Per value: the static fold of the version_guard defining it. The
   /// last slot stands for every id past the table (a guard without a
-  /// result), so such guards share one fold as they always have.
+  /// result), so such guards share one fold.
   std::vector<Fold> FoldedGuards;
   /// Per instruction: the memory strategy, for memory idioms in a
   /// compiled region; nullopt otherwise.

@@ -271,6 +271,26 @@ TEST(VerifierTest, RejectsNonI1IfCondition) {
   EXPECT_FALSE(verify(F).empty());
 }
 
+/// Ifs that each hold the next one in both arms: one if per level but
+/// 2^depth paths from the top, in a few hundred bytes. Each if is walked
+/// once and its second placement reported; a walk of every path would
+/// not finish.
+TEST(VerifierTest, RegionsSharedByTwoArmsAreWalkedOnce) {
+  Function F("shared");
+  ValueId C = F.addParam("c", Type::scalar(ScalarKind::I1));
+  F.Ifs.resize(MaxRegionDepth);
+  for (uint32_t I = 0; I < MaxRegionDepth; ++I) {
+    F.Ifs[I].Cond = C;
+    if (I + 1 < MaxRegionDepth)
+      for (Region *Arm : {&F.Ifs[I].Then, &F.Ifs[I].Else})
+        Arm->Nodes.push_back({NodeKind::If, I + 1});
+  }
+  F.Body.Nodes.push_back({NodeKind::If, 0});
+  std::vector<std::string> Errors = verify(F);
+  ASSERT_EQ(Errors.size(), MaxRegionDepth - 1);
+  EXPECT_EQ(Errors.front(), "if #1 placed 2 times");
+}
+
 TEST(VerifierTest, RejectsBrokenResultBookkeeping) {
   Function F("bad");
   IrBuilder B(F);
