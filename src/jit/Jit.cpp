@@ -298,7 +298,8 @@ private:
   /// Per instruction: the memory strategy, for memory idioms in a
   /// compiled region; nullopt otherwise.
   std::vector<std::optional<MemStrategy>> Strat;
-  /// Per instruction: whether its region lowers by scalar expansion.
+  /// Per instruction of a compiled region (folded-off arms are not):
+  /// whether its region lowers by scalar expansion.
   std::vector<uint8_t> InstrScalar;
   /// Per loop: whether its body lowers by scalar expansion.
   std::vector<uint8_t> LoopScalar;
@@ -538,7 +539,6 @@ private:
         if (std::optional<bool> Taken = folded(S.Cond)) {
           // Only the surviving arm is compiled at all.
           planArm(*Taken ? S.Then : S.Else, Scalar);
-          recordModes(*Taken ? S.Else : S.Then, Scalar);
         } else {
           planArm(S.Then, Scalar);
           planArm(S.Else, Scalar);
@@ -562,25 +562,6 @@ private:
       break;
     default:
       break;
-    }
-  }
-
-  /// Gives every instruction of a folded-off arm \p R the mode \p Scalar
-  /// of the region around it. Nothing there is compiled.
-  void recordModes(const Region &R, bool Scalar) {
-    for (const NodeRef &N : R.Nodes) {
-      switch (N.Kind) {
-      case NodeKind::Instr:
-        InstrScalar[N.Index] = Scalar;
-        break;
-      case NodeKind::Loop:
-        recordModes(F.Loops[N.Index].Body, Scalar);
-        break;
-      case NodeKind::If:
-        recordModes(F.Ifs[N.Index].Then, Scalar);
-        recordModes(F.Ifs[N.Index].Else, Scalar);
-        break;
-      }
     }
   }
 
